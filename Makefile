@@ -21,9 +21,12 @@ chaos:
 
 # Kill/restart recovery conformance: the tier-1 Recovery tests plus the
 # exhaustive every-kill-point sweep (chaos tag), all under the race
-# detector. See docs/ROBUSTNESS.md.
+# detector, then the kill tests fifty times over so a rig or engine race
+# that only loses one run in a few cannot return silently. See
+# docs/ROBUSTNESS.md.
 recover:
 	$(GO) test -race -tags chaos -run 'Recover' ./internal/deploy/ -v
+	$(GO) test -race -count=50 -run 'TestRecoveryKill' ./internal/deploy/
 
 fmt:
 	@out=$$(gofmt -s -l .); if [ -n "$$out" ]; then echo "gofmt -s needed:"; echo "$$out"; exit 1; fi

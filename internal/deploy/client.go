@@ -12,9 +12,11 @@ import (
 	"time"
 
 	"helcfl/internal/dataset"
+	"helcfl/internal/fl"
 	"helcfl/internal/nn"
 	"helcfl/internal/obs/span"
 	"helcfl/internal/retry"
+	"helcfl/internal/tensor"
 )
 
 // newSeededRand is a tiny helper shared with the server.
@@ -85,7 +87,8 @@ type Client struct {
 	cfg   ClientConfig
 	model *nn.Sequential
 	loss  *nn.SoftmaxCrossEntropy
-	rng   *rand.Rand // backoff jitter; seeded per user for reproducible runs
+	x     *tensor.Tensor // Data viewed the way the model consumes it
+	rng   *rand.Rand     // backoff jitter; seeded per user for reproducible runs
 	// RoundsTrained counts local updates whose upload was acknowledged.
 	RoundsTrained int
 	// Reconnections counts recoveries from a server outage (see
@@ -116,10 +119,15 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.BaseBackoff <= 0 {
 		cfg.BaseBackoff = 10 * time.Millisecond
 	}
+	x := cfg.Data.X
+	if cfg.Spec.FlattensInput() {
+		x = cfg.Data.FlatX()
+	}
 	return &Client{
 		cfg:   cfg,
 		model: cfg.Spec.Build(newSeededRand(int64(cfg.Info.User) + 1)),
 		loss:  nn.NewSoftmaxCrossEntropy(),
+		x:     x,
 		rng:   newSeededRand(int64(cfg.Info.User)*7919 + 17),
 	}, nil
 }
@@ -348,21 +356,9 @@ func (c *Client) trainRound(ctx context.Context, round int, freqHz float64) erro
 		return err
 	}
 
-	// Local update, Eq. (3).
-	var x = c.cfg.Data.X
-	if c.cfg.Spec.FlattensInput() {
-		x = c.cfg.Data.FlatX()
-	}
-	for s := 0; s < c.cfg.LocalSteps; s++ {
-		c.model.ZeroGrads()
-		logits := c.model.Forward(x, true)
-		c.loss.Forward(logits, c.cfg.Data.Labels)
-		c.model.Backward(c.loss.Backward())
-		params, grads := c.model.Params(), c.model.Grads()
-		for i, p := range params {
-			p.AXPY(-c.cfg.LR, grads[i])
-		}
-	}
+	// Local update, Eq. (3), from the parameters just loaded off the wire —
+	// the same loop the simulated engine trains with.
+	fl.LocalUpdate(c.model, c.loss, c.x, c.cfg.Data.Labels, nil, c.cfg.LR, c.cfg.LocalSteps, 0, nil)
 	// Act out the DVFS compute delay, so slower assigned frequencies make
 	// this device visibly later on the server's timeline.
 	if c.cfg.TimeScale > 0 && c.cfg.CyclesPerUpdate > 0 && freqHz > 0 {

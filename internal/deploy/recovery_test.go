@@ -41,7 +41,16 @@ func (w *proxyStatus) WriteHeader(code int) {
 // flipProxy routes to the current server incarnation, answers 503 while
 // "down" (crashed, restart pending), and evaluates a kill trigger after
 // every completed request.
+//
+// Uploads pass through one at a time (uploadMu), which makes the kill
+// decision atomic with admission: the down check, the forward, the count
+// and the trigger of one upload all happen before the next upload's down
+// check, so nothing is acknowledged after the kill point. Without it an
+// upload already past the down check when the trigger fired could complete
+// the cohort, the round would close, the snapshot would reset the WAL, and
+// a "mid-round" restart would find nothing to replay.
 type flipProxy struct {
+	uploadMu   sync.Mutex // serializes /upload end to end; taken before mu
 	mu         sync.Mutex
 	cur        *Server
 	down       bool
@@ -51,6 +60,10 @@ type flipProxy struct {
 }
 
 func (p *flipProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/upload" {
+		p.uploadMu.Lock()
+		defer p.uploadMu.Unlock()
+	}
 	p.mu.Lock()
 	srv, down := p.cur, p.down
 	p.mu.Unlock()

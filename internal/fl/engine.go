@@ -214,8 +214,15 @@ type Engine struct {
 	global    *nn.Sequential
 	modelBits float64
 	flatten   bool
-	clients   []*Client
 	evalEvery int
+
+	// Training state scales with workers + cohort, not with the fleet: the
+	// broadcast overwrites a user's model before every Eq. (3) update, so
+	// the engine owns one trainer per local-update worker, one upload buffer
+	// per selection slot (flats, below), and per user only the cached
+	// model-input header of its dataset.
+	trainers []trainer
+	inputs   []*tensor.Tensor
 
 	res           *Result
 	cumTime       float64
@@ -259,16 +266,27 @@ type Engine struct {
 	hierScratch HierScratch
 
 	// Persistent local-update worker pool, spawned lazily on the first
-	// round that trains more than one client concurrently and drained when
-	// Result finalizes the run. With one effective worker the engine trains
-	// clients inline on the calling goroutine — no goroutines, no channel.
+	// round that trains more than one user concurrently and stopped by
+	// Close. With one effective worker the engine trains users inline on
+	// the calling goroutine — no goroutines, no channel.
 	taskCh chan trainTask
-	taskWG sync.WaitGroup
+	taskWG sync.WaitGroup // the round's outstanding tasks
+	poolWG sync.WaitGroup // the pool's live workers
 }
 
-// trainTask names one client local update: selected[si] == q trains into
+// trainTask names one user's local update: selected[si] == q trains into
 // result slot si.
 type trainTask struct{ si, q int }
+
+// trainer is one local-update worker's training state: a model structurally
+// identical to the global one, whose layer scratch grows to the largest
+// |D_q| the worker has served, and the loss that goes with it. The inline
+// path trains on trainer 0 (built with the engine), pool worker i on
+// trainer i (built with the pool).
+type trainer struct {
+	model *nn.Sequential
+	loss  *nn.SoftmaxCrossEntropy
+}
 
 // NewEngine validates the configuration, runs the initialization phase of
 // Algorithm 1 (lines 1–2), and returns an engine positioned before round 0.
@@ -286,8 +304,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 }
 
 // newEngineState builds everything deterministic about an engine — model,
-// clients, RNG at its post-initialization position — without emitting
-// events. Shared by NewEngine and RestoreEngine.
+// per-user inputs, RNG at its post-initialization position — without
+// emitting events. Shared by NewEngine and RestoreEngine.
 func newEngineState(cfg Config) (*Engine, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	global := cfg.Spec.Build(rng)
@@ -299,7 +317,7 @@ func newEngineState(cfg Config) (*Engine, error) {
 
 	// Initialization phase (Algorithm 1, lines 1–2): the FLCC learns each
 	// device's resources; here that also pins |D_q| for Eqs. (4)–(5).
-	clients := make([]*Client, len(cfg.Devices))
+	inputs := make([]*tensor.Tensor, len(cfg.Devices))
 	for q, d := range cfg.Devices {
 		// Skip-if-equal: devices from a cached experiment environment are
 		// shared across concurrently running engines, and the env builder
@@ -312,7 +330,7 @@ func newEngineState(cfg Config) (*Engine, error) {
 		if err := d.Validate(); err != nil {
 			return nil, err
 		}
-		clients[q] = NewClient(q, cfg.UserData[q], global.Clone(), flatten)
+		inputs[q] = modelInput(cfg.UserData[q], flatten)
 	}
 
 	evalEvery := cfg.EvalEvery
@@ -329,8 +347,9 @@ func newEngineState(cfg Config) (*Engine, error) {
 		global:    global,
 		modelBits: modelBits,
 		flatten:   flatten,
-		clients:   clients,
 		evalEvery: evalEvery,
+		trainers:  []trainer{newTrainer(global)},
+		inputs:    inputs,
 		res: &Result{
 			Scheme: cfg.Planner.Name(), ModelBits: modelBits,
 			// The record log grows to exactly MaxRounds entries on a full
@@ -491,7 +510,11 @@ func (e *Engine) Step() (bool, error) {
 		e.bcastBuf = quantizeF32Into(e.bcastBuf, e.globalFlat)
 		globalFlat = e.bcastBuf
 	}
-	e.flats = growSliceTable(e.flats, len(selected))
+	for len(e.flats) < len(selected) {
+		// One upload buffer per selection slot, kept at the cohort
+		// high-water mark.
+		e.flats = append(e.flats, make([]float64, len(e.globalFlat)))
+	}
 	e.losses = growFloats(e.losses, len(selected))
 	e.wall = nil
 	if cfg.Sink != nil {
@@ -726,7 +749,7 @@ func (e *Engine) Result() *Result {
 	e.res.TotalEnergy = e.cumEnergy
 	if e.Done() && !e.finished {
 		e.finished = true
-		e.drainPool()
+		e.Close()
 		e.runSp.End()
 		if e.cfg.Sink != nil {
 			e.cfg.Sink.OnRunEnd(obs.RunEndEvent{
@@ -749,6 +772,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer e.Close()
 	for {
 		ok, err := e.Step()
 		if err != nil {
@@ -777,7 +801,7 @@ func (e *Engine) trainSelected(selected []int, globalFlat []float64) {
 	}
 	if w <= 1 {
 		for si, q := range selected {
-			e.trainOne(si, q)
+			e.trainOne(e.trainers[0], si, q)
 		}
 		return
 	}
@@ -789,48 +813,67 @@ func (e *Engine) trainSelected(selected []int, globalFlat []float64) {
 	e.taskWG.Wait()
 }
 
-// trainOne trains client q into result slot si using the engine's round
-// scratch (broadcast, flats, losses, wall).
-func (e *Engine) trainOne(si, q int) {
+// trainOne trains user q on trainer t into result slot si using the
+// engine's round scratch (broadcast, flats, losses, wall).
+func (e *Engine) trainOne(t trainer, si, q int) {
 	cfg := &e.cfg
+	var t0 time.Time
 	if e.wall != nil {
 		// Wall-clock span for obs telemetry only: it never feeds a
 		// decision, a record, or the model, so replay determinism
 		// holds (the conformance tests pin this).
-		t0 := time.Now() //helcfl:allow(nondeterminism) telemetry-only span; no control-flow or model effect
-		e.flats[si], e.losses[si] = e.clients[q].LocalUpdateProx(e.broadcast, cfg.LR, cfg.LocalSteps, cfg.ProxMu)
-		e.wall[si] = time.Since(t0).Seconds() //helcfl:allow(nondeterminism) telemetry-only span; no control-flow or model effect
-		return
+		t0 = time.Now() //helcfl:allow(nondeterminism) telemetry-only span; no control-flow or model effect
 	}
-	e.flats[si], e.losses[si] = e.clients[q].LocalUpdateProx(e.broadcast, cfg.LR, cfg.LocalSteps, cfg.ProxMu)
+	e.losses[si] = LocalUpdate(t.model, t.loss, e.inputs[q], cfg.UserData[q].Labels, e.broadcast, cfg.LR, cfg.LocalSteps, cfg.ProxMu, e.flats[si])
+	if e.wall != nil {
+		e.wall[si] = time.Since(t0).Seconds() //helcfl:allow(nondeterminism) telemetry-only span; no control-flow or model effect
+	}
 }
 
-// ensurePool lazily spawns the persistent local-update workers. The channel
-// is buffered to the fleet size, so a whole round enqueues without blocking
-// even before any worker wakes. The pool lives until Result finalizes the
-// campaign (drainPool); each round synchronizes through taskWG.
+// newTrainer clones the global model for one worker. The clone's parameter
+// values are irrelevant — every update starts by overwriting them from the
+// broadcast — it only has to share the global model's structure.
+func newTrainer(global *nn.Sequential) trainer {
+	return trainer{model: global.Clone(), loss: nn.NewSoftmaxCrossEntropy()}
+}
+
+// ensurePool lazily spawns the persistent local-update workers, one trainer
+// each. The channel is buffered to the fleet size, so a whole round
+// enqueues without blocking even before any worker wakes. The pool lives
+// until Close; each round synchronizes through taskWG.
 func (e *Engine) ensurePool(w int) {
 	if e.taskCh != nil {
 		return
 	}
+	for len(e.trainers) < w {
+		e.trainers = append(e.trainers, newTrainer(e.global))
+	}
 	e.taskCh = make(chan trainTask, len(e.cfg.Devices))
+	e.poolWG.Add(w)
 	for i := 0; i < w; i++ {
-		go e.poolWorker()
+		go e.poolWorker(e.taskCh, e.trainers[i])
 	}
 }
 
-func (e *Engine) poolWorker() {
-	for t := range e.taskCh {
-		e.trainOne(t.si, t.q)
+// poolWorker serves tasks until its channel is closed. The channel is an
+// argument, not a read of e.taskCh: Close nils that field, and a worker
+// scheduled only after that would otherwise park forever on a nil channel.
+func (e *Engine) poolWorker(tasks <-chan trainTask, t trainer) {
+	defer e.poolWG.Done()
+	for task := range tasks {
+		e.trainOne(t, task.si, task.q)
 		e.taskWG.Done()
 	}
 }
 
-// drainPool stops the persistent workers; idempotent.
-func (e *Engine) drainPool() {
+// Close stops the local-update worker pool and returns once every worker
+// has exited. Result calls it when the campaign finishes; a caller that
+// abandons an engine mid-campaign calls it directly. Idempotent.
+func (e *Engine) Close() {
 	if e.taskCh != nil {
 		close(e.taskCh)
 		e.taskCh = nil
+		e.poolWG.Wait()
 	}
 }
 
@@ -847,14 +890,6 @@ func growFloats(buf []float64, n int) []float64 {
 func growInts(buf []int, n int) []int {
 	if cap(buf) < n {
 		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-// growSliceTable is growFloats for upload tables.
-func growSliceTable(buf [][]float64, n int) [][]float64 {
-	if cap(buf) < n {
-		return make([][]float64, n)
 	}
 	return buf[:n]
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"helcfl/internal/nn"
 	"helcfl/internal/sim"
 	"helcfl/internal/tensor"
 )
@@ -34,7 +35,8 @@ func newFixedPlanner(env *testEnv) *fixedPlanner {
 // with the observability and eval paths off (nil Sink/Trace, EvalEvery
 // beyond the horizon), exactly the configuration the performance doc
 // promises is allocation-free. Warm-up rounds grow the engine scratch and
-// every client's layer scratch first.
+// the trainer's layer scratch to the largest |D_q| of the mixed-size fleet
+// first; after that every user reslices it.
 func TestEngineStepZeroAllocs(t *testing.T) {
 	prev := tensor.SetWorkers(1)
 	defer tensor.SetWorkers(prev)
@@ -96,14 +98,27 @@ func TestEngineStepZeroAllocsQuantized(t *testing.T) {
 
 // TestEngineWorkerPoolMatchesInline pins that the persistent worker pool
 // produces the bit-identical training trajectory to the inline serial path:
-// same records, same final parameters, for several worker counts. Run under
-// -race this also proves the pool's round synchronization is sound.
+// same records, same final parameters, for several worker counts. The fleet
+// is heterogeneous in |D_q| and Non-IID, and the cohort rotates, so which
+// trainer serves which user — and in what size order — differs with the
+// worker count and the scheduler: any scratch leaking from one user's
+// update into the next would split the trajectories. Run under -race this
+// also proves the pool's round synchronization is sound.
 func TestEngineWorkerPoolMatchesInline(t *testing.T) {
+	for _, spec := range []nn.ModelSpec{
+		{Kind: "mlp", InC: 2, H: 8, W: 8, Classes: 4, Hidden: []int{16}},
+		{Kind: "squeezenet-mini", InC: 2, H: 8, W: 8, Classes: 4},
+	} {
+		t.Run(spec.Kind, func(t *testing.T) { testWorkerPoolMatchesInline(t, spec) })
+	}
+}
+
+func testWorkerPoolMatchesInline(t *testing.T, spec nn.ModelSpec) {
 	runCampaign := func(workers int) *Result {
 		prev := tensor.SetWorkers(workers)
 		defer tensor.SetWorkers(prev)
-		env := newTestEnv(t, 9, 8)
-		cfg := baseConfig(env, allUsersPlanner(env.devs))
+		env := newSizedEnv(t, 9, []int{31, 6, 18, 3, 25, 11, 18, 8}, spec)
+		cfg := baseConfig(env, roundRobinPlanner(env.devs, 5))
 		cfg.MaxRounds = 6
 		res, err := Run(cfg)
 		if err != nil {

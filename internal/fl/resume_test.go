@@ -157,6 +157,7 @@ func TestEngineResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer eng.Close() // abandoned mid-campaign: the "crash"
 			for i := 0; i < split; i++ {
 				if ok, err := eng.Step(); err != nil || !ok {
 					t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
@@ -214,6 +215,7 @@ func TestRestoreEngineRejectsMismatchedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	if _, err := eng.Step(); err != nil {
 		t.Fatal(err)
 	}

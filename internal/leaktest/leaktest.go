@@ -1,6 +1,6 @@
 // Package leaktest is the runtime complement to the golife analyzer: a
 // goroutine-leak harness for test suites of the concurrent runtime packages
-// (fleet, deploy, grid, obs). It snapshots the live goroutines before the
+// (fleet, deploy, fl, grid, obs). It snapshots the live goroutines before the
 // work under test (runtime.Stack with all=true), diffs by goroutine ID
 // afterwards, filters the known-benign residents (the testing harness,
 // signal plumbing, idle HTTP keep-alive loops), and retries for a grace

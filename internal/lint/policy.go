@@ -128,13 +128,15 @@ var ToleranceHelpers = map[string]bool{
 	"helcfl/internal/tensor.Tensor.Equal": true,
 }
 
-// GoroutineScopedPackages are the concurrent-runtime packages where a `go`
-// statement must show a visible lifecycle — a WaitGroup join, a done/result
+// GoroutineScopedPackages are the concurrent-runtime packages, plus fl for
+// the engine's persistent local-update worker pool, where a `go` statement
+// must show a visible lifecycle — a WaitGroup join, a done/result
 // channel, or a ctx-bound loop. A fire-and-forget goroutine here outlives its
 // campaign, which is exactly what the leaktest harness catches at runtime;
 // the golife analyzer catches it at review time.
 var GoroutineScopedPackages = map[string]bool{
 	"helcfl/internal/deploy":     true,
+	"helcfl/internal/fl":         true,
 	"helcfl/internal/fleet":      true,
 	"helcfl/internal/grid":       true,
 	"helcfl/internal/obs":        true,

@@ -1,6 +1,6 @@
-package fl
+package core
 
-// fl is not in policy.GoroutineScopedPackages, so even a bare goroutine
+// core is not in policy.GoroutineScopedPackages, so even a bare goroutine
 // produces nothing here — the rule is scoped to the concurrent runtime.
 
 func work() {}

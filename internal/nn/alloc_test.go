@@ -23,38 +23,72 @@ func trainStep(m *Sequential, loss *SoftmaxCrossEntropy, x *tensor.Tensor, label
 	return l
 }
 
+// allocSpecs are the model kinds the experiments build; between them they
+// cover Dense, ReLU, Conv2D, MaxPool2D, Fire, GlobalAvgPool and the loss.
+var allocSpecs = []ModelSpec{
+	{Kind: "logistic", InC: 3, H: 8, W: 8, Classes: 10},
+	{Kind: "mlp", InC: 3, H: 8, W: 8, Classes: 10, Hidden: []int{32, 16}},
+	{Kind: "squeezenet-mini", InC: 3, H: 8, W: 8, Classes: 10},
+}
+
+// randomBatch draws one labelled batch shaped for spec.
+func randomBatch(spec ModelSpec, batch int, rng *rand.Rand) (*tensor.Tensor, []int) {
+	var x *tensor.Tensor
+	if spec.FlattensInput() {
+		x = tensor.New(batch, spec.InputDim())
+	} else {
+		x = tensor.New(batch, spec.InC, spec.H, spec.W)
+	}
+	x.FillNormal(rng, 0, 1)
+	labels := make([]int, batch)
+	for i := range labels {
+		labels[i] = rng.Intn(spec.Classes)
+	}
+	return x, labels
+}
+
 // TestTrainStepZeroAllocs pins zero steady-state heap allocations for a
 // full training step on every model kind the experiments build. Layer
 // scratch is allocated on the first (warm-up) step and reused afterwards.
 func TestTrainStepZeroAllocs(t *testing.T) {
-	specs := []ModelSpec{
-		{Kind: "logistic", InC: 3, H: 8, W: 8, Classes: 10},
-		{Kind: "mlp", InC: 3, H: 8, W: 8, Classes: 10, Hidden: []int{32, 16}},
-		{Kind: "squeezenet-mini", InC: 3, H: 8, W: 8, Classes: 10},
-	}
-	for _, spec := range specs {
+	for _, spec := range allocSpecs {
 		t.Run(spec.Kind, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			m := spec.Build(rng)
 			loss := NewSoftmaxCrossEntropy()
-			batch := 16
-			var x *tensor.Tensor
-			if spec.FlattensInput() {
-				x = tensor.New(batch, spec.InputDim())
-			} else {
-				x = tensor.New(batch, spec.InC, spec.H, spec.W)
-			}
-			x.FillNormal(rng, 0, 1)
-			labels := make([]int, batch)
-			for i := range labels {
-				labels[i] = rng.Intn(spec.Classes)
-			}
+			x, labels := randomBatch(spec, 16, rng)
 			trainStep(m, loss, x, labels, 0.05) // warm-up: allocates scratch
 			n := testing.AllocsPerRun(20, func() {
 				trainStep(m, loss, x, labels, 0.05)
 			})
 			if n != 0 {
 				t.Errorf("%s steady-state training step allocates %v times, want 0", spec.Kind, n)
+			}
+		})
+	}
+}
+
+// TestTrainStepZeroAllocsAlternatingBatches is the gate for one model
+// serving users with different |D_q| (the engine's per-worker trainers):
+// once every layer's scratch has seen the larger batch, alternating between
+// two batch sizes reslices that scratch in place and allocates nothing. The
+// small batch warms up first, so the large one has to grow every layer.
+func TestTrainStepZeroAllocsAlternatingBatches(t *testing.T) {
+	for _, spec := range allocSpecs {
+		t.Run(spec.Kind, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(13))
+			m := spec.Build(rng)
+			loss := NewSoftmaxCrossEntropy()
+			xs, ls := randomBatch(spec, 9, rng)
+			xl, ll := randomBatch(spec, 16, rng)
+			trainStep(m, loss, xs, ls, 0.05)
+			trainStep(m, loss, xl, ll, 0.05)
+			n := testing.AllocsPerRun(20, func() {
+				trainStep(m, loss, xs, ls, 0.05)
+				trainStep(m, loss, xl, ll, 0.05)
+			})
+			if n != 0 {
+				t.Errorf("%s alternating 9- and 16-sample steps allocates %v times, want 0", spec.Kind, n)
 			}
 		})
 	}

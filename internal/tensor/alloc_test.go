@@ -40,6 +40,11 @@ func TestIntoKernelsAllocateNothing(t *testing.T) {
 		{"Im2ColBatchInto", func() { Im2ColBatchInto(bcols, bx, 3, 3, 1, 1) }},
 		{"Col2ImBatchInto", func() { Col2ImBatchInto(bimg, bcols, 4, 3, 8, 8, 3, 3, 1, 1) }},
 		{"AddColSumsInto", func() { a.AddColSumsInto(colSums) }},
+		// The fit helpers alternate between two shapes inside one capacity,
+		// the way a trainer's scratch alternates between users' batch sizes.
+		{"Fit2", func() { dst.Fit2(7, 47); dst.Fit2(33, 47) }},
+		{"Fit4", func() { bimg.Fit4(2, 3, 8, 8); bimg.Fit4(4, 3, 8, 8) }},
+		{"FitShape", func() { img.FitShape(x.Shape()[1:]); img.FitShape(x.Shape()) }},
 	}
 	for _, pin := range pins {
 		pin.fn() // warm up once outside the measured runs

@@ -105,6 +105,49 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
 }
 
+// FitShape resizes t in place to the given shape, reusing its shape and
+// data arrays, and reports whether their capacity allowed it; on false t is
+// untouched. shape is copied, never retained. The contents after a
+// successful fit are unspecified — callers overwrite. It is meant for
+// scratch that owns its backing array (a tensor from New): fitting a
+// FromSlice/Reshape view would grow it over storage it does not own.
+//
+//helcfl:noalloc
+func (t *Tensor) FitShape(shape []int) bool {
+	n := 1
+	for _, d := range shape {
+		if d <= 0 {
+			return false
+		}
+		n *= d
+	}
+	if cap(t.shape) < len(shape) || cap(t.data) < n {
+		return false
+	}
+	t.shape = t.shape[:len(shape)]
+	copy(t.shape, shape)
+	t.data = t.data[:n]
+	return true
+}
+
+// Fit2 is FitShape for (d0, d1). The fixed-rank forms exist because a
+// variadic shape would allocate its slice on every hot-path call; the array
+// here stays on the stack.
+//
+//helcfl:noalloc
+func (t *Tensor) Fit2(d0, d1 int) bool {
+	shape := [2]int{d0, d1}
+	return t.FitShape(shape[:])
+}
+
+// Fit4 is FitShape for (d0, d1, d2, d3).
+//
+//helcfl:noalloc
+func (t *Tensor) Fit4(d0, d1, d2, d3 int) bool {
+	shape := [4]int{d0, d1, d2, d3}
+	return t.FitShape(shape[:])
+}
+
 // offset converts a multi-index to a flat offset.
 func (t *Tensor) offset(idx ...int) int {
 	if len(idx) != len(t.shape) {

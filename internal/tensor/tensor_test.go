@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -185,5 +186,55 @@ func TestFillHeDeterministicWithSeed(t *testing.T) {
 	b := New(50).FillHe(rand.New(rand.NewSource(7)), 25)
 	if !a.Equal(b) {
 		t.Fatal("same seed must give identical initialization")
+	}
+}
+
+// The Fit helpers reshape scratch in place inside its capacity and refuse —
+// leaving the tensor untouched — beyond it.
+func TestFitWithinCapacity(t *testing.T) {
+	s := New(6, 4)
+	backing := &s.Data()[0]
+	for _, step := range []struct {
+		name string
+		fit  func() bool
+		want []int
+		ok   bool
+	}{
+		{"shrink", func() bool { return s.Fit2(2, 4) }, []int{2, 4}, true},
+		{"grow back", func() bool { return s.Fit2(6, 4) }, []int{6, 4}, true},
+		{"other factorization", func() bool { return s.Fit2(3, 8) }, []int{3, 8}, true},
+		{"beyond capacity", func() bool { return s.Fit2(5, 5) }, []int{3, 8}, false},
+		{"non-positive dim", func() bool { return s.Fit2(0, 4) }, []int{3, 8}, false},
+		{"rank beyond shape capacity", func() bool { return s.Fit4(1, 2, 3, 4) }, []int{3, 8}, false},
+		{"lower rank", func() bool { return s.FitShape([]int{24}) }, []int{24}, true},
+		{"rank restored", func() bool { return s.FitShape([]int{4, 6}) }, []int{4, 6}, true},
+		{"bad shape slice", func() bool { return s.FitShape([]int{4, -6}) }, []int{4, 6}, false},
+	} {
+		if got := step.fit(); got != step.ok {
+			t.Fatalf("%s: fit reported %v, want %v", step.name, got, step.ok)
+		}
+		if !slices.Equal(s.Shape(), step.want) {
+			t.Fatalf("%s: shape %v, want %v", step.name, s.Shape(), step.want)
+		}
+		n := 1
+		for _, d := range step.want {
+			n *= d
+		}
+		if s.Size() != n || &s.Data()[0] != backing {
+			t.Fatalf("%s: size %d on backing %p, want %d on the original %p", step.name, s.Size(), &s.Data()[0], n, backing)
+		}
+	}
+
+	r4 := New(4, 3, 2, 2)
+	if !r4.Fit4(2, 3, 2, 2) || !slices.Equal(r4.Shape(), []int{2, 3, 2, 2}) || r4.Size() != 24 {
+		t.Fatalf("Fit4 shrink: shape %v size %d", r4.Shape(), r4.Size())
+	}
+	if r4.Fit4(5, 3, 2, 2) || !slices.Equal(r4.Shape(), []int{2, 3, 2, 2}) {
+		t.Fatalf("Fit4 beyond capacity changed the tensor: shape %v", r4.Shape())
+	}
+	// A shape read before the fit is a copy only if the caller made one:
+	// fitting to the tensor's own shape slice must be a no-op, not a scramble.
+	if !r4.FitShape(r4.Shape()) || !slices.Equal(r4.Shape(), []int{2, 3, 2, 2}) {
+		t.Fatalf("FitShape onto own shape: %v", r4.Shape())
 	}
 }
