@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race chaos recover fmt vet lint check bench bench-scale
+.PHONY: build test race chaos recover fmt vet lint check bench
 
 build:
 	$(GO) build ./...
@@ -34,21 +34,11 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Micro/campaign benchmarks (go test -bench), then time the full campaign
-# grid serially vs on all cores and record the result in
-# BENCH_experiments.json (see docs/GRID.md and docs/PERFORMANCE.md; the
-# speedup field is omitted on single-worker hosts, where both timed runs
-# are serial).
+# The repository's one benchmark: six end-to-end workloads plus the
+# per-layer ledger, declared in BENCHMARK.json (see _bench/README.md for
+# -quick, -seeds and -compare).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./...
-	$(GO) run ./cmd/helcfl bench -preset tiny -experiment all -bench-out BENCH_experiments.json
-
-# Million-user scheduling sweep: time one FLCC round plan (Eq. 20 utility
-# sweep + streaming top-N + Algorithm 3 DVFS) on synthetic SoA fleets of
-# Q ∈ {100, 1e3, 1e5, 1e6} and record BENCH_scale.json (see docs/SCALE.md).
-# The committed reference requires the Q=1e6 plan under one second.
-bench-scale:
-	$(GO) run ./cmd/helcfl bench-scale -scale-out BENCH_scale.json -budget-sec 1.0
+	bash _bench/run.sh
 
 # In-tree static analysis (internal/lint): determinism, map-order,
 # float-comparison, durability, context-flow, allocation, span-lifecycle,

@@ -4,30 +4,16 @@
 //
 //	helcfl <experiment> [flags]
 //
-// Experiments (grid campaigns, run on a parallel worker pool):
+// Experiments are the entries of experiments.Registry() — grid campaigns
+// run on a parallel worker pool; `helcfl` with no arguments lists them —
+// plus three bespoke single-run commands:
 //
-//	fig1      reproduce the Fig. 1 slack illustration on one scheduled round
-//	fig2      accuracy vs iteration for all five schemes (both settings)
-//	table1    training delay to desired accuracy (Table I)
-//	fig3      DVFS energy reduction (Fig. 3), plus the slack-rich regime
-//	ablation  η, C, clamping, compression, faults, fading, loss-aware, RB,
-//	          model architecture, partition family
-//	seeds     multi-seed robustness of all orderings
-//	budget    best accuracy under a training deadline (constraint 14)
-//	battery   fleet lifetime under finite device batteries
-//	hier      hierarchical edge-aggregation tier, E ∈ {1,2,4,8} aggregators
-//	all       fig1+fig2+table1+fig3+ablation plus the headline summary,
-//	          deduplicated into one campaign grid
-//	bench     time an experiment serially vs in parallel, write JSON
+//	trace  JSONL round telemetry for one scheme
+//	train  train one scheme and save the global model to -model
+//	eval   evaluate a saved model on a preset's test set
 //
-// Bespoke commands (single runs, not grids):
-//
-//	trace       JSONL round telemetry for one scheme
-//	train       train one scheme and save the global model to -model
-//	eval        evaluate a saved model on a preset's test set
-//	bench-scale time one FLCC round plan on synthetic fleets of
-//	            Q ∈ {100, 1e3, 1e5, 1e6} users, write BENCH_scale.json
-//	            (see docs/SCALE.md)
+// Timing lives outside the CLI: `bash _bench/run.sh` (see _bench/README.md)
+// is the one way anything in this repository is measured.
 //
 // Flags:
 //
@@ -39,12 +25,6 @@
 //	-scheme        HELCFL | ClassicFL | FedCS | FEDL | HELCFL-noDVFS
 //	-model         model file path          (train/eval)
 //	-n             seed count               (seeds)
-//	-experiment    experiment to time       (bench; default all)
-//	-bench-out     bench JSON path          (bench)
-//	-scale-out     scale JSON path          (bench-scale; default BENCH_scale.json)
-//	-max-q         largest fleet size swept (bench-scale; default 1000000)
-//	-budget-sec    fail if the largest Q's mean plan time exceeds this
-//	               many seconds, 0 disables (bench-scale; the CI gate)
 //	-metrics-addr  serve live /metrics, /healthz and /debug/pprof on this
 //	               address for the duration of the run (e.g. :8080)
 //	-trace-out     stream phase spans as JSONL to this file (see
@@ -62,13 +42,14 @@
 //	-v             progress lines on stderr (per cell for grid experiments,
 //	               per round for trace/train)
 //
+// Arguments after the flags are an error, not ignored.
+//
 // SIGINT/SIGTERM cancel the running campaign: in-flight cells finish,
 // unstarted cells are skipped, and the command exits nonzero.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -78,9 +59,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
+	"strings"
 	"syscall"
-	"time"
 
 	"helcfl/internal/experiments"
 	"helcfl/internal/fl"
@@ -111,9 +91,21 @@ func run(args []string) error {
 	return runCtx(context.Background(), args)
 }
 
+// commandNames lists everything args[0] may be: the registry's experiments
+// in display order, then the bespoke single-run commands. Usage and the
+// unknown-experiment error are built from it, so a new Definition shows up
+// in both without an edit here.
+func commandNames() string {
+	var names []string
+	for _, def := range experiments.Registry() {
+		names = append(names, def.Name)
+	}
+	return strings.Join(append(names, "trace", "train", "eval"), "|")
+}
+
 func runCtx(ctx context.Context, args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: helcfl <fig1|fig2|table1|fig3|ablation|seeds|budget|battery|hier|all|bench|trace|train|eval|bench-scale> [-preset paper|fast|tiny] [-seed N] [-parallel N] [-out dir]")
+		return fmt.Errorf("usage: helcfl <%s> [-preset paper|fast|tiny] [-seed N] [-parallel N] [-out dir]", commandNames())
 	}
 	cmd := args[0]
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
@@ -125,11 +117,6 @@ func runCtx(ctx context.Context, args []string) error {
 	scheme := fs.String("scheme", "HELCFL", "scheme for the trace experiment")
 	settingName := fs.String("setting", "iid", "data setting for the trace/train/eval experiments: iid or noniid")
 	modelPath := fs.String("model", "model.helcfl", "model file for train/eval")
-	benchName := fs.String("experiment", "all", "experiment to time for the bench command")
-	benchOut := fs.String("bench-out", "BENCH_experiments.json", "path for the bench JSON report")
-	scaleOut := fs.String("scale-out", "BENCH_scale.json", "path for the bench-scale JSON report")
-	maxQ := fs.Int("max-q", 1000000, "largest fleet size swept by bench-scale")
-	budgetSec := fs.Float64("budget-sec", 0, "bench-scale fails if the largest Q's mean plan time exceeds this many seconds (0 disables)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address during the run")
 	traceOut := fs.String("trace-out", "", "stream phase spans as JSONL to this file")
 	flightDir := fs.String("flightrec-out", "", "directory for flight-recorder dumps (panic, SIGQUIT, end of run)")
@@ -140,6 +127,11 @@ func runCtx(ctx context.Context, args []string) error {
 	verbose := fs.Bool("v", false, "print progress lines to stderr")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
+	}
+	// Parse stops at the first non-flag, so anything left — flags included,
+	// as in `fig1 tiny -preset x` — would otherwise be silently dropped.
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q (flags take a leading dash, e.g. -preset tiny)", fs.Args())
 	}
 
 	preset, err := experiments.LookupPreset(*presetName)
@@ -184,15 +176,11 @@ func runCtx(ctx context.Context, args []string) error {
 			return runTrain(preset, *seed, *scheme, *settingName, *modelPath, trc.rec)
 		case "eval":
 			return runEval(preset, *seed, *settingName, *modelPath)
-		case "bench":
-			return runBench(ctx, preset, *seed, *benchName, *benchOut, opt)
-		case "bench-scale":
-			return runBenchScale(*seed, *maxQ, *scaleOut, *budgetSec)
 		}
 
 		def, ok := experiments.LookupExperiment(cmd)
 		if !ok {
-			return fmt.Errorf("unknown experiment %q", cmd)
+			return fmt.Errorf("unknown experiment %q (want one of %s)", cmd, commandNames())
 		}
 		if *fleetAddr != "" {
 			return runFleetCoordinator(ctx, def, preset, *seed, opt, fleetConfig{
@@ -352,127 +340,6 @@ func newOutput(outDir string) experiments.Output {
 		}
 	}
 	return out
-}
-
-// benchReport is the JSON written by the bench command.
-type benchReport struct {
-	Experiment      string     `json:"experiment"`
-	Preset          string     `json:"preset"`
-	Seed            int64      `json:"seed"`
-	Cells           int        `json:"cells"`
-	GOMAXPROCS      int        `json:"gomaxprocs"`
-	Workers         int        `json:"workers"`
-	SerialSeconds   float64    `json:"serial_seconds"`
-	ParallelSeconds float64    `json:"parallel_seconds"`
-	Speedup         *float64   `json:"speedup,omitempty"`
-	SpeedupNote     string     `json:"speedup_note,omitempty"`
-	SerialCells     benchCells `json:"serial_cells"`
-	ParallelCells   benchCells `json:"parallel_cells"`
-}
-
-// benchCells breaks one timed run down per cell from its span stream:
-// whole-cell wall clock plus the env-build vs run split, which is what
-// explains sublinear speedups (env building is memory-bandwidth bound).
-type benchCells struct {
-	Cell     span.Stats `json:"cell"`
-	EnvBuild span.Stats `json:"env_build"`
-	Run      span.Stats `json:"run"`
-	Assemble span.Stats `json:"assemble"`
-}
-
-func cellStats(recs []span.Rec) benchCells {
-	return benchCells{
-		Cell:     span.DurationStats(recs, "grid.cell"),
-		EnvBuild: span.DurationStats(recs, "cell.envbuild"),
-		Run:      span.DurationStats(recs, "cell.run"),
-		Assemble: span.DurationStats(recs, "grid.assemble"),
-	}
-}
-
-// runBench times one experiment at -parallel 1 and at GOMAXPROCS and writes
-// the comparison as JSON. Rendering goes to io.Discard; only wall clock is
-// reported.
-func runBench(ctx context.Context, preset experiments.Preset, seed int64, name, outPath string, opt experiments.Options) error {
-	def, ok := experiments.LookupExperiment(name)
-	if !ok {
-		return fmt.Errorf("unknown experiment %q", name)
-	}
-	preset.Sink = obs.Synchronized(preset.Sink)
-	plan, err := def.Plan(preset, seed, opt)
-	if err != nil {
-		return err
-	}
-	workers := (&grid.Runner{}).Workers(len(plan.Cells))
-	fmt.Fprintf(stderr, "bench %s: %d cells, serial then %d workers\n", def.Name, len(plan.Cells), workers)
-	timeRun := func(parallel int) (float64, benchCells, error) {
-		// Both timed runs must do the same work: drop memoized environments
-		// so the serial pass can't warm the cache for the parallel pass.
-		experiments.ResetEnvCache()
-		runtime.GC() // don't charge one run's garbage to the other's clock
-		// Each timed run records into its own span collector so the report
-		// can split per-cell cost into env-build vs run (satellite of the
-		// BENCH speedup analysis).
-		col := &span.Collector{}
-		rctx := span.NewContext(ctx, span.NewRecorder(uint64(seed), span.Options{Exporter: col}))
-		start := time.Now()
-		res, err := (&grid.Runner{Parallel: parallel}).Run(rctx, plan.Cells)
-		if err != nil {
-			return 0, benchCells{}, err
-		}
-		_, asmSp := span.StartCtx(rctx, "grid.assemble")
-		err = plan.Render(res, experiments.Output{W: io.Discard})
-		asmSp.End()
-		if err != nil {
-			return 0, benchCells{}, err
-		}
-		return time.Since(start).Seconds(), cellStats(col.Snapshot()), nil
-	}
-	serial, serialCells, err := timeRun(1)
-	if err != nil {
-		return err
-	}
-	par, parCells, err := timeRun(0)
-	if err != nil {
-		return err
-	}
-	rep := benchReport{
-		Experiment:      def.Name,
-		Preset:          preset.Name,
-		Seed:            seed,
-		Cells:           len(plan.Cells),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		Workers:         workers,
-		SerialSeconds:   serial,
-		ParallelSeconds: par,
-		SerialCells:     serialCells,
-		ParallelCells:   parCells,
-	}
-	// A speedup claim needs an actual parallel run to back it: on a
-	// single-worker host both passes are serial, so any ratio is pure
-	// run-to-run noise. Refuse to report one rather than commit a number
-	// like 0.89× that reads as a parallelism regression.
-	if workers > 1 && par > 0 {
-		s := serial / par
-		rep.Speedup = &s
-	} else {
-		rep.SpeedupNote = fmt.Sprintf("speedup not reported: only %d worker(s) available, both runs are serial", workers)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if rep.Speedup != nil {
-		fmt.Printf("bench %s (%s): %d cells, serial %.2fs, parallel %.2fs on %d workers (%.2fx)\n",
-			rep.Experiment, rep.Preset, rep.Cells, rep.SerialSeconds, rep.ParallelSeconds, rep.Workers, *rep.Speedup)
-	} else {
-		fmt.Printf("bench %s (%s): %d cells, serial %.2fs, parallel %.2fs on %d workers (speedup n/a)\n",
-			rep.Experiment, rep.Preset, rep.Cells, rep.SerialSeconds, rep.ParallelSeconds, rep.Workers)
-	}
-	fmt.Println("wrote", outPath)
-	return nil
 }
 
 // serveObservability starts the live metrics endpoint for the process

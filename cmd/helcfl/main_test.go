@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -13,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"helcfl/internal/experiments"
 	"helcfl/internal/obs/span"
 	"helcfl/internal/trace"
 )
@@ -35,6 +35,52 @@ func TestRunUsageAndUnknowns(t *testing.T) {
 	}
 	if err := run([]string{"trace", "-preset", "tiny", "-setting", "weird"}); err == nil {
 		t.Fatal("bad setting must error")
+	}
+
+	// A stray positional argument ends flag parsing: unchecked, this would
+	// run the default preset and exit 0 with the bad -preset never read.
+	err := run([]string{"fig1", "tiny", "-preset", "nonsense"})
+	if err == nil {
+		t.Fatal("leftover arguments must error")
+	}
+	for _, want := range []string{"tiny", "-preset", "nonsense"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("leftover-argument error %q does not echo %q", err, want)
+		}
+	}
+
+	// The timing subcommands and their flags are gone (_bench/ replaced
+	// them); each must be rejected, not ignored.
+	for _, cmd := range []string{"bench", "bench-scale"} {
+		if err := run([]string{cmd, "-preset", "tiny"}); err == nil {
+			t.Fatalf("removed subcommand %q must error", cmd)
+		}
+	}
+	for _, flag := range []string{"-experiment", "-bench-out", "-scale-out", "-max-q", "-budget-sec"} {
+		if err := run([]string{"fig1", "-preset", "tiny", flag, "1"}); err == nil {
+			t.Fatalf("removed flag %s must error", flag)
+		}
+	}
+}
+
+// TestCommandListComesFromRegistry pins that the usage string and the
+// unknown-experiment error name every registered experiment plus the three
+// bespoke commands, so the list cannot drift when a Definition is added.
+func TestCommandListComesFromRegistry(t *testing.T) {
+	usage, unknown := run(nil), run([]string{"nope", "-preset", "tiny"})
+	if usage == nil || unknown == nil {
+		t.Fatal("no args and an unknown experiment must both error")
+	}
+	names := []string{"trace", "train", "eval"}
+	for _, def := range experiments.Registry() {
+		names = append(names, def.Name)
+	}
+	for _, name := range names {
+		for _, err := range []error{usage, unknown} {
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("%q does not list %q", err, name)
+			}
+		}
 	}
 }
 
@@ -208,31 +254,6 @@ func TestRunCanceledContext(t *testing.T) {
 	err := runCtx(ctx, []string{"fig2", "-preset", "tiny"})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled context: err = %v, want context.Canceled", err)
-	}
-}
-
-func TestRunBenchWritesReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench.json")
-	if err := run([]string{"bench", "-preset", "tiny", "-experiment", "fig1", "-bench-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bench report is not valid JSON: %v", err)
-	}
-	if rep.Experiment != "fig1" || rep.Cells != 1 || rep.SerialSeconds <= 0 || rep.ParallelSeconds <= 0 {
-		t.Fatalf("implausible bench report: %+v", rep)
-	}
-	// The per-cell span stats cover every cell in both timed runs. (fig1's
-	// bespoke cell has no env-build split; the fig2 trace test pins that.)
-	for _, cells := range []benchCells{rep.SerialCells, rep.ParallelCells} {
-		if cells.Cell.Count != rep.Cells || cells.Cell.MaxSec <= 0 || cells.Assemble.Count != 1 {
-			t.Fatalf("bench cell stats implausible: %+v", cells)
-		}
 	}
 }
 

@@ -8,18 +8,30 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"helcfl"
 	"helcfl/internal/experiments"
+	"helcfl/internal/grid"
 )
 
 func main() {
 	preset := helcfl.TinyPreset()
 
 	// Each device gets a battery worth about six max-frequency selections.
-	bc, err := experiments.RunBatteryCampaign(preset, helcfl.IID, 1, 6)
+	// A study is a list of grid cells plus an assembler: run the cells on
+	// every core, then fold the fixed-index results into the campaign.
+	cells, err := experiments.BatteryCells(preset, helcfl.IID, 1, 6)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := (&grid.Runner{}).Run(context.Background(), cells)
+	if err != nil {
+		log.Fatal(err)
+	}
+	bc, err := experiments.AssembleBatteryCampaign(helcfl.IID, res)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,12 +8,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"helcfl"
 	"helcfl/internal/compress"
 	"helcfl/internal/experiments"
+	"helcfl/internal/grid"
 )
 
 func main() {
@@ -27,7 +29,13 @@ func main() {
 		compress.NewUniform(4),
 	}
 
-	ab, err := experiments.RunCompressionAblation(preset, helcfl.IID, 1, compressors)
+	// One training cell per compressor, run on every core, then assembled.
+	res, err := (&grid.Runner{}).Run(context.Background(),
+		experiments.CompressionCells(preset, helcfl.IID, 1, compressors))
+	if err != nil {
+		log.Fatal(err)
+	}
+	ab, err := experiments.AssembleCompressionAblation(helcfl.IID, compressors, res)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,9 +25,12 @@
 package helcfl
 
 import (
+	"context"
+
 	"helcfl/internal/core"
 	"helcfl/internal/experiments"
 	"helcfl/internal/fl"
+	"helcfl/internal/grid"
 	"helcfl/internal/metrics"
 	"helcfl/internal/selection"
 )
@@ -126,9 +129,14 @@ func RunScheme(env *Env, scheme string) (Curve, *TrainResult, error) {
 type Fig2Result = experiments.Fig2Result
 
 // RunFig2 reproduces one Fig. 2 panel: accuracy vs iteration for all five
-// schemes on a shared environment.
+// schemes on a shared environment. Like RunTableI and RunFig3 it runs the
+// registry's own cells on a grid.Runner (all cores) and assembles them.
 func RunFig2(p Preset, s Setting, seed int64) (*Fig2Result, error) {
-	return experiments.RunFig2(p, s, seed)
+	res, err := (&grid.Runner{}).Run(context.Background(), experiments.Fig2Cells(p, s, seed))
+	if err != nil {
+		return nil, err
+	}
+	return experiments.AssembleFig2(s, res)
 }
 
 // TableIResult is the reproduction of Table I.
@@ -139,7 +147,7 @@ type TableIResult = experiments.TableIResult
 func RunTableI(p Preset, seed int64) (*TableIResult, map[Setting]*Fig2Result, error) {
 	figs := map[Setting]*Fig2Result{}
 	for _, s := range []Setting{IID, NonIID} {
-		f, err := experiments.RunFig2(p, s, seed)
+		f, err := RunFig2(p, s, seed)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -154,7 +162,11 @@ type Fig3Result = experiments.Fig3Result
 // RunFig3 reproduces Fig. 3: energy to each desired accuracy with and
 // without Algorithm 3's frequency determination.
 func RunFig3(p Preset, s Setting, seed int64) (*Fig3Result, error) {
-	return experiments.RunFig3(p, s, seed)
+	res, err := (&grid.Runner{}).Run(context.Background(), experiments.Fig3Cells(p, s, seed))
+	if err != nil {
+		return nil, err
+	}
+	return experiments.AssembleFig3(p, s, res)
 }
 
 // Headline summarizes the paper's abstract-level claims over a campaign.

@@ -6,8 +6,8 @@
 // The scheduler's state is structure-of-arrays (device.Fleet plus parallel
 // delay/decay columns) and its selection loop is a streaming top-N heap, so
 // a single round plan scales to Q=10⁶ users in well under a second (see
-// docs/SCALE.md and BENCH_scale.json); the retained naive references
-// (SelectRoundNaive, FrequencyPlan) pin the fast paths bit-identical to the
+// docs/SCALE.md); the naive references (SelectRoundNaive in the package's
+// tests, the AoS FrequencyPlan) pin the fast paths bit-identical to the
 // paper's literal algorithms.
 package core
 
@@ -181,10 +181,10 @@ func (s *Scheduler) Utility(q int) float64 {
 }
 
 // pow computes η^a for a non-negative integer a without the math.Pow
-// rounding surprises for small exponents. Retained as the reference for
-// the incremental etaPow memoization (ImportState rebuilds the memo with
-// it, and TestEtaPowMemo pins the bit-identity); the per-round hot path no
-// longer calls it.
+// rounding surprises for small exponents. ImportState rebuilds the etaPow
+// memo with it, and it is the reference the incremental memoization is
+// pinned bit-identical to (TestEtaPowMemo); the per-round hot path does
+// not call it.
 func pow(eta float64, a int) float64 {
 	out := 1.0
 	for ; a > 0; a-- {
@@ -218,6 +218,16 @@ func (s *Scheduler) NumSelect() int {
 	n := int(float64(s.fleet.Len()) * s.params.Fraction)
 	if n < 1 {
 		n = 1
+	}
+	return n
+}
+
+// cohortSize is NumSelect capped at the fleet size: how many users one
+// round actually selects.
+func (s *Scheduler) cohortSize() int {
+	n := s.NumSelect()
+	if q := s.fleet.Len(); n > q {
+		n = q
 	}
 	return n
 }
@@ -278,11 +288,7 @@ func (s *Scheduler) computeUtilities() {
 // callers such as the FL engine retain it across rounds. The hot-path form
 // is SelectRoundAppend.
 func (s *Scheduler) SelectRound() []int {
-	n := s.NumSelect()
-	if q := s.fleet.Len(); n > q {
-		n = q
-	}
-	return s.selectAppend(make([]int, 0, n))
+	return s.SelectRoundAppend(make([]int, 0, s.cohortSize()))
 }
 
 // SelectRoundAppend is SelectRound appending into dst (reusing its backing
@@ -295,20 +301,18 @@ func (s *Scheduler) SelectRoundAppend(dst []int) []int {
 // a size-N min-heap whose root is the weakest current winner, giving
 // O(Q + N·log N + R·log N) work for R root replacements — no full sort, no
 // allocation once buffers are warm. It returns the identical index
-// sequence, tie-breaks included, as the retained naive argmax
-// (SelectRoundNaive): utilities are computed before any decay increment,
-// replacement requires a strictly greater utility (an equal-utility
-// candidate has a higher index, which the naive scan never prefers), and
-// the final worst-first extraction filled back-to-front reproduces the
-// (utility desc, index asc) selection order exactly. The property test in
-// scheduler_equiv_test.go pins this under random fleets and forced ties.
+// sequence, tie-breaks included, as the naive argmax reference
+// (SelectRoundNaive, in scheduler_equiv_test.go): utilities are computed
+// before any decay increment, replacement requires a strictly greater
+// utility (an equal-utility candidate has a higher index, which the naive
+// scan never prefers), and the final worst-first extraction filled
+// back-to-front reproduces the (utility desc, index asc) selection order
+// exactly. The property test there pins this under random fleets and
+// forced ties.
 func (s *Scheduler) selectAppend(dst []int) []int {
 	s.computeUtilities()
 	q := s.fleet.Len()
-	n := s.NumSelect()
-	if n > q {
-		n = q
-	}
+	n := s.cohortSize()
 	h := &s.heap
 	h.util = s.lastUtil
 	if cap(h.idx) < n {
@@ -350,46 +354,6 @@ func (s *Scheduler) selectAppend(dst []int) []int {
 	return dst
 }
 
-// SelectRoundNaive is the retained pre-heap reference: the literal
-// O(Q·N) repeated argmax of Algorithm 2 with utilities from the pow loop.
-// The equivalence property test runs it against SelectRound; production
-// paths never call it.
-func (s *Scheduler) SelectRoundNaive() []int {
-	n := s.NumSelect()
-	q := s.fleet.Len()
-	// Compute utilities for all selectable users (lines 8–10).
-	utilities := make([]float64, q)
-	for i := 0; i < q; i++ {
-		utilities[i] = pow(s.params.Eta, s.alpha[i]) / (s.tcalMax[i] + s.tcom[i])
-	}
-	s.lastUtil = utilities
-	selectable := make([]bool, q)
-	for i := range selectable {
-		selectable[i] = true
-	}
-	selected := make([]int, 0, n)
-	for len(selected) < n {
-		// argmax over the selectable set (line 15), ties broken by index
-		// for determinism.
-		best := -1
-		for i := 0; i < q; i++ {
-			if !selectable[i] {
-				continue
-			}
-			if best == -1 || utilities[i] > utilities[best] {
-				best = i
-			}
-		}
-		if best == -1 {
-			break // fewer users than N
-		}
-		selectable[best] = false
-		selected = append(selected, best)
-		s.markSelected(best)
-	}
-	return selected
-}
-
 // StaticDelay returns T_q^cal(f_max) + T_q^com for user q, the denominator
 // of Eq. (20). Exposed for baselines (FedCS ranks on the same quantity).
 func (s *Scheduler) StaticDelay(q int) float64 { return s.tcalMax[q] + s.tcom[q] }
@@ -405,25 +369,15 @@ func (s *Scheduler) TCalMaxOf(q int) float64 { return s.tcalMax[q] }
 // freshly allocated (the FL engine retains them in its round records); the
 // zero-allocation form is PlanRoundInto.
 func (s *Scheduler) PlanRound(ch wireless.Channel, modelBits float64) ([]int, []float64) {
-	selSp := s.tr.Start(s.trParent, "sched.select")
-	selected := s.SelectRound()
-	selSp.SetInt("fleet.size", int64(s.fleet.Len()))
-	selSp.SetInt("heap.pushes", int64(s.heapPushes))
-	selSp.End()
-	dvfsSp := s.tr.Start(s.trParent, "sched.dvfs")
-	freqs := s.FrequencyPlanSelected(selected, ch, modelBits)
-	dvfsSp.End()
-	// frequencyPlanInto orders by ascending compute delay internally but
-	// writes frequencies aligned with its input order, so selected and
-	// freqs stay aligned here.
-	return selected, freqs
+	n := s.cohortSize()
+	return s.PlanRoundInto(make([]int, 0, n), make([]float64, n), ch, modelBits)
 }
 
 // PlanRoundInto is PlanRound reusing caller-owned result buffers — the
-// zero-steady-state-allocation form the scale benchmarks drive. selected
-// and freqs are overwritten (regrown if needed) and returned re-sliced;
-// unlike PlanRound, the results alias the arguments, so callers retaining
-// plans across rounds must copy them.
+// zero-steady-state-allocation form. selected and freqs are overwritten
+// (regrown if needed) and returned re-sliced; unlike PlanRound, the results
+// alias the arguments, so callers retaining plans across rounds must copy
+// them.
 func (s *Scheduler) PlanRoundInto(selected []int, freqs []float64, ch wireless.Channel, modelBits float64) ([]int, []float64) {
 	selSp := s.tr.Start(s.trParent, "sched.select")
 	selected = s.selectAppend(selected[:0])
@@ -434,6 +388,9 @@ func (s *Scheduler) PlanRoundInto(selected []int, freqs []float64, ch wireless.C
 	if cap(freqs) < len(selected) {
 		freqs = make([]float64, len(selected))
 	}
+	// frequencyPlanInto orders by ascending compute delay internally but
+	// writes frequencies aligned with its input order, so selected and
+	// freqs stay aligned here.
 	freqs = freqs[:len(selected)]
 	s.frequencyPlanInto(freqs, selected, ch, modelBits)
 	dvfsSp.End()

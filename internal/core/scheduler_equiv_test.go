@@ -8,6 +8,45 @@ import (
 	"helcfl/internal/wireless"
 )
 
+// SelectRoundNaive is the pre-heap reference: the literal O(Q·N) repeated
+// argmax of Algorithm 2 with utilities from the pow loop. The equivalence
+// property test below runs it against SelectRound.
+func (s *Scheduler) SelectRoundNaive() []int {
+	n := s.NumSelect()
+	q := s.fleet.Len()
+	// Compute utilities for all selectable users (lines 8–10).
+	utilities := make([]float64, q)
+	for i := 0; i < q; i++ {
+		utilities[i] = pow(s.params.Eta, s.alpha[i]) / (s.tcalMax[i] + s.tcom[i])
+	}
+	s.lastUtil = utilities
+	selectable := make([]bool, q)
+	for i := range selectable {
+		selectable[i] = true
+	}
+	selected := make([]int, 0, n)
+	for len(selected) < n {
+		// argmax over the selectable set (line 15), ties broken by index
+		// for determinism.
+		best := -1
+		for i := 0; i < q; i++ {
+			if !selectable[i] {
+				continue
+			}
+			if best == -1 || utilities[i] > utilities[best] {
+				best = i
+			}
+		}
+		if best == -1 {
+			break // fewer users than N
+		}
+		selectable[best] = false
+		selected = append(selected, best)
+		s.markSelected(best)
+	}
+	return selected
+}
+
 // tieFleet builds a fleet where blocks of devices share bitwise-identical
 // parameters, forcing exact utility ties the selection tie-break must
 // resolve by index.
@@ -240,7 +279,7 @@ func TestImportStateRebuildsMemo(t *testing.T) {
 
 func BenchmarkSelectRound(b *testing.B) {
 	ch := wireless.DefaultChannel()
-	for _, q := range []int{1000, 100000} {
+	for _, q := range []int{1000, 100000, 1000000} {
 		fl := randomFleet(q, 1)
 		s, err := NewFleetScheduler(fl, ch, testModelBits, DefaultParams())
 		if err != nil {
@@ -259,7 +298,7 @@ func BenchmarkSelectRound(b *testing.B) {
 
 func BenchmarkFrequencyPlan(b *testing.B) {
 	ch := wireless.DefaultChannel()
-	for _, q := range []int{1000, 100000} {
+	for _, q := range []int{1000, 100000, 1000000} {
 		fl := randomFleet(q, 1)
 		s, err := NewFleetScheduler(fl, ch, testModelBits, DefaultParams())
 		if err != nil {

@@ -93,7 +93,8 @@ func (d *Device) SnapFreq(f float64) float64 {
 // absorbs ULP noise from Algorithm 3's chaining arithmetic), or the top
 // level when f is above all of them. Levels are ascending, so binary search
 // finds the same level the linear scan it replaced did; the differential
-// test in device_test.go pins the equivalence, tolerance band included.
+// test in fleet_test.go pins the equivalence against that scan, tolerance
+// band included.
 // Empty levels mean a continuously tunable device: f passes through.
 func snapToLevels(levels []float64, f float64) float64 {
 	if len(levels) == 0 {
@@ -101,21 +102,6 @@ func snapToLevels(levels []float64, f float64) float64 {
 	}
 	if i := sort.SearchFloat64s(levels, f-1e-9); i < len(levels) {
 		return levels[i]
-	}
-	return levels[len(levels)-1]
-}
-
-// snapToLevelsScan is the retained linear-scan reference of snapToLevels,
-// kept verbatim from the pre-binary-search SnapFreq so the differential
-// test has an independent oracle.
-func snapToLevelsScan(levels []float64, f float64) float64 {
-	if len(levels) == 0 {
-		return f
-	}
-	for _, l := range levels {
-		if l >= f-1e-9 {
-			return l
-		}
 	}
 	return levels[len(levels)-1]
 }

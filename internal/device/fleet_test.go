@@ -5,8 +5,23 @@ import (
 	"testing"
 )
 
+// snapToLevelsScan is the linear-scan reference of snapToLevels, verbatim
+// from the pre-binary-search SnapFreq, so the differential test below has
+// an independent oracle.
+func snapToLevelsScan(levels []float64, f float64) float64 {
+	if len(levels) == 0 {
+		return f
+	}
+	for _, l := range levels {
+		if l >= f-1e-9 {
+			return l
+		}
+	}
+	return levels[len(levels)-1]
+}
+
 // TestSnapFreqBinarySearchMatchesScan differentially tests the binary-search
-// SnapFreq against the retained linear-scan reference across random level
+// SnapFreq against the linear-scan reference across random level
 // tables and requests, including requests landing exactly on, just below,
 // and just above a level — the 1e-9 tolerance band.
 func TestSnapFreqBinarySearchMatchesScan(t *testing.T) {

@@ -52,20 +52,6 @@ func AssembleEtaAblation(s Setting, etas []float64, res []any) (*EtaAblation, er
 	return out, nil
 }
 
-// RunEtaAblationGrid runs the η sweep through a grid runner.
-func RunEtaAblationGrid(ctx context.Context, r *grid.Runner, p Preset, s Setting, seed int64, etas []float64) (*EtaAblation, error) {
-	res, err := runCells(ctx, r, EtaCells(p, s, seed, etas))
-	if err != nil {
-		return nil, err
-	}
-	return AssembleEtaAblation(s, etas, res)
-}
-
-// RunEtaAblation trains HELCFL once per η.
-func RunEtaAblation(p Preset, s Setting, seed int64, etas []float64) (*EtaAblation, error) {
-	return RunEtaAblationGrid(context.Background(), nil, p, s, seed, etas)
-}
-
 // Render produces the η-sweep table.
 func (a *EtaAblation) Render() *report.Table {
 	tb := report.NewTable(fmt.Sprintf("Ablation (%s): decay coefficient η", a.Setting),
@@ -116,20 +102,6 @@ func AssembleFractionAblation(s Setting, fractions []float64, res []any) (*Fract
 	return out, nil
 }
 
-// RunFractionAblationGrid runs the C sweep through a grid runner.
-func RunFractionAblationGrid(ctx context.Context, r *grid.Runner, p Preset, s Setting, seed int64, fractions []float64) (*FractionAblation, error) {
-	res, err := runCells(ctx, r, FractionCells(p, s, seed, fractions))
-	if err != nil {
-		return nil, err
-	}
-	return AssembleFractionAblation(s, fractions, res)
-}
-
-// RunFractionAblation trains HELCFL once per fraction.
-func RunFractionAblation(p Preset, s Setting, seed int64, fractions []float64) (*FractionAblation, error) {
-	return RunFractionAblationGrid(context.Background(), nil, p, s, seed, fractions)
-}
-
 // Render produces the C-sweep table.
 func (a *FractionAblation) Render() *report.Table {
 	tb := report.NewTable(fmt.Sprintf("Ablation (%s): selection fraction C", a.Setting),
@@ -175,21 +147,6 @@ func AssembleClampAblation(res []any) (*ClampAblation, error) {
 		return nil, fmt.Errorf("experiments: clamp study got %d results, want 1", len(res))
 	}
 	return cellResult[*ClampAblation](res, 0)
-}
-
-// RunClampAblationGrid runs the clamping study through a grid runner.
-func RunClampAblationGrid(ctx context.Context, r *grid.Runner, p Preset, s Setting, seed int64, rounds int) (*ClampAblation, error) {
-	res, err := runCells(ctx, r, ClampCells(p, s, seed, rounds))
-	if err != nil {
-		return nil, err
-	}
-	return AssembleClampAblation(res)
-}
-
-// RunClampAblation replays HELCFL's selection for `rounds` rounds and
-// evaluates the literal Algorithm 3 output on each selected cohort.
-func RunClampAblation(p Preset, s Setting, seed int64, rounds int) (*ClampAblation, error) {
-	return RunClampAblationGrid(context.Background(), nil, p, s, seed, rounds)
 }
 
 // clampStudy is the serial body of the clamping study.
@@ -270,20 +227,6 @@ func AssembleFig1Demo(res []any) (*Fig1Demo, error) {
 		return nil, fmt.Errorf("experiments: fig1 demo got %d results, want 1", len(res))
 	}
 	return cellResult[*Fig1Demo](res, 0)
-}
-
-// RunFig1DemoGrid runs the demonstration through a grid runner.
-func RunFig1DemoGrid(ctx context.Context, r *grid.Runner, p Preset, seed int64) (*Fig1Demo, error) {
-	res, err := runCells(ctx, r, Fig1Cells(p, seed))
-	if err != nil {
-		return nil, err
-	}
-	return AssembleFig1Demo(res)
-}
-
-// RunFig1Demo builds the demonstration on a fresh environment.
-func RunFig1Demo(p Preset, seed int64) (*Fig1Demo, error) {
-	return RunFig1DemoGrid(context.Background(), nil, p, seed)
 }
 
 // fig1Demo is the serial body of the demonstration.

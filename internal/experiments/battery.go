@@ -138,26 +138,6 @@ func AssembleBatteryCampaign(s Setting, res []any) (*BatteryCampaign, error) {
 	return out, nil
 }
 
-// RunBatteryCampaignGrid runs the campaign through a grid runner.
-func RunBatteryCampaignGrid(ctx context.Context, r *grid.Runner, p Preset, s Setting, seed int64, selectionsOfBudget float64) (*BatteryCampaign, error) {
-	cells, err := BatteryCells(p, s, seed, selectionsOfBudget)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runCells(ctx, r, cells)
-	if err != nil {
-		return nil, err
-	}
-	return AssembleBatteryCampaign(s, res)
-}
-
-// RunBatteryCampaign gives every device a battery worth selectionsOfBudget
-// max-frequency selections and trains every scheme to its round budget or
-// fleet death.
-func RunBatteryCampaign(p Preset, s Setting, seed int64, selectionsOfBudget float64) (*BatteryCampaign, error) {
-	return RunBatteryCampaignGrid(context.Background(), nil, p, s, seed, selectionsOfBudget)
-}
-
 // Render produces the lifetime-comparison table.
 func (b *BatteryCampaign) Render() *report.Table {
 	tb := report.NewTable(

@@ -6,7 +6,11 @@ import (
 )
 
 func TestBatteryCampaignLifetimes(t *testing.T) {
-	bc, err := RunBatteryCampaign(Tiny(), IID, 1, 6)
+	cells, err := BatteryCells(Tiny(), IID, 1, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := AssembleBatteryCampaign(IID, runCells(t, cells))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +42,7 @@ func TestBatteryCampaignLifetimes(t *testing.T) {
 }
 
 func TestBatteryCampaignBadBudget(t *testing.T) {
-	if _, err := RunBatteryCampaign(Tiny(), IID, 1, 0); err == nil {
+	if _, err := BatteryCells(Tiny(), IID, 1, 0); err == nil {
 		t.Fatal("zero budget must error")
 	}
 }

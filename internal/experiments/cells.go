@@ -14,24 +14,9 @@ import (
 // This file is the bridge between the experiment drivers and the campaign
 // grid (internal/grid): every driver expresses its study as cells — built
 // by a *Cells function — and folds the runner's results back into its
-// result type with an Assemble* function. The exported Run* entry points
-// keep their historical signatures and delegate to the cells through
-// runCells, so a library caller gets parallel execution for free while the
-// registry (registry.go) composes the same cells into larger campaigns.
-
-// defaultRunner backs the exported Run* drivers: full host parallelism, no
-// attached observability. Cells rebuild their environments from the seed,
-// so parallel execution is bit-identical to the historical serial loops.
-var defaultRunner = &grid.Runner{}
-
-// runCells executes cells on r, defaulting to the package runner; ctx may
-// be nil.
-func runCells(ctx context.Context, r *grid.Runner, cells []grid.Cell) ([]any, error) {
-	if r == nil {
-		r = defaultRunner
-	}
-	return r.Run(ctx, cells)
-}
+// result type with an Assemble* function. There is no other way to execute
+// a study: the registry (registry.go) composes the cells into Plans, and a
+// library caller runs the same cells on a grid.Runner and assembles them.
 
 // schemeRun is the result of one standard training cell: the evaluated
 // curve plus the engine result the assemblers mine for totals. SL runs

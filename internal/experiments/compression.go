@@ -109,21 +109,6 @@ func AssembleCompressionAblation(s Setting, compressors []compress.Compressor, r
 	return out, nil
 }
 
-// RunCompressionAblationGrid runs the compression study through a grid
-// runner.
-func RunCompressionAblationGrid(ctx context.Context, r *grid.Runner, p Preset, s Setting, seed int64, compressors []compress.Compressor) (*CompressionAblation, error) {
-	res, err := runCells(ctx, r, CompressionCells(p, s, seed, compressors))
-	if err != nil {
-		return nil, err
-	}
-	return AssembleCompressionAblation(s, compressors, res)
-}
-
-// RunCompressionAblation trains HELCFL once per compressor.
-func RunCompressionAblation(p Preset, s Setting, seed int64, compressors []compress.Compressor) (*CompressionAblation, error) {
-	return RunCompressionAblationGrid(context.Background(), nil, p, s, seed, compressors)
-}
-
 // DefaultCompressors returns the comparison set: fp32 baseline, 10% top-k
 // sparsification, and 8-bit uniform quantization.
 func DefaultCompressors() []compress.Compressor {

@@ -9,7 +9,8 @@ import (
 
 func TestCompressionAblation(t *testing.T) {
 	p := Tiny()
-	ab, err := RunCompressionAblation(p, IID, 1, DefaultCompressors())
+	cs := DefaultCompressors()
+	ab, err := AssembleCompressionAblation(IID, cs, runCells(t, CompressionCells(p, IID, 1, cs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +56,11 @@ func TestCompressionAblation(t *testing.T) {
 func TestCompressionChangesCostModel(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 6
-	ab, err := RunCompressionAblation(p, IID, 2, []compress.Compressor{
+	cs := []compress.Compressor{
 		compress.None{},
 		compress.NewTopK(0.05),
-	})
+	}
+	ab, err := AssembleCompressionAblation(IID, cs, runCells(t, CompressionCells(p, IID, 2, cs)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"helcfl/internal/fl"
@@ -86,25 +85,6 @@ func AssembleDeadlineBudget(s Setting, budgetSec float64, res []any) (*DeadlineB
 	out.Best["SL"] = best
 	out.Rounds["SL"] = rounds
 	return out, nil
-}
-
-// RunDeadlineBudgetGrid runs the budget comparison through a grid runner.
-func RunDeadlineBudgetGrid(ctx context.Context, r *grid.Runner, p Preset, s Setting, seed int64, budgetSec float64) (*DeadlineBudget, error) {
-	cells, err := DeadlineCells(p, s, seed, budgetSec)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runCells(ctx, r, cells)
-	if err != nil {
-		return nil, err
-	}
-	return AssembleDeadlineBudget(s, budgetSec, res)
-}
-
-// RunDeadlineBudget runs all five schemes under the deadline. SL uses its
-// own engine and is budgeted by truncating its trajectory at the deadline.
-func RunDeadlineBudget(p Preset, s Setting, seed int64, budgetSec float64) (*DeadlineBudget, error) {
-	return RunDeadlineBudgetGrid(context.Background(), nil, p, s, seed, budgetSec)
 }
 
 // Render produces the budget-comparison table.

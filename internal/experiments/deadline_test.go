@@ -9,7 +9,11 @@ func TestDeadlineBudget(t *testing.T) {
 	p := Tiny()
 	// A budget of ~1/3 of the usual campaign duration forces the deadline
 	// exit for every scheme.
-	db, err := RunDeadlineBudget(p, IID, 1, 120)
+	cells, err := DeadlineCells(p, IID, 1, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := AssembleDeadlineBudget(IID, 120, runCells(t, cells))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +42,7 @@ func TestDeadlineBudget(t *testing.T) {
 }
 
 func TestDeadlineBudgetRejectsBadBudget(t *testing.T) {
-	if _, err := RunDeadlineBudget(Tiny(), IID, 1, 0); err == nil {
+	if _, err := DeadlineCells(Tiny(), IID, 1, 0); err == nil {
 		t.Fatal("zero budget must error")
 	}
 }
@@ -46,14 +50,18 @@ func TestDeadlineBudgetRejectsBadBudget(t *testing.T) {
 func TestDeadlineBudgetMoreTimeNeverHurts(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 40
-	short, err := RunDeadlineBudget(p, IID, 2, 60)
-	if err != nil {
-		t.Fatal(err)
+	budget := func(sec float64) *DeadlineBudget {
+		cells, err := DeadlineCells(p, IID, 2, sec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := AssembleDeadlineBudget(IID, sec, runCells(t, cells))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
 	}
-	long, err := RunDeadlineBudget(p, IID, 2, 240)
-	if err != nil {
-		t.Fatal(err)
-	}
+	short, long := budget(60), budget(240)
 	for _, scheme := range []string{"HELCFL", "ClassicFL"} {
 		if long.Best[scheme] < short.Best[scheme]-1e-9 {
 			t.Fatalf("%s: more budget reduced accuracy %g → %g",

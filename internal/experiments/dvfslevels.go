@@ -91,25 +91,6 @@ func AssembleDVFSLevelsAblation(s Setting, levelCounts []int, res []any) (*DVFSL
 	return out, nil
 }
 
-// RunDVFSLevelsAblationGrid runs the sweep through a grid runner.
-func RunDVFSLevelsAblationGrid(ctx context.Context, r *grid.Runner, p Preset, s Setting, seed int64, levelCounts []int) (*DVFSLevelsAblation, error) {
-	cells, err := DVFSLevelsCells(p, s, seed, levelCounts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runCells(ctx, r, cells)
-	if err != nil {
-		return nil, err
-	}
-	return AssembleDVFSLevelsAblation(s, levelCounts, res)
-}
-
-// RunDVFSLevelsAblation runs the Fig. 3 comparison once per level count
-// (0 = continuous).
-func RunDVFSLevelsAblation(p Preset, s Setting, seed int64, levelCounts []int) (*DVFSLevelsAblation, error) {
-	return RunDVFSLevelsAblationGrid(context.Background(), nil, p, s, seed, levelCounts)
-}
-
 // Render produces the level-count table.
 func (a *DVFSLevelsAblation) Render() *report.Table {
 	tb := report.NewTable(

@@ -7,7 +7,12 @@ import (
 
 func TestDVFSLevelsAblation(t *testing.T) {
 	p := Tiny()
-	ab, err := RunDVFSLevelsAblation(p, IID, 1, []int{0, 8, 2})
+	levels := []int{0, 8, 2}
+	cells, err := DVFSLevelsCells(p, IID, 1, levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ab, err := AssembleDVFSLevelsAblation(IID, levels, runCells(t, cells))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +45,7 @@ func TestDVFSLevelsAblation(t *testing.T) {
 }
 
 func TestDVFSLevelsAblationRejectsOneLevel(t *testing.T) {
-	if _, err := RunDVFSLevelsAblation(Tiny(), IID, 1, []int{1}); err == nil {
+	if _, err := DVFSLevelsCells(Tiny(), IID, 1, []int{1}); err == nil {
 		t.Fatal("1 level must error")
 	}
 }

@@ -1,13 +1,28 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
+
+	"helcfl/internal/grid"
 )
 
 // The experiment tests run the Tiny preset with a fixed seed. Everything in
 // the pipeline is deterministic, so the asserted orderings are stable.
+
+// runCells executes a study's cells the way every caller outside the
+// registry does — on a default (all-cores) grid.Runner — and hands the
+// fixed-index results to the study's Assemble* function.
+func runCells(t testing.TB, cells []grid.Cell) []any {
+	t.Helper()
+	res, err := (&grid.Runner{}).Run(context.Background(), cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func TestPresetValidate(t *testing.T) {
 	for _, p := range []Preset{Paper(), Fast(), Tiny()} {
@@ -111,7 +126,7 @@ func fig2For(t *testing.T, s Setting) *Fig2Result {
 	if f, ok := fig2Cache[s]; ok {
 		return f
 	}
-	f, err := RunFig2(Tiny(), s, 1)
+	f, err := AssembleFig2(s, runCells(t, Fig2Cells(Tiny(), s, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +198,11 @@ func TestFig2HELCFLCheaperThanClassic(t *testing.T) {
 }
 
 func TestFig2Deterministic(t *testing.T) {
-	a, err := RunFig2(Tiny(), IID, 7)
+	a, err := AssembleFig2(IID, runCells(t, Fig2Cells(Tiny(), IID, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFig2(Tiny(), IID, 7)
+	b, err := AssembleFig2(IID, runCells(t, Fig2Cells(Tiny(), IID, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +289,7 @@ func TestTableIRenderAndSpeedups(t *testing.T) {
 
 func TestFig3ReductionPositive(t *testing.T) {
 	for _, s := range []Setting{IID, NonIID} {
-		f3, err := RunFig3(Tiny(), s, 1)
+		f3, err := AssembleFig3(Tiny(), s, runCells(t, Fig3Cells(Tiny(), s, 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,11 +349,12 @@ func TestFig3DVFSDoesNotDegradeTraining(t *testing.T) {
 }
 
 func TestSlackRichRegimeIncreasesSavings(t *testing.T) {
-	base, err := RunFig3(Tiny(), IID, 1)
+	base, err := AssembleFig3(Tiny(), IID, runCells(t, Fig3Cells(Tiny(), IID, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ub, err := RunFig3(SlackRich(Tiny()), IID, 1)
+	rich := SlackRich(Tiny())
+	ub, err := AssembleFig3(rich, IID, runCells(t, Fig3Cells(rich, IID, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +374,7 @@ func TestSlackRichRegimeIncreasesSavings(t *testing.T) {
 func TestHeadline(t *testing.T) {
 	figs := map[Setting]*Fig2Result{IID: fig2For(t, IID), NonIID: fig2For(t, NonIID)}
 	tbl := BuildTableI(Tiny(), figs)
-	f3, err := RunFig3(Tiny(), IID, 1)
+	f3, err := AssembleFig3(Tiny(), IID, runCells(t, Fig3Cells(Tiny(), IID, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +397,8 @@ func TestHeadline(t *testing.T) {
 func TestEtaAblation(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 20
-	ab, err := RunEtaAblation(p, IID, 1, []float64{0.5, 0.9})
+	etas := []float64{0.5, 0.9}
+	ab, err := AssembleEtaAblation(IID, etas, runCells(t, EtaCells(p, IID, 1, etas)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +418,8 @@ func TestEtaAblation(t *testing.T) {
 func TestFractionAblation(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 20
-	ab, err := RunFractionAblation(p, IID, 1, []float64{0.125, 0.25})
+	fractions := []float64{0.125, 0.25}
+	ab, err := AssembleFractionAblation(IID, fractions, runCells(t, FractionCells(p, IID, 1, fractions)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +433,7 @@ func TestFractionAblation(t *testing.T) {
 }
 
 func TestClampAblationFindsViolations(t *testing.T) {
-	ab, err := RunClampAblation(Tiny(), IID, 1, 30)
+	ab, err := AssembleClampAblation(runCells(t, ClampCells(Tiny(), IID, 1, 30)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +451,7 @@ func TestClampAblationFindsViolations(t *testing.T) {
 }
 
 func TestFig1Demo(t *testing.T) {
-	demo, err := RunFig1Demo(Tiny(), 1)
+	demo, err := AssembleFig1Demo(runCells(t, Fig1Cells(Tiny(), 1)))
 	if err != nil {
 		t.Fatal(err)
 	}

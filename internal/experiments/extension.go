@@ -103,22 +103,6 @@ func AssembleLossAwareExtension(p Preset, s Setting, lambdas []float64, res []an
 	return out, nil
 }
 
-// RunLossAwareExtensionGrid runs the λ sweep through a grid runner.
-func RunLossAwareExtensionGrid(ctx context.Context, r *grid.Runner, p Preset, s Setting, seed int64, lambdas []float64) (*LossAwareExtension, error) {
-	lambdas = normalizeLambdas(lambdas)
-	res, err := runCells(ctx, r, LossAwareCells(p, s, seed, lambdas))
-	if err != nil {
-		return nil, err
-	}
-	return AssembleLossAwareExtension(p, s, lambdas, res)
-}
-
-// RunLossAwareExtension trains HELCFL once per λ (λ=0 is prepended as the
-// baseline if missing).
-func RunLossAwareExtension(p Preset, s Setting, seed int64, lambdas []float64) (*LossAwareExtension, error) {
-	return RunLossAwareExtensionGrid(context.Background(), nil, p, s, seed, lambdas)
-}
-
 // Render produces the λ-sweep table.
 func (e *LossAwareExtension) Render() *report.Table {
 	tb := report.NewTable(

@@ -8,7 +8,8 @@ import (
 func TestLossAwareExtension(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 30
-	ext, err := RunLossAwareExtension(p, NonIID, 1, []float64{1.0})
+	lambdas := normalizeLambdas([]float64{1.0})
+	ext, err := AssembleLossAwareExtension(p, NonIID, lambdas, runCells(t, LossAwareCells(p, NonIID, 1, lambdas)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,8 @@ func TestLossAwareLambdaZeroMatchesBaseScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := RunLossAwareExtension(p, IID, 4, nil)
+	lambdas := normalizeLambdas(nil)
+	ext, err := AssembleLossAwareExtension(p, IID, lambdas, runCells(t, LossAwareCells(p, IID, 4, lambdas)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,25 +98,6 @@ func AssembleFairnessStudy(rounds int, res []any) (*FairnessStudy, error) {
 	return out, nil
 }
 
-// RunFairnessStudyGrid runs the study through a grid runner.
-func RunFairnessStudyGrid(ctx context.Context, r *grid.Runner, p Preset, seed int64, rounds int) (*FairnessStudy, error) {
-	cells, err := FairnessCells(p, seed, rounds)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runCells(ctx, r, cells)
-	if err != nil {
-		return nil, err
-	}
-	return AssembleFairnessStudy(rounds, res)
-}
-
-// RunFairnessStudy replays `rounds` scheduling decisions per scheme (no
-// training — selection only).
-func RunFairnessStudy(p Preset, seed int64, rounds int) (*FairnessStudy, error) {
-	return RunFairnessStudyGrid(context.Background(), nil, p, seed, rounds)
-}
-
 // Render produces the fairness table.
 func (f *FairnessStudy) Render() *report.Table {
 	tb := report.NewTable(

@@ -6,7 +6,11 @@ import (
 )
 
 func TestFairnessStudy(t *testing.T) {
-	fs, err := RunFairnessStudy(Tiny(), 1, 80)
+	cells, err := FairnessCells(Tiny(), 1, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := AssembleFairnessStudy(80, runCells(t, cells))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +38,7 @@ func TestFairnessStudy(t *testing.T) {
 }
 
 func TestFairnessStudyBadRounds(t *testing.T) {
-	if _, err := RunFairnessStudy(Tiny(), 1, 0); err == nil {
+	if _, err := FairnessCells(Tiny(), 1, 0); err == nil {
 		t.Fatal("zero rounds must error")
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -145,20 +144,4 @@ func AssembleFig2(s Setting, res []any) (*Fig2Result, error) {
 		out.Curves[scheme] = r.Curve
 	}
 	return out, nil
-}
-
-// RunFig2Grid runs one Fig. 2 panel through a grid runner (nil r uses the
-// default full-parallelism runner; ctx may be nil).
-func RunFig2Grid(ctx context.Context, r *grid.Runner, p Preset, s Setting, seed int64) (*Fig2Result, error) {
-	res, err := runCells(ctx, r, Fig2Cells(p, s, seed))
-	if err != nil {
-		return nil, err
-	}
-	return AssembleFig2(s, res)
-}
-
-// RunFig2 reproduces one panel of Fig. 2: all five schemes trained on the
-// same environment geometry, reporting accuracy vs training iteration.
-func RunFig2(p Preset, s Setting, seed int64) (*Fig2Result, error) {
-	return RunFig2Grid(context.Background(), nil, p, s, seed)
 }

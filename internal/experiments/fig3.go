@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"helcfl/internal/grid"
@@ -28,7 +27,9 @@ type Fig3Result struct {
 var fig3Schemes = []string{"HELCFL", "HELCFL-noDVFS"}
 
 // Fig3Cells returns one Fig. 3 comparison as cells: HELCFL with and
-// without Algorithm 3, on the same environment geometry.
+// without Algorithm 3, on the same environment geometry. Selection is
+// deterministic (greedy-decay has no randomness), so both cells see
+// identical selection sequences and accuracy curves; only energy differs.
 func Fig3Cells(p Preset, s Setting, seed int64) []grid.Cell {
 	cells := make([]grid.Cell, 0, len(fig3Schemes))
 	for _, scheme := range fig3Schemes {
@@ -76,27 +77,8 @@ func fig3FromCurves(p Preset, s Setting, withCurve, withoutCurve metrics.Curve) 
 	return out
 }
 
-// RunFig3Grid runs one Fig. 3 comparison through a grid runner (nil r uses
-// the default full-parallelism runner; ctx may be nil).
-func RunFig3Grid(ctx context.Context, r *grid.Runner, p Preset, s Setting, seed int64) (*Fig3Result, error) {
-	res, err := runCells(ctx, r, Fig3Cells(p, s, seed))
-	if err != nil {
-		return nil, err
-	}
-	return AssembleFig3(p, s, res)
-}
-
-// RunFig3 trains HELCFL twice on the same environment geometry — once with
-// Algorithm 3 and once pinned to maximum frequencies — and compares the
-// energy needed to reach each desired accuracy. Selection is deterministic
-// (greedy-decay has no randomness), so both runs see identical selection
-// sequences and accuracy curves; only energy differs.
-func RunFig3(p Preset, s Setting, seed int64) (*Fig3Result, error) {
-	return RunFig3Grid(context.Background(), nil, p, s, seed)
-}
-
-// RunFig3Env is RunFig3 over a pre-built (possibly mutated) environment —
-// the serial path the DVFS-levels ablation uses after editing the fleet's
+// RunFig3Env is the Fig. 3 comparison over a pre-built (possibly mutated)
+// environment — what a DVFS-levels cell runs after editing the fleet's
 // operating points in place.
 func RunFig3Env(env *Env) (*Fig3Result, error) {
 	withCurve, _, err := RunScheme(env, "HELCFL")

@@ -94,7 +94,7 @@ func TestGoldenFileFig2(t *testing.T) {
 	for _, setting := range []Setting{IID, NonIID} {
 		setting := setting
 		t.Run(string(setting), func(t *testing.T) {
-			res, err := RunFig2(goldenPreset(), setting, 3)
+			res, err := AssembleFig2(setting, runCells(t, Fig2Cells(goldenPreset(), setting, 3)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,8 @@ func TestGoldenFileFig2(t *testing.T) {
 // paper's scheduler, so the baseline column doubles as a second fingerprint
 // of the core pipeline).
 func TestGoldenFileExtension(t *testing.T) {
-	ext, err := RunLossAwareExtension(goldenPreset(), IID, 3, []float64{0.5})
+	lambdas := normalizeLambdas([]float64{0.5})
+	ext, err := AssembleLossAwareExtension(goldenPreset(), IID, lambdas, runCells(t, LossAwareCells(goldenPreset(), IID, 3, lambdas)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,25 +141,6 @@ func AssembleHierStudy(s Setting, edgeCounts []int, res []any) (*HierStudy, erro
 	return out, nil
 }
 
-// RunHierStudyGrid runs the sweep through a grid runner.
-func RunHierStudyGrid(ctx context.Context, r *grid.Runner, p Preset, s Setting, seed int64, edgeCounts []int) (*HierStudy, error) {
-	cells, err := HierCells(p, s, seed, edgeCounts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runCells(ctx, r, cells)
-	if err != nil {
-		return nil, err
-	}
-	return AssembleHierStudy(s, edgeCounts, res)
-}
-
-// RunHierStudy runs the edge-count sweep serially-equivalent on the default
-// runner.
-func RunHierStudy(p Preset, s Setting, seed int64, edgeCounts []int) (*HierStudy, error) {
-	return RunHierStudyGrid(context.Background(), nil, p, s, seed, edgeCounts)
-}
-
 // Render produces the edge-count table.
 func (h *HierStudy) Render() *report.Table {
 	tb := report.NewTable(

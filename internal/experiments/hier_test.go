@@ -16,14 +16,11 @@ func TestHierSingleEdgeMatchesFlatEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := RunHierStudy(p, IID, 3, []int{1})
+	hs, err := AssembleHierStudy(IID, []int{1}, runCells(t, mustHierCells(t, p, IID, 3, []int{1})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runCells(nil, nil, mustHierCells(t, p, IID, 3, []int{1}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCells(t, mustHierCells(t, p, IID, 3, []int{1}))
 	hr, err := cellResult[hierRun](res, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +60,8 @@ func mustHierCells(t *testing.T, p Preset, s Setting, seed int64, counts []int) 
 // scale: 8 users across E ∈ {1, 2, 4} edge aggregators. E = 1 doubles as
 // yet another fingerprint of the flat pipeline (it is bit-identical to it).
 func TestGoldenFileHier(t *testing.T) {
-	hs, err := RunHierStudy(goldenPreset(), IID, 3, []int{1, 2, 4})
+	counts := []int{1, 2, 4}
+	hs, err := AssembleHierStudy(IID, counts, runCells(t, mustHierCells(t, goldenPreset(), IID, 3, counts)))
 	if err != nil {
 		t.Fatal(err)
 	}

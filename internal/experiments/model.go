@@ -90,25 +90,6 @@ func AssembleModelAblation(s Setting, kinds []string, res []any) (*ModelAblation
 	return out, nil
 }
 
-// RunModelAblationGrid runs the architecture study through a grid runner.
-func RunModelAblationGrid(ctx context.Context, r *grid.Runner, p Preset, s Setting, seed int64, kinds []string) (*ModelAblation, error) {
-	cells, err := ModelCells(p, s, seed, kinds)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runCells(ctx, r, cells)
-	if err != nil {
-		return nil, err
-	}
-	return AssembleModelAblation(s, kinds, res)
-}
-
-// RunModelAblation trains HELCFL once per architecture. Supported kinds
-// are those of nn.ModelSpec: "logistic", "mlp", "squeezenet-mini".
-func RunModelAblation(p Preset, s Setting, seed int64, kinds []string) (*ModelAblation, error) {
-	return RunModelAblationGrid(context.Background(), nil, p, s, seed, kinds)
-}
-
 // Render produces the architecture-comparison table.
 func (a *ModelAblation) Render() *report.Table {
 	tb := report.NewTable(

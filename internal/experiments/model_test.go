@@ -8,7 +8,12 @@ import (
 func TestModelAblation(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 16
-	ab, err := RunModelAblation(p, IID, 1, []string{"logistic", "mlp"})
+	kinds := []string{"logistic", "mlp"}
+	cells, err := ModelCells(p, IID, 1, kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ab, err := AssembleModelAblation(IID, kinds, runCells(t, cells))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +53,12 @@ func TestModelAblationSqueezeNet(t *testing.T) {
 	p.LR = 0.15
 	p.Noise = 1.0
 	p.LocalSteps = 5
-	ab, err := RunModelAblation(p, IID, 1, []string{"squeezenet-mini"})
+	kinds := []string{"squeezenet-mini"}
+	cells, err := ModelCells(p, IID, 1, kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ab, err := AssembleModelAblation(IID, kinds, runCells(t, cells))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +68,7 @@ func TestModelAblationSqueezeNet(t *testing.T) {
 }
 
 func TestModelAblationEmptyKinds(t *testing.T) {
-	if _, err := RunModelAblation(Tiny(), IID, 1, nil); err == nil {
+	if _, err := ModelCells(Tiny(), IID, 1, nil); err == nil {
 		t.Fatal("empty kinds must error")
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"helcfl/internal/grid"
@@ -32,6 +31,9 @@ func MultiSeedCells(p Preset, s Setting, seeds []int64) []grid.Cell {
 
 // AssembleMultiSeed folds MultiSeedCells results into the aggregate.
 func AssembleMultiSeed(s Setting, seeds []int64, res []any) (*MultiSeed, error) {
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("experiments: no seeds")
+	}
 	if len(res) != len(seeds)*len(SchemeOrder) {
 		return nil, fmt.Errorf("experiments: multiseed got %d results, want %d", len(res), len(seeds)*len(SchemeOrder))
 	}
@@ -53,23 +55,6 @@ func AssembleMultiSeed(s Setting, seeds []int64, res []any) (*MultiSeed, error) 
 		}
 	}
 	return out, nil
-}
-
-// RunMultiSeedGrid runs the multi-seed campaign through a grid runner.
-func RunMultiSeedGrid(ctx context.Context, r *grid.Runner, p Preset, s Setting, seeds []int64) (*MultiSeed, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiments: no seeds")
-	}
-	res, err := runCells(ctx, r, MultiSeedCells(p, s, seeds))
-	if err != nil {
-		return nil, err
-	}
-	return AssembleMultiSeed(s, seeds, res)
-}
-
-// RunMultiSeed executes a Fig. 2 panel once per seed.
-func RunMultiSeed(p Preset, s Setting, seeds []int64) (*MultiSeed, error) {
-	return RunMultiSeedGrid(context.Background(), nil, p, s, seeds)
 }
 
 // AccuracySummary returns the best-accuracy summary for a scheme.

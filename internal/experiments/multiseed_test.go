@@ -8,7 +8,8 @@ import (
 func TestRunMultiSeed(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 16
-	ms, err := RunMultiSeed(p, IID, []int64{1, 2})
+	seeds := []int64{1, 2}
+	ms, err := AssembleMultiSeed(IID, seeds, runCells(t, MultiSeedCells(p, IID, seeds)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestRunMultiSeed(t *testing.T) {
 }
 
 func TestRunMultiSeedNoSeeds(t *testing.T) {
-	if _, err := RunMultiSeed(Tiny(), IID, nil); err == nil {
+	if _, err := AssembleMultiSeed(IID, nil, nil); err == nil {
 		t.Fatal("empty seed list must error")
 	}
 }

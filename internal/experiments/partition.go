@@ -102,20 +102,6 @@ func AssemblePartitionAblation(p Preset, alphas []float64, res []any) (*Partitio
 	return out, nil
 }
 
-// RunPartitionAblationGrid runs the partition study through a grid runner.
-func RunPartitionAblationGrid(ctx context.Context, r *grid.Runner, p Preset, seed int64, alphas []float64) (*PartitionAblation, error) {
-	res, err := runCells(ctx, r, PartitionCells(p, seed, alphas))
-	if err != nil {
-		return nil, err
-	}
-	return AssemblePartitionAblation(p, alphas, res)
-}
-
-// RunPartitionAblation trains HELCFL once per partition family.
-func RunPartitionAblation(p Preset, seed int64, alphas []float64) (*PartitionAblation, error) {
-	return RunPartitionAblationGrid(context.Background(), nil, p, seed, alphas)
-}
-
 // Render produces the partition-family table.
 func (a *PartitionAblation) Render() *report.Table {
 	tb := report.NewTable("Ablation (Non-IID): partition family",

@@ -8,7 +8,8 @@ import (
 func TestPartitionAblation(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 24
-	ab, err := RunPartitionAblation(p, 1, []float64{0.2, 5.0})
+	alphas := []float64{0.2, 5.0}
+	ab, err := AssemblePartitionAblation(p, alphas, runCells(t, PartitionCells(p, 1, alphas)))
 	if err != nil {
 		t.Fatal(err)
 	}

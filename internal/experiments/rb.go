@@ -54,24 +54,6 @@ func AssembleRBAblation(res []any) (*RBAblation, error) {
 	return cellResult[*RBAblation](res, 0)
 }
 
-// RunRBAblationGrid runs the RB study through a grid runner.
-func RunRBAblationGrid(ctx context.Context, r *grid.Runner, p Preset, seed int64, rounds int, ks []int) (*RBAblation, error) {
-	cells, err := RBCells(p, seed, rounds, ks)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runCells(ctx, r, cells)
-	if err != nil {
-		return nil, err
-	}
-	return AssembleRBAblation(res)
-}
-
-// RunRBAblation replays `rounds` HELCFL selections on a fresh environment.
-func RunRBAblation(p Preset, seed int64, rounds int, ks []int) (*RBAblation, error) {
-	return RunRBAblationGrid(context.Background(), nil, p, seed, rounds, ks)
-}
-
 // rbStudy is the serial body of the RB study.
 func rbStudy(p Preset, seed int64, rounds int, ks []int) (*RBAblation, error) {
 	env, err := CachedEnv(p, IID, seed)

@@ -6,7 +6,11 @@ import (
 )
 
 func TestRBAblation(t *testing.T) {
-	ab, err := RunRBAblation(Tiny(), 1, 25, []int{1, 2, 4})
+	cells, err := RBCells(Tiny(), 1, 25, []int{1, 2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ab, err := AssembleRBAblation(runCells(t, cells))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,10 +29,10 @@ func TestRBAblation(t *testing.T) {
 }
 
 func TestRBAblationBadArgs(t *testing.T) {
-	if _, err := RunRBAblation(Tiny(), 1, 0, []int{1}); err == nil {
+	if _, err := RBCells(Tiny(), 1, 0, []int{1}); err == nil {
 		t.Fatal("zero rounds must error")
 	}
-	if _, err := RunRBAblation(Tiny(), 1, 5, nil); err == nil {
+	if _, err := RBCells(Tiny(), 1, 5, nil); err == nil {
 		t.Fatal("no channel counts must error")
 	}
 }
@@ -37,7 +41,11 @@ func TestRBAblationBadArgs(t *testing.T) {
 // only help when queueing dominates; assert the serial baseline is not
 // strictly worst everywhere (sanity on the trade-off logic).
 func TestRBAblationTradeOffVisible(t *testing.T) {
-	ab, err := RunRBAblation(Tiny(), 2, 20, []int{1, 4})
+	cells, err := RBCells(Tiny(), 2, 20, []int{1, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ab, err := AssembleRBAblation(runCells(t, cells))
 	if err != nil {
 		t.Fatal(err)
 	}

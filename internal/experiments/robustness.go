@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"helcfl/internal/fl"
@@ -63,20 +62,6 @@ func AssembleDropoutAblation(p Preset, s Setting, dropouts []float64, res []any)
 	return out, nil
 }
 
-// RunDropoutAblationGrid runs the dropout sweep through a grid runner.
-func RunDropoutAblationGrid(ctx context.Context, r *grid.Runner, p Preset, s Setting, seed int64, dropouts []float64) (*DropoutAblation, error) {
-	res, err := runCells(ctx, r, DropoutCells(p, s, seed, dropouts))
-	if err != nil {
-		return nil, err
-	}
-	return AssembleDropoutAblation(p, s, dropouts, res)
-}
-
-// RunDropoutAblation trains HELCFL once per dropout probability.
-func RunDropoutAblation(p Preset, s Setting, seed int64, dropouts []float64) (*DropoutAblation, error) {
-	return RunDropoutAblationGrid(context.Background(), nil, p, s, seed, dropouts)
-}
-
 // Render produces the dropout-sweep table.
 func (a *DropoutAblation) Render() *report.Table {
 	tb := report.NewTable(fmt.Sprintf("Robustness (%s): upload-failure injection", a.Setting),
@@ -136,20 +121,6 @@ func AssembleFadingAblation(s Setting, sigmas []float64, res []any) (*FadingAbla
 		out.EnergyJ = append(out.EnergyJ, r.Res.TotalEnergy)
 	}
 	return out, nil
-}
-
-// RunFadingAblationGrid runs the fading sweep through a grid runner.
-func RunFadingAblationGrid(ctx context.Context, r *grid.Runner, p Preset, s Setting, seed int64, sigmas []float64) (*FadingAblation, error) {
-	res, err := runCells(ctx, r, FadingCells(p, s, seed, sigmas))
-	if err != nil {
-		return nil, err
-	}
-	return AssembleFadingAblation(s, sigmas, res)
-}
-
-// RunFadingAblation trains HELCFL once per fading σ.
-func RunFadingAblation(p Preset, s Setting, seed int64, sigmas []float64) (*FadingAblation, error) {
-	return RunFadingAblationGrid(context.Background(), nil, p, s, seed, sigmas)
 }
 
 // Render produces the fading-sweep table.

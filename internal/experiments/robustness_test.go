@@ -8,7 +8,8 @@ import (
 func TestDropoutAblation(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 30
-	ab, err := RunDropoutAblation(p, IID, 1, []float64{0, 0.3})
+	dropouts := []float64{0, 0.3}
+	ab, err := AssembleDropoutAblation(p, IID, dropouts, runCells(t, DropoutCells(p, IID, 1, dropouts)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,8 @@ func TestDropoutAblation(t *testing.T) {
 func TestFadingAblation(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 20
-	ab, err := RunFadingAblation(p, IID, 1, []float64{0, 0.6})
+	sigmas := []float64{0, 0.6}
+	ab, err := AssembleFadingAblation(IID, sigmas, runCells(t, FadingCells(p, IID, 1, sigmas)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func (p *Profile) String() string {
 func secs(ns int64) float64 { return float64(ns) / 1e9 }
 
 // Stats summarizes the duration distribution of one span name, in
-// seconds, for machine-readable reports (BENCH_experiments.json).
+// seconds (helcfl-inspect trace prints one row per phase).
 type Stats struct {
 	Count    int     `json:"count"`
 	MinSec   float64 `json:"min_sec"`

@@ -55,8 +55,9 @@ func TestIntoKernelsAllocateNothing(t *testing.T) {
 }
 
 // Benchmarks comparing the naive references against the tiled kernels, and
-// the allocating entry points against their Into forms. `make bench` runs
-// these; sizes bracket the shapes the experiment models actually hit.
+// the allocating entry points against their Into forms. CI's benchmark-smoke
+// job runs these once; sizes bracket the shapes the experiment models
+// actually hit.
 
 func benchPair(b *testing.B, m, k, n int) (x, y *Tensor) {
 	rng := rand.New(rand.NewSource(6))

@@ -4,14 +4,15 @@ import "fmt"
 
 // Matrix-multiply kernels.
 //
-// All three products (a·b, aᵀ·b, a·bᵀ) come in three forms:
+// All three products (a·b, aᵀ·b, a·bᵀ) come in two forms:
 //
 //   - MatMul*: allocate the result and compute it (the historical API);
 //   - MatMul*Into: compute into a caller-owned destination with zero heap
 //     allocations — the training hot path uses these through the layer
-//     scratch buffers in internal/nn;
-//   - MatMul*Naive (matmul_naive.go): the retained straight-loop reference
-//     kernels.
+//     scratch buffers in internal/nn.
+//
+// The straight-loop reference kernels (MatMul*Naive) live with the tests,
+// in matmul_naive_test.go.
 //
 // The compute kernels are blocked/tiled for cache locality and, for large
 // products, row-sharded across goroutines. Both transformations preserve

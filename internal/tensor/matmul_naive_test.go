@@ -1,14 +1,14 @@
 package tensor
 
-// This file retains the original straight-loop matrix kernels as reference
+// This file holds the original straight-loop matrix kernels as reference
 // implementations. The tiled kernels in matmul.go are required to be
 // bit-for-bit identical to these for every shape and every input — the
 // differential tests (matmul_diff_test.go) and fuzz targets pin that — so
 // any future kernel change that perturbs floating-point accumulation order
 // fails loudly instead of silently drifting the experiment goldens.
 //
-// They are exported (with the Naive suffix) so other packages' benchmarks
-// and differential tests can compare against them directly.
+// They live in a _test.go file because only this package's tests call
+// them: an oracle is not part of the product.
 
 // MatMulNaive is the reference a·b kernel: a cache-friendly ikj loop over
 // contiguous rows, accumulating each output element in ascending-p order

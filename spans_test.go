@@ -33,16 +33,6 @@ func TestNilTraceIsCheaperThanRecorder(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineSpanRecorder bounds the cost of full span recording per
-// campaign; compare allocs/op against BenchmarkEngineNilSink.
-func BenchmarkEngineSpanRecorder(b *testing.B) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engineRunTraced(b, span.NewRecorder(1, span.Options{}))
-	}
-}
-
 // TestSpanStructureIsDeterministic pins the tracer's replayability story:
 // two engine runs from the same seed produce identical span streams —
 // same count, order, IDs, parentage, names, and attributes — with only
