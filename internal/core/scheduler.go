@@ -4,17 +4,20 @@
 // DVFS-enabled operating-frequency determination of Algorithm 3.
 //
 // The scheduler's state is structure-of-arrays (device.Fleet plus parallel
-// delay/decay columns) and its selection loop is a streaming top-N heap, so
-// a single round plan scales to Q=10⁶ users in well under a second (see
-// docs/SCALE.md); the naive references (SelectRoundNaive in the package's
-// tests, the AoS FrequencyPlan) pin the fast paths bit-identical to the
-// paper's literal algorithms.
+// delay/decay columns). Its selection loop is a streaming top-N min-heap of
+// (utility, index) entries sifted by one concrete sift-down, and Algorithm
+// 3 orders the cohort with one slices sort over (delay, index) keys — no
+// interface dispatch, no allocation once warm — so a single round plan
+// scales to Q=10⁶ users in well under a second (see docs/SCALE.md); the
+// naive references (SelectRoundNaive in the package's tests, the AoS
+// FrequencyPlan) pin the fast paths bit-identical to the paper's literal
+// algorithms.
 package core
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"helcfl/internal/device"
 	"helcfl/internal/obs/span"
@@ -83,13 +86,11 @@ type Scheduler struct {
 	lastUtil []float64
 
 	// Streaming top-N selection scratch (see selectAppend).
-	heap       selHeap
+	heap       []selEntry
 	heapPushes int
 
 	// Algorithm 3 scratch (see frequencyPlanInto).
-	planOrder []int
-	planDelay []float64
-	sorter    planSorter
+	planKeys []planKey
 
 	// tr/trParent attribute PlanRound's two phases (Algorithm 2 selection,
 	// Algorithm 3 DVFS solve) to the caller's span trace; nil/zero when
@@ -237,37 +238,48 @@ func (s *Scheduler) cohortSize() int {
 // sched.select span exports as heap.pushes.
 func (s *Scheduler) LastHeapPushes() int { return s.heapPushes }
 
-// selHeap orders candidate indices worst-first under the Algorithm 2
-// selection key (utility descending, then index ascending): the root is the
-// weakest member of the current top-N. Lower utility is worse; on bitwise-
-// equal utilities the higher index is worse, because the naive argmax scans
-// indices ascending and only a strictly greater utility displaces the
-// incumbent.
-type selHeap struct {
-	idx  []int
-	util []float64
+// selEntry is one member of the streaming top-N heap: a candidate's fleet
+// index and its Eq. (20) utility, held together so a sift touches only the
+// heap's own memory.
+type selEntry struct {
+	util float64
+	q    int
 }
 
-func (h *selHeap) Len() int { return len(h.idx) }
-func (h *selHeap) Less(i, j int) bool {
-	a, b := h.idx[i], h.idx[j]
-	if h.util[a] != h.util[b] { //helcfl:allow(floatcompare) exact tie-break: bitwise-equal utilities must fall through to the index order the naive argmax uses, and an epsilon would make selection input-order-dependent
-		return h.util[a] < h.util[b]
+// worse reports whether a ranks below b under the Algorithm 2 selection key
+// (utility descending, then index ascending). Lower utility is worse; on
+// bitwise-equal utilities the higher index is worse, because the naive
+// argmax scans indices ascending and only a strictly greater utility
+// displaces the incumbent.
+func (a selEntry) worse(b selEntry) bool {
+	if a.util < b.util {
+		return true
 	}
-	return a > b
+	if a.util > b.util {
+		return false
+	}
+	return a.q > b.q
 }
-func (h *selHeap) Swap(i, j int) { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
 
-// Push and Pop satisfy heap.Interface but are never called: the scheduler
-// manages length by hand (heap.Init + heap.Fix) to keep interface boxing —
-// and its allocation — out of the hot loop.
-func (h *selHeap) Push(x any) { h.idx = append(h.idx, x.(int)) }
-func (h *selHeap) Pop() any {
-	old := h.idx
-	n := len(old)
-	x := old[n-1]
-	h.idx = old[:n-1]
-	return x
+// siftDown restores the worst-first heap order of h below position i, whose
+// entry may rank better than its children.
+func siftDown(h []selEntry, i int) {
+	e := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].worse(h[c]) {
+			c = r
+		}
+		if !h[c].worse(e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
 }
 
 // computeUtilities refreshes the fleet-wide Eq. (20) utility vector into
@@ -300,53 +312,51 @@ func (s *Scheduler) SelectRoundAppend(dst []int) []int {
 // selectAppend is the streaming top-N selection: all Q candidates flow past
 // a size-N min-heap whose root is the weakest current winner, giving
 // O(Q + N·log N + R·log N) work for R root replacements — no full sort, no
-// allocation once buffers are warm. It returns the identical index
-// sequence, tie-breaks included, as the naive argmax reference
-// (SelectRoundNaive, in scheduler_equiv_test.go): utilities are computed
-// before any decay increment, replacement requires a strictly greater
-// utility (an equal-utility candidate has a higher index, which the naive
-// scan never prefers), and the final worst-first extraction filled
+// interface dispatch, no allocation once buffers are warm. It returns the
+// identical index sequence, tie-breaks included, as the naive argmax
+// reference (SelectRoundNaive, in scheduler_equiv_test.go): utilities are
+// computed before any decay increment, replacement requires a strictly
+// greater utility (an equal-utility candidate has a higher index, which the
+// naive scan never prefers), and the final worst-first extraction filled
 // back-to-front reproduces the (utility desc, index asc) selection order
-// exactly. The property test there pins this under random fleets and
-// forced ties.
+// exactly. The root is the minimum of a total order, so the replacement
+// count LastHeapPushes reports does not depend on the heap's layout. The
+// property test there pins this under random fleets and forced ties.
 func (s *Scheduler) selectAppend(dst []int) []int {
 	s.computeUtilities()
-	q := s.fleet.Len()
-	n := s.cohortSize()
-	h := &s.heap
-	h.util = s.lastUtil
-	if cap(h.idx) < n {
-		h.idx = make([]int, 0, n)
-	}
-	h.idx = h.idx[:0]
-	for cand := 0; cand < n; cand++ {
-		h.idx = append(h.idx, cand)
-	}
-	heap.Init(h)
-	pushes := n
 	util := s.lastUtil
-	for cand := n; cand < q; cand++ {
-		if util[cand] > util[h.idx[0]] {
-			h.idx[0] = cand
-			heap.Fix(h, 0)
+	n := s.cohortSize()
+	if cap(s.heap) < n {
+		s.heap = make([]selEntry, n)
+	}
+	h := s.heap[:n]
+	for cand := range h {
+		h[cand] = selEntry{util: util[cand], q: cand}
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	pushes := n
+	for cand := n; cand < len(util); cand++ {
+		if util[cand] > h[0].util {
+			h[0] = selEntry{util: util[cand], q: cand}
+			siftDown(h, 0)
 			pushes++
 		}
 	}
 	s.heapPushes = pushes
 	// Extract worst-first, writing winners back-to-front: dst ends in
 	// selection (descending utility, ascending index on ties) order.
+	dst = slices.Grow(dst, n)
 	base := len(dst)
-	for i := 0; i < n; i++ {
-		dst = append(dst, 0)
-	}
+	dst = dst[:base+n]
 	for m := n; m > 0; m-- {
-		root := h.idx[0]
-		h.idx[0] = h.idx[m-1]
-		h.idx = h.idx[:m-1]
-		if m > 2 {
-			heap.Fix(h, 0)
+		dst[base+m-1] = h[0].q
+		h[0] = h[m-1]
+		h = h[:m-1]
+		if len(h) > 1 {
+			siftDown(h, 0)
 		}
-		dst[base+m-1] = root
 	}
 	for _, sel := range dst[base:] {
 		s.markSelected(sel) // utility decay for future rounds (line 18)
@@ -411,26 +421,26 @@ func (s *Scheduler) FrequencyPlanSelected(selected []int, ch wireless.Channel, m
 	return freqs
 }
 
-// planSorter sorts position indices of one round's cohort by (compute delay
-// at f_max ascending, fleet index ascending) — Algorithm 3, line 1. The
-// keys are unique (selected holds distinct fleet indices), so plain
-// sort.Sort produces the same permutation as the stable sort in the naive
-// reference. A persistent struct sorted through a pointer receiver keeps
-// the sort.Interface conversion allocation-free.
-type planSorter struct {
-	order []int
-	delay []float64
-	sel   []int
+// planKey is one cohort member as Algorithm 3 orders it: compute delay at
+// f_max, fleet index, and position in the selected slice.
+type planKey struct {
+	delay  float64
+	q, pos int
 }
 
-func (p *planSorter) Len() int      { return len(p.order) }
-func (p *planSorter) Swap(i, j int) { p.order[i], p.order[j] = p.order[j], p.order[i] }
-func (p *planSorter) Less(i, j int) bool {
-	a, b := p.order[i], p.order[j]
-	if p.delay[a] != p.delay[b] { //helcfl:allow(floatcompare) exact sort tie-break: bitwise-equal delays must fall through to the index order, same key the naive FrequencyPlan comparator uses
-		return p.delay[a] < p.delay[b]
+// comparePlanKeys orders by (compute delay at f_max ascending, fleet index
+// ascending) — Algorithm 3, line 1 — and by position last, which makes the
+// order total and equal to the stable sort of the naive reference.
+func comparePlanKeys(a, b planKey) int {
+	switch {
+	case a.delay < b.delay:
+		return -1
+	case a.delay > b.delay:
+		return 1
+	case a.q != b.q:
+		return cmp.Compare(a.q, b.q)
 	}
-	return p.sel[a] < p.sel[b]
+	return cmp.Compare(a.pos, b.pos)
 }
 
 // frequencyPlanInto is Algorithm 3 on SoA state writing into freqs (length
@@ -442,32 +452,26 @@ func (s *Scheduler) frequencyPlanInto(freqs []float64, selected []int, ch wirele
 	}
 	scale := float64(s.params.StepsPerRound)
 	fleet := s.fleet
-	if cap(s.planOrder) < n {
-		s.planOrder = make([]int, n)
-		s.planDelay = make([]float64, n)
+	if cap(s.planKeys) < n {
+		s.planKeys = make([]planKey, n)
 	}
-	order := s.planOrder[:n]
-	delay := s.planDelay[:n]
+	keys := s.planKeys[:n]
 	for i, q := range selected {
-		order[i] = i
-		delay[i] = scale * fleet.ComputeDelayAtMax(q)
+		keys[i] = planKey{delay: scale * fleet.ComputeDelayAtMax(q), q: q, pos: i}
 	}
 	// Line 1: ascending order of model-update delay at max frequency.
-	s.sorter = planSorter{order: order, delay: delay, sel: selected}
-	sort.Sort(&s.sorter)
+	slices.SortFunc(keys, comparePlanKeys)
 
 	// Lines 3–4: the first user has no slack and runs at maximum frequency.
-	first := order[0]
-	q0 := selected[first]
-	freqs[first] = fleet.FMax[q0]
+	first := keys[0]
+	freqs[first.pos] = fleet.FMax[first.q]
 	// prevEnd is T_q^j of the previous user: the time its upload completes,
 	// assuming the chain starts at round time zero.
-	prevEnd := delay[first] + ch.UploadDelay(modelBits, fleet.TxPower[q0], fleet.ChannelGain[q0])
+	prevEnd := first.delay + ch.UploadDelay(modelBits, fleet.TxPower[first.q], fleet.ChannelGain[first.q])
 
 	clamp := s.params.Clamp
-	for k := 1; k < n; k++ {
-		i := order[k]
-		q := selected[i]
+	for _, key := range keys[1:] {
+		q := key.q
 		// Line 9: stretch this user's computation to fill the previous
 		// user's total delay: f = π|D| / T_prev (Eq. (4) inverted).
 		f := scale * fleet.TotalCycles(q) / prevEnd
@@ -477,7 +481,7 @@ func (s *Scheduler) frequencyPlanInto(freqs []float64, selected []int, ch wirele
 			// operating point so the chain time is never missed.
 			f = fleet.SnapFreq(q, f)
 		}
-		freqs[i] = f
+		freqs[key.pos] = f
 		// Line 8 for the next iteration: this user's total delay at the
 		// determined frequency. With clamping, the realized upload start is
 		// delayed to when the channel frees (compute may finish early after
@@ -520,13 +524,16 @@ func FrequencyPlan(devs []*device.Device, ch wireless.Channel, modelBits float64
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		da := scale * devs[order[a]].ComputeDelayAtMax()
-		db := scale * devs[order[b]].ComputeDelayAtMax()
-		if da != db {
-			return da < db
+	slices.SortStableFunc(order, func(a, b int) int {
+		da := scale * devs[a].ComputeDelayAtMax()
+		db := scale * devs[b].ComputeDelayAtMax()
+		switch {
+		case da < db:
+			return -1
+		case da > db:
+			return 1
 		}
-		return devs[order[a]].ID < devs[order[b]].ID
+		return cmp.Compare(devs[a].ID, devs[b].ID)
 	})
 
 	freqs := make([]float64, len(devs))

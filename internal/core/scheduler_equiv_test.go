@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"helcfl/internal/device"
@@ -132,6 +133,45 @@ func TestSelectRoundMatchesNaive(t *testing.T) {
 				if heapSched.lastUtil[q] != naiveSched.lastUtil[q] {
 					t.Fatalf("fleet %d round %d: lastUtil[%d] diverged (%v vs %v)", fi, round, q, heapSched.lastUtil[q], naiveSched.lastUtil[q])
 				}
+			}
+		}
+	}
+}
+
+// TestSelectRoundMatchesNaiveDegenerate extends the property above to the
+// two shapes where the heap's order does all the work or none: a fleet whose
+// utilities are all bitwise equal (every comparison falls through to the
+// index tie-break, and decay then splits the fleet into exact-tie groups)
+// and N = Q (no candidate ever streams past the heap; the extraction alone
+// must produce the selection order).
+func TestSelectRoundMatchesNaiveDegenerate(t *testing.T) {
+	ch := wireless.DefaultChannel()
+	for _, c := range []struct {
+		name     string
+		fleet    *device.Fleet
+		fraction float64
+	}{
+		{"all utilities equal", tieFleet(97, 97), 0.1},
+		{"all utilities equal, N=Q", tieFleet(64, 64), 1},
+		{"random fleet, N=Q", randomFleet(301, 5), 1},
+	} {
+		p := DefaultParams()
+		p.Fraction = c.fraction
+		heapSched, err := NewFleetScheduler(c.fleet, ch, testModelBits, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naiveSched, err := NewFleetScheduler(c.fleet, ch, testModelBits, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 25; round++ {
+			got, want := heapSched.SelectRound(), naiveSched.SelectRoundNaive()
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s round %d:\nheap:  %v\nnaive: %v", c.name, round, got, want)
+			}
+			if !slices.Equal(heapSched.alpha, naiveSched.alpha) {
+				t.Fatalf("%s round %d: appearance counters diverged", c.name, round)
 			}
 		}
 	}

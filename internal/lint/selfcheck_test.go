@@ -1,10 +1,24 @@
 package lint_test
 
 import (
+	"fmt"
+	"regexp"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"helcfl/internal/lint"
 )
+
+// loadModule loads the live module once for every test in this file.
+var loadModule = sync.OnceValues(func() ([]*lint.Package, error) {
+	root, err := lint.FindModuleRoot(".")
+	if err != nil {
+		return nil, fmt.Errorf("find module root: %w", err)
+	}
+	return lint.NewLoader().LoadModule(root)
+})
 
 // TestModuleLintsClean is the suite's own gate on the live tree: the whole
 // module must produce zero unsuppressed findings, and every suppression
@@ -12,11 +26,7 @@ import (
 // time.Now() in the deterministic core, a missed fsync in checkpoint —
 // fails this test, not just `make lint`.
 func TestModuleLintsClean(t *testing.T) {
-	root, err := lint.FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("find module root: %v", err)
-	}
-	pkgs, err := lint.NewLoader().LoadModule(root)
+	pkgs, err := loadModule()
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
@@ -31,5 +41,47 @@ func TestModuleLintsClean(t *testing.T) {
 		if f.Suppressed && f.Reason == "" {
 			t.Errorf("suppressed finding without a reason: %s", f)
 		}
+	}
+}
+
+// maxAllowSites is the allow-list ratchet: the number of //helcfl:allow
+// annotation sites the tree may carry. Lower it when a PR removes a site;
+// raising it means taking on debt and needs the same review as the code.
+const maxAllowSites = 17
+
+// TestAllowSitesRatchet counts the //helcfl:allow annotation sites in the
+// module's non-test sources outside the lint tooling itself and fails when
+// the count exceeds maxAllowSites: the allow list is a debt meter that may
+// only go down.
+func TestAllowSitesRatchet(t *testing.T) {
+	pkgs, err := loadModule()
+	if err != nil {
+		t.Fatalf("load module: %v", err)
+	}
+	site := regexp.MustCompile(`^//helcfl:allow\(([^)]*)\)`)
+	perRule := map[string]int{}
+	total := 0
+	for _, pkg := range pkgs {
+		if strings.Contains(pkg.Path+"/", "/internal/lint/") || strings.HasSuffix(pkg.Path, "/cmd/helcfl-lint") {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if m := site.FindStringSubmatch(c.Text); m != nil {
+						perRule[m[1]]++
+						total++
+					}
+				}
+			}
+		}
+	}
+	if total > maxAllowSites {
+		rules := make([]string, 0, len(perRule))
+		for rule, n := range perRule {
+			rules = append(rules, fmt.Sprintf("%s %d", rule, n))
+		}
+		sort.Strings(rules)
+		t.Errorf("%d //helcfl:allow sites, ratchet is %d (%s): remove an annotation rather than add one", total, maxAllowSites, strings.Join(rules, ", "))
 	}
 }

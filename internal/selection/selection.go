@@ -14,11 +14,12 @@ package selection
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"helcfl/internal/core"
 	"helcfl/internal/device"
@@ -71,6 +72,23 @@ type FedCSSelector struct {
 	ch    wireless.Channel
 	bits  float64
 	steps int
+
+	// Per-round scratch, reused across candidates and rounds.
+	reqs  []wireless.UploadRequest
+	slots []wireless.UploadSlot
+}
+
+// compareTotalDelay orders pending uploads by estimated total delay
+// (compute at maximum frequency plus upload) ascending, ties by user index.
+func compareTotalDelay(a, b wireless.UploadRequest) int {
+	da, db := a.ComputeDone+a.Duration, b.ComputeDone+b.Duration
+	switch {
+	case da < db:
+		return -1
+	case da > db:
+		return 1
+	}
+	return cmp.Compare(a.User, b.User)
 }
 
 // NewFedCSSelector builds the selector. modelBits is C_model; steps scales
@@ -85,42 +103,35 @@ func NewFedCSSelector(devs []*device.Device, ch wireless.Channel, modelBits, dea
 	return &FedCSSelector{DeadlineSec: deadlineSec, devs: devs, ch: ch, bits: modelBits, steps: steps}
 }
 
-// Select returns the users for round j. FedCS is stateless across rounds:
-// with static resource information it admits the same fast cohort every
-// round, which is exactly the behaviour that caps its final accuracy.
+// Select returns the users for round j in a freshly allocated slice — its
+// only allocation once the scratch is warm. FedCS is stateless across
+// rounds: with static resource information it admits the same fast cohort
+// every round, which is exactly the behaviour that caps its final accuracy.
 func (f *FedCSSelector) Select(j int) []int {
-	type cand struct {
-		q          int
-		tcal, tcom float64
-	}
-	cands := make([]cand, len(f.devs))
+	f.reqs = f.reqs[:0]
 	for q, d := range f.devs {
-		cands[q] = cand{
-			q:    q,
-			tcal: float64(f.steps) * d.ComputeDelayAtMax(),
-			tcom: f.ch.UploadDelay(f.bits, d.TxPower, d.ChannelGain),
-		}
+		f.reqs = append(f.reqs, wireless.UploadRequest{
+			User:        q,
+			ComputeDone: float64(f.steps) * d.ComputeDelayAtMax(),
+			Duration:    f.ch.UploadDelay(f.bits, d.TxPower, d.ChannelGain),
+		})
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		da := cands[a].tcal + cands[a].tcom
-		db := cands[b].tcal + cands[b].tcom
-		if da != db {
-			return da < db
-		}
-		return cands[a].q < cands[b].q
-	})
-	var selected []int
-	// Greedy admission: track the estimated TDMA completion time if the
-	// candidate is appended to the current cohort.
-	var reqs []wireless.UploadRequest
-	for _, c := range cands {
-		trial := append(reqs, wireless.UploadRequest{User: c.q, ComputeDone: c.tcal, Duration: c.tcom})
-		_, makespan := wireless.ScheduleTDMA(trial)
-		if makespan > f.DeadlineSec && len(selected) > 0 {
+	slices.SortFunc(f.reqs, compareTotalDelay)
+	// Greedy admission: the cohort is the longest prefix of that order
+	// whose estimated TDMA completion time stays within the deadline; the
+	// fastest user is admitted regardless.
+	n := min(1, len(f.reqs))
+	for n < len(f.reqs) {
+		var makespan float64
+		f.slots, makespan = wireless.ScheduleTDMAInto(f.slots, f.reqs[:n+1])
+		if makespan > f.DeadlineSec {
 			break // adding slower users only lengthens the round further
 		}
-		reqs = trial
-		selected = append(selected, c.q)
+		n++
+	}
+	selected := make([]int, n)
+	for i, r := range f.reqs[:n] {
+		selected[i] = r.User
 	}
 	return selected
 }

@@ -3,6 +3,8 @@ package selection
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -125,6 +127,60 @@ func TestFedCSStaticAcrossRounds(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("FedCS with static resources must reselect the same cohort")
+		}
+	}
+	// Warm, a round allocates nothing but the cohort it returns.
+	if n := testing.AllocsPerRun(10, func() { sel.Select(1) }); n > 1 {
+		t.Errorf("warm FedCS Select allocates %v times, want at most the returned slice", n)
+	}
+}
+
+// fedCSSelectOracle is the admission rule as first written — a stable sort
+// on estimated total delay, then one from-scratch TDMA schedule per
+// candidate — kept as the reference for the buffer-reusing Select.
+func fedCSSelectOracle(devs []*device.Device, ch wireless.Channel, modelBits, deadlineSec float64, steps int) []int {
+	type cand struct {
+		q          int
+		tcal, tcom float64
+	}
+	cands := make([]cand, len(devs))
+	for q, d := range devs {
+		cands[q] = cand{q: q, tcal: float64(steps) * d.ComputeDelayAtMax(), tcom: ch.UploadDelay(modelBits, d.TxPower, d.ChannelGain)}
+	}
+	sort.SliceStable(cands, func(a, b int) bool {
+		da, db := cands[a].tcal+cands[a].tcom, cands[b].tcal+cands[b].tcom
+		if da != db {
+			return da < db
+		}
+		return cands[a].q < cands[b].q
+	})
+	var selected []int
+	var reqs []wireless.UploadRequest
+	for _, c := range cands {
+		trial := append(reqs, wireless.UploadRequest{User: c.q, ComputeDone: c.tcal, Duration: c.tcom})
+		if _, makespan := wireless.ScheduleTDMA(trial); makespan > deadlineSec && len(selected) > 0 {
+			break
+		}
+		reqs = trial
+		selected = append(selected, c.q)
+	}
+	return selected
+}
+
+func TestFedCSMatchesOracle(t *testing.T) {
+	ch := wireless.DefaultChannel()
+	for seed := int64(1); seed <= 6; seed++ {
+		devs := fleet(25+10*int(seed), seed)
+		for _, deadline := range []float64{1e-6, 1.5, 3, 6, 1e9} {
+			for _, steps := range []int{1, 3} {
+				sel := NewFedCSSelector(devs, ch, testModelBits, deadline, steps)
+				want := fedCSSelectOracle(devs, ch, testModelBits, deadline, steps)
+				for round := 0; round < 2; round++ {
+					if got := sel.Select(round); !slices.Equal(got, want) {
+						t.Fatalf("seed %d deadline %g steps %d round %d: cohort %v, want %v", seed, deadline, steps, round, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"helcfl/internal/device"
 	"helcfl/internal/wireless"
@@ -25,85 +26,35 @@ func (s *Scratch) SimulateRoundEdges(devs []*device.Device, freqs []float64, ch 
 	if numEdges <= 0 {
 		panic(fmt.Sprintf("sim: non-positive edge count %d", numEdges))
 	}
-	if len(devs) != len(freqs) {
-		panic(fmt.Sprintf("sim: %d devices but %d frequencies", len(devs), len(freqs)))
-	}
-	if gains != nil && len(gains) != len(devs) {
-		panic(fmt.Sprintf("sim: %d devices but %d gains", len(devs), len(gains)))
-	}
-	if steps <= 0 {
-		panic(fmt.Sprintf("sim: non-positive local steps %d", steps))
-	}
-	if len(devs) == 0 {
-		return RoundResult{}
-	}
-	scale := float64(steps)
-	s.users = growUserRounds(s.users, len(devs))
-	if cap(s.reqs) < len(devs) {
-		s.reqs = make([]wireless.UploadRequest, len(devs))
-	}
-	if cap(s.edgeReqs) < len(devs) {
-		s.edgeReqs = make([]wireless.UploadRequest, 0, len(devs))
-	}
-	s.reqs = s.reqs[:len(devs)]
-	users, reqs := s.users, s.reqs
-	for i, d := range devs {
-		if edges[i] < 0 || edges[i] >= numEdges {
-			panic(fmt.Sprintf("sim: device %d assigned to edge %d outside [0, %d)", d.ID, edges[i], numEdges))
+	res := s.fill(devs, freqs, ch, modelBits, steps, gains)
+
+	// Bucket the requests by edge in one counting pass, keeping input order
+	// inside each bucket: count, prefix-sum to bucket starts, scatter. The
+	// scatter advances each start to its bucket's end.
+	s.edgeEnd = slices.Grow(s.edgeEnd[:0], numEdges)[:numEdges]
+	end := s.edgeEnd
+	clear(end)
+	for i, e := range edges {
+		if e < 0 || e >= numEdges {
+			panic(fmt.Sprintf("sim: device %d assigned to edge %d outside [0, %d)", devs[i].ID, e, numEdges))
 		}
-		f := freqs[i]
-		// Relative tolerance: frequencies are ~1e9 Hz, so ULP-scale noise
-		// from upstream arithmetic must not trip the range check.
-		if f < d.FMin*(1-1e-12)-1e-9 || f > d.FMax*(1+1e-12)+1e-9 {
-			panic(fmt.Sprintf("sim: frequency %g outside device %d range [%g, %g]", f, d.ID, d.FMin, d.FMax))
-		}
-		gain := d.ChannelGain
-		if gains != nil {
-			gain = gains[i]
-		}
-		u := UserRound{
-			User:          d.ID,
-			Freq:          f,
-			ComputeDelay:  scale * d.ComputeDelay(f),
-			ComputeEnergy: scale * d.ComputeEnergy(f),
-			UploadDelay:   ch.UploadDelay(modelBits, d.TxPower, gain),
-			UploadEnergy:  ch.UploadEnergy(modelBits, d.TxPower, gain),
-		}
-		users[i] = u
-		reqs[i] = wireless.UploadRequest{User: i, ComputeDone: u.ComputeDelay, Duration: u.UploadDelay}
+		end[e]++
+	}
+	start := 0
+	for e, count := range end {
+		end[e] = start
+		start += count
+	}
+	s.edgeReqs = slices.Grow(s.edgeReqs[:0], len(edges))[:len(edges)]
+	for i, e := range edges {
+		s.edgeReqs[end[e]] = s.reqs[i]
+		end[e]++
 	}
 
-	res := RoundResult{}
-	s.out = growUserRounds(s.out, len(devs))[:0]
-	for e := 0; e < numEdges; e++ {
-		s.edgeReqs = s.edgeReqs[:0]
-		for i := range reqs {
-			if edges[i] == e {
-				s.edgeReqs = append(s.edgeReqs, reqs[i])
-			}
-		}
-		slots, makespan := wireless.ScheduleTDMAInto(s.slots, s.edgeReqs)
-		s.slots = slots
-		if makespan > res.Makespan {
-			res.Makespan = makespan
-		}
-		res.TotalSlack += wireless.TotalWait(slots)
-		for _, slot := range slots {
-			u := users[slot.User]
-			u.UploadStart = slot.Start
-			u.UploadEnd = slot.End
-			u.Wait = slot.Wait
-			s.out = append(s.out, u)
-		}
+	start = 0
+	for _, stop := range end {
+		s.uplink(&res, s.edgeReqs[start:stop])
+		start = stop
 	}
-	res.Users = s.out
-	for i := range users {
-		if d := users[i].TotalDelay(); d > res.Eq10Delay {
-			res.Eq10Delay = d
-		}
-		res.ComputeEnergy += users[i].ComputeEnergy
-		res.UploadEnergy += users[i].UploadEnergy
-	}
-	res.TotalEnergy = res.ComputeEnergy + res.UploadEnergy
 	return res
 }

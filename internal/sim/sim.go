@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"helcfl/internal/device"
 	"helcfl/internal/wireless"
@@ -81,41 +82,41 @@ type Scratch struct {
 	reqs  []wireless.UploadRequest
 	slots []wireless.UploadSlot
 	out   []UserRound
-	// edgeReqs gathers one edge aggregator's uplink requests at a time in
-	// SimulateRoundEdges.
+	// edgeReqs holds the requests bucketed by edge aggregator, and edgeEnd
+	// the end of each edge's bucket, in SimulateRoundEdges.
 	edgeReqs []wireless.UploadRequest
-}
-
-func growUserRounds(buf []UserRound, n int) []UserRound {
-	if cap(buf) < n {
-		return make([]UserRound, n)
-	}
-	return buf[:n]
+	edgeEnd  []int
 }
 
 // SimulateRoundGains is the buffer-reusing form of the free function of the
 // same name; results are value-identical, but the returned RoundResult is
 // only valid until the next call on this Scratch.
 func (s *Scratch) SimulateRoundGains(devs []*device.Device, freqs []float64, ch wireless.Channel, modelBits float64, steps int, gains []float64) RoundResult {
-	if len(devs) != len(freqs) {
-		panic(fmt.Sprintf("sim: %d devices but %d frequencies", len(devs), len(freqs)))
+	res := s.fill(devs, freqs, ch, modelBits, steps, gains)
+	s.uplink(&res, s.reqs)
+	return res
+}
+
+// fill is the per-user pass shared by the flat and edge-tier simulators: it
+// validates the round's inputs, evaluates Eqs. (4)–(8) once per user into
+// s.users (input order), stages one upload request per user in s.reqs
+// (User is the input position), empties s.out, and returns the Eq. (10) /
+// Eq. (11) roll-up. The TDMA half of the result is left to uplink.
+func (s *Scratch) fill(devs []*device.Device, freqs []float64, ch wireless.Channel, modelBits float64, steps int, gains []float64) RoundResult {
+	n := len(devs)
+	if n != len(freqs) {
+		panic(fmt.Sprintf("sim: %d devices but %d frequencies", n, len(freqs)))
 	}
-	if gains != nil && len(gains) != len(devs) {
-		panic(fmt.Sprintf("sim: %d devices but %d gains", len(devs), len(gains)))
+	if gains != nil && len(gains) != n {
+		panic(fmt.Sprintf("sim: %d devices but %d gains", n, len(gains)))
 	}
 	if steps <= 0 {
 		panic(fmt.Sprintf("sim: non-positive local steps %d", steps))
 	}
-	if len(devs) == 0 {
-		return RoundResult{}
-	}
 	scale := float64(steps)
-	s.users = growUserRounds(s.users, len(devs))
-	if cap(s.reqs) < len(devs) {
-		s.reqs = make([]wireless.UploadRequest, len(devs))
-	}
-	s.reqs = s.reqs[:len(devs)]
-	users, reqs := s.users, s.reqs
+	s.users = slices.Grow(s.users[:0], n)[:n]
+	s.reqs = slices.Grow(s.reqs[:0], n)[:n]
+	s.out = slices.Grow(s.out[:0], n)
 	for i, d := range devs {
 		f := freqs[i]
 		// Relative tolerance: frequencies are ~1e9 Hz, so ULP-scale noise
@@ -127,31 +128,22 @@ func (s *Scratch) SimulateRoundGains(devs []*device.Device, freqs []float64, ch 
 		if gains != nil {
 			gain = gains[i]
 		}
+		upload := ch.UploadDelay(modelBits, d.TxPower, gain)
 		u := UserRound{
 			User:          d.ID,
 			Freq:          f,
 			ComputeDelay:  scale * d.ComputeDelay(f),
 			ComputeEnergy: scale * d.ComputeEnergy(f),
-			UploadDelay:   ch.UploadDelay(modelBits, d.TxPower, gain),
-			UploadEnergy:  ch.UploadEnergy(modelBits, d.TxPower, gain),
+			UploadDelay:   upload,
+			UploadEnergy:  d.TxPower * upload, // Eq. (8) on the Eq. (7) delay above
 		}
-		users[i] = u
-		reqs[i] = wireless.UploadRequest{User: i, ComputeDone: u.ComputeDelay, Duration: u.UploadDelay}
+		s.users[i] = u
+		s.reqs[i] = wireless.UploadRequest{User: i, ComputeDone: u.ComputeDelay, Duration: u.UploadDelay}
 	}
-
-	slots, makespan := wireless.ScheduleTDMAInto(s.slots, reqs)
-	s.slots = slots
-	res := RoundResult{Makespan: makespan}
-	s.out = growUserRounds(s.out, len(slots))
-	res.Users = s.out
-	for si, slot := range slots {
-		u := users[slot.User]
-		u.UploadStart = slot.Start
-		u.UploadEnd = slot.End
-		u.Wait = slot.Wait
-		res.Users[si] = u
-	}
-	for _, u := range users {
+	// The roll-up reads the stored per-user values in its own loop, so each
+	// sum adds already-rounded terms in input order on every architecture.
+	var res RoundResult
+	for _, u := range s.users {
 		if d := u.TotalDelay(); d > res.Eq10Delay {
 			res.Eq10Delay = d
 		}
@@ -159,8 +151,27 @@ func (s *Scratch) SimulateRoundGains(devs []*device.Device, freqs []float64, ch 
 		res.UploadEnergy += u.UploadEnergy
 	}
 	res.TotalEnergy = res.ComputeEnergy + res.UploadEnergy
-	res.TotalSlack = wireless.TotalWait(slots)
 	return res
+}
+
+// uplink schedules reqs — a subset of s.reqs — on one TDMA uplink, appends
+// the users' completed trajectories to the round's Users in transmission
+// order, and folds the uplink's makespan and slack into res.
+func (s *Scratch) uplink(res *RoundResult, reqs []wireless.UploadRequest) {
+	slots, makespan := wireless.ScheduleTDMAInto(s.slots, reqs)
+	s.slots = slots
+	if makespan > res.Makespan {
+		res.Makespan = makespan
+	}
+	res.TotalSlack += wireless.TotalWait(slots)
+	for _, slot := range slots {
+		u := s.users[slot.User]
+		u.UploadStart = slot.Start
+		u.UploadEnd = slot.End
+		u.Wait = slot.Wait
+		s.out = append(s.out, u)
+	}
+	res.Users = s.out
 }
 
 // MaxFrequencies returns each device's FMax, the no-DVFS baseline plan.

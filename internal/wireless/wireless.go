@@ -5,8 +5,10 @@
 package wireless
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Channel describes the shared uplink.
@@ -92,18 +94,17 @@ type UploadSlot struct {
 // The returned slots are in transmission order. The second result is the
 // round makespan (the time the last upload ends), zero for no requests.
 func ScheduleTDMA(reqs []UploadRequest) ([]UploadSlot, float64) {
-	if len(reqs) == 0 {
-		return nil, 0
-	}
 	return ScheduleTDMAInto(nil, reqs)
 }
 
 // ScheduleTDMAInto is ScheduleTDMA reusing dst's backing array when it is
 // large enough, so a caller scheduling every round can amortize the slot
-// slice to zero steady-state allocations. The schedule is identical to
-// ScheduleTDMA: a stable insertion sort on (ComputeDone, User) produces the
-// same permutation as the stable library sort it replaces. Returns the
-// (possibly regrown) slot slice and the round makespan.
+// slice to zero steady-state allocations. Requests are ordered by
+// (ComputeDone, User, input position) with an in-place O(N log N) sort; the
+// input position makes the key total, so the order — duplicate users and
+// exact ComputeDone ties included — is the one a stable sort on
+// (ComputeDone, User) produces. Returns the (possibly regrown) slot slice
+// and the round makespan.
 func ScheduleTDMAInto(dst []UploadSlot, reqs []UploadRequest) ([]UploadSlot, float64) {
 	if len(reqs) == 0 {
 		return dst[:0], 0
@@ -112,23 +113,16 @@ func ScheduleTDMAInto(dst []UploadSlot, reqs []UploadRequest) ([]UploadSlot, flo
 		dst = make([]UploadSlot, len(reqs))
 	}
 	dst = dst[:len(reqs)]
-	// Stage each request as a pending slot (Start holds ComputeDone, End
-	// holds Duration until the sweep below), insertion-sorting on arrival.
-	// Insertion sort shifting only strictly-greater keys is stable, so ties
-	// keep input order exactly like sort.SliceStable.
+	// Stage each request as a pending slot: until the sweep below, Start
+	// holds ComputeDone, End holds Duration and Wait holds the input
+	// position (exact in a float64 for any slice length).
 	for i, r := range reqs {
 		if r.Duration <= 0 {
 			panic(fmt.Sprintf("wireless: non-positive upload duration %g for user %d", r.Duration, r.User))
 		}
-		dst[i] = UploadSlot{User: r.User, Start: r.ComputeDone, End: r.Duration}
-		for k := i; k > 0; k-- {
-			p, c := dst[k-1], dst[k]
-			if p.Start < c.Start || (p.Start == c.Start && p.User <= c.User) { //helcfl:allow(floatcompare) exact FCFS tie-break on identical compute-done times, same key the stable sort used
-				break
-			}
-			dst[k-1], dst[k] = c, p
-		}
+		dst[i] = UploadSlot{User: r.User, Start: r.ComputeDone, End: r.Duration, Wait: float64(i)}
 	}
+	slices.SortFunc(dst, compareStaged)
 	free := 0.0 // time the channel becomes free
 	for i := range dst {
 		computeDone, dur := dst[i].Start, dst[i].End
@@ -145,6 +139,20 @@ func ScheduleTDMAInto(dst []UploadSlot, reqs []UploadRequest) ([]UploadSlot, flo
 		free = dst[i].End
 	}
 	return dst, free
+}
+
+// compareStaged orders the staged slots of ScheduleTDMAInto first come
+// first served: compute-done time, then user ID, then input position.
+func compareStaged(a, b UploadSlot) int {
+	switch {
+	case a.Start < b.Start:
+		return -1
+	case a.Start > b.Start:
+		return 1
+	case a.User != b.User:
+		return cmp.Compare(a.User, b.User)
+	}
+	return cmp.Compare(a.Wait, b.Wait)
 }
 
 // TotalWait sums the slack across all slots.
