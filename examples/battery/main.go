@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 
 	"helcfl"
 	"helcfl/internal/experiments"
@@ -21,21 +22,19 @@ func main() {
 	preset := helcfl.TinyPreset()
 
 	// Each device gets a battery worth about six max-frequency selections.
-	// A study is a list of grid cells plus an assembler: run the cells on
-	// every core, then fold the fixed-index results into the campaign.
-	cells, err := experiments.BatteryCells(preset, helcfl.IID, 1, 6)
+	// A study is a Plan: run its cells on every core, then render the
+	// fixed-index results as the campaign table.
+	plan, err := experiments.BatteryPlan(preset, helcfl.IID, 1, 6)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := (&grid.Runner{}).Run(context.Background(), cells)
+	res, err := (&grid.Runner{}).Run(context.Background(), plan.Cells)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bc, err := experiments.AssembleBatteryCampaign(helcfl.IID, res)
-	if err != nil {
+	if err := plan.Render(res, experiments.Output{W: os.Stdout}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(bc.Render())
 	fmt.Println("HELCFL finishes the full campaign: Algorithm 3 spends roughly half")
 	fmt.Println("the compute energy per selection, so the same batteries last ~2x the")
 	fmt.Println("rounds of the no-DVFS variant. FedCS exhausts its fast cohort early")

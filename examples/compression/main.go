@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 
 	"helcfl"
 	"helcfl/internal/compress"
@@ -29,17 +30,16 @@ func main() {
 		compress.NewUniform(4),
 	}
 
-	// One training cell per compressor, run on every core, then assembled.
-	res, err := (&grid.Runner{}).Run(context.Background(),
-		experiments.CompressionCells(preset, helcfl.IID, 1, compressors))
+	// A study is a Plan: one training cell per compressor, run on every
+	// core, then rendered as one table.
+	plan := experiments.CompressionPlan(preset, helcfl.IID, 1, compressors)
+	res, err := (&grid.Runner{}).Run(context.Background(), plan.Cells)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ab, err := experiments.AssembleCompressionAblation(helcfl.IID, compressors, res)
-	if err != nil {
+	if err := plan.Render(res, experiments.Output{W: os.Stdout}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(ab.Render())
 	fmt.Println("top-k trades accuracy for wall-clock; low-bit quantization degrades")
 	fmt.Println("once the grid becomes coarse. HELCFL keeps fp32 accuracy and recovers")
 	fmt.Println("wall-clock through user selection and DVFS instead.")

@@ -20,8 +20,8 @@ func init() {
 	gob.Register(compressRun{})
 	gob.Register(partitionRun{})
 	gob.Register(fairnessRun{})
-	gob.Register(&ClampAblation{})
-	gob.Register(&RBAblation{})
+	gob.Register(clampRun{})
+	gob.Register(rbRun{})
 	gob.Register(&Fig1Demo{})
 	gob.Register(&Fig3Result{})
 }
@@ -33,7 +33,7 @@ type cellEnvelope struct {
 
 // EncodeCellResult serializes one cell's result for transport to the
 // coordinator. Training results travel without their final model (see
-// fl.Result.GobEncode); everything an Assemble fold reads survives
+// fl.Result.GobEncode); everything a Render fold reads survives
 // bit-exactly, so a merged distributed sweep renders byte-identically to a
 // serial run.
 //

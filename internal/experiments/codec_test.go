@@ -11,7 +11,7 @@ import (
 	"helcfl/internal/stats"
 )
 
-// sampleResult exercises every field an Assemble fold can read, with
+// sampleResult exercises every field a Render fold can read, with
 // bit-pattern-sensitive values (negative zero, tiny subnormal-ish floats)
 // so the round trip proves gob keeps float64 payloads exact.
 func sampleResult() *fl.Result {
@@ -53,13 +53,11 @@ func TestEncodeCellResultRoundTripsEveryRegisteredType(t *testing.T) {
 		run,
 		modelRun{Params: 10250, Bits: 328000, Run: run},
 		batteryRun{CapacityJ: 120.5, Fleet: 16, Run: run},
-		compressRun{Name: "topk10", Ratio: 0.1, Run: run},
+		compressRun{Ratio: 0.1, Run: run},
 		partitionRun{MeanLabels: 3.5, Run: run},
 		fairnessRun{Jain: 0.875, Coverage: 0.9375},
-		&ClampAblation{Rounds: 60, Violations: 2, WorstBelowPct: 1.5, WorstAbovePct: 0.25},
-		&RBAblation{Rounds: 60, Ks: []int{1, 2, 4}, Makespan: []stats.Summary{
-			{N: 60, Mean: 1.5, Std: 0.25, Min: 1.0, Max: 2.0},
-		}},
+		clampRun{Violations: 2, WorstBelowPct: 1.5, WorstAbovePct: 0.25},
+		rbRun{Makespan: []stats.Summary{{N: 60, Mean: 1.5, Std: 0.25, Min: 1.0, Max: 2.0}}},
 		&Fig1Demo{MaxFreq: rr, WithDVFS: rr},
 		&Fig3Result{Setting: IID, Targets: []float64{0.6, 0.7}, WithDVFS: []float64{10, 20},
 			WithoutDVFS: []float64{15, 30}, Reached: []bool{true, false}, ReductionPct: []float64{33.3, 0}},

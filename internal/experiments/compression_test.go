@@ -8,46 +8,42 @@ import (
 )
 
 func TestCompressionAblation(t *testing.T) {
-	p := Tiny()
 	cs := DefaultCompressors()
-	ab, err := AssembleCompressionAblation(IID, cs, runCells(t, CompressionCells(p, IID, 1, cs)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ab.Names) != 3 {
-		t.Fatalf("variants = %d", len(ab.Names))
+	runs, out := runStudy[compressRun](t)(CompressionPlan(Tiny(), IID, 1, cs), nil)
+	if len(runs) != 3 {
+		t.Fatalf("variants = %d", len(runs))
 	}
 	baseIdx, topkIdx := -1, -1
-	for i, n := range ab.Names {
+	for i, c := range cs {
 		switch {
-		case n == "none":
+		case c.Name() == "none":
 			baseIdx = i
-		case strings.HasPrefix(n, "topk"):
+		case strings.HasPrefix(c.Name(), "topk"):
 			topkIdx = i
 		}
 	}
 	if baseIdx < 0 || topkIdx < 0 {
-		t.Fatalf("missing variants in %v", ab.Names)
+		t.Fatalf("missing variants in %v", cs)
 	}
+	base, topk := runs[baseIdx], runs[topkIdx]
 	// Compression shrinks uploads (ratio > 1) and therefore total delay.
-	if ab.Ratios[topkIdx] <= 2 {
-		t.Fatalf("top-k ratio %g too small", ab.Ratios[topkIdx])
+	if topk.Ratio <= 2 {
+		t.Fatalf("top-k ratio %g too small", topk.Ratio)
 	}
-	if ab.TimeSec[topkIdx] >= ab.TimeSec[baseIdx] {
-		t.Fatalf("top-k total delay %g not below fp32 %g", ab.TimeSec[topkIdx], ab.TimeSec[baseIdx])
+	if topk.Run.Res.TotalTime >= base.Run.Res.TotalTime {
+		t.Fatalf("top-k total delay %g not below fp32 %g", topk.Run.Res.TotalTime, base.Run.Res.TotalTime)
 	}
 	// The paper's claim: compression sacrifices accuracy relative to the
 	// lossless uploads HELCFL schedules.
-	if ab.Best[topkIdx] >= ab.Best[baseIdx] {
-		t.Fatalf("top-k best %g not below fp32 %g", ab.Best[topkIdx], ab.Best[baseIdx])
+	if topk.Run.Curve.Best() >= base.Run.Curve.Best() {
+		t.Fatalf("top-k best %g not below fp32 %g", topk.Run.Curve.Best(), base.Run.Curve.Best())
 	}
 	// All variants still train to useful accuracy.
-	for i := range ab.Names {
-		if ab.Best[i] < 0.5 {
-			t.Fatalf("%s: accuracy %g collapsed", ab.Names[i], ab.Best[i])
+	for i, r := range runs {
+		if r.Run.Curve.Best() < 0.5 {
+			t.Fatalf("%s: accuracy %g collapsed", cs[i].Name(), r.Run.Curve.Best())
 		}
 	}
-	out := ab.Render().String()
 	if !strings.Contains(out, "topk") || !strings.Contains(out, "x") {
 		t.Fatalf("render missing content:\n%s", out)
 	}
@@ -60,12 +56,9 @@ func TestCompressionChangesCostModel(t *testing.T) {
 		compress.None{},
 		compress.NewTopK(0.05),
 	}
-	ab, err := AssembleCompressionAblation(IID, cs, runCells(t, CompressionCells(p, IID, 2, cs)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs, _ := runStudy[compressRun](t)(CompressionPlan(p, IID, 2, cs), nil)
 	// A 20x smaller upload must shorten the (upload-containing) rounds.
-	if ab.TimeSec[1] >= ab.TimeSec[0] {
-		t.Fatalf("compressed run not faster: %g vs %g", ab.TimeSec[1], ab.TimeSec[0])
+	if runs[1].Run.Res.TotalTime >= runs[0].Run.Res.TotalTime {
+		t.Fatalf("compressed run not faster: %g vs %g", runs[1].Run.Res.TotalTime, runs[0].Run.Res.TotalTime)
 	}
 }

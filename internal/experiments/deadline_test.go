@@ -5,44 +5,52 @@ import (
 	"testing"
 )
 
+// deadlineRows reads the deadline table back: scheme → (rounds completed,
+// best accuracy) as rendered.
+func deadlineRows(t *testing.T, out string) map[string][2]string {
+	t.Helper()
+	rows := map[string][2]string{}
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 3 {
+			rows[f[0]] = [2]string{f[1], f[2]}
+		}
+	}
+	return rows
+}
+
 func TestDeadlineBudget(t *testing.T) {
-	p := Tiny()
 	// A budget of ~1/3 of the usual campaign duration forces the deadline
 	// exit for every scheme.
-	cells, err := DeadlineCells(p, IID, 1, 120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := AssembleDeadlineBudget(IID, 120, runCells(t, cells))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, scheme := range SchemeOrder {
-		if _, ok := db.Best[scheme]; !ok {
-			t.Fatalf("missing scheme %s", scheme)
+	runs, out := runStudy[schemeRun](t)(deadlineStudy(Tiny(), IID, 1, 120))
+	rows := deadlineRows(t, out)
+	best := map[string]float64{}
+	for i, scheme := range SchemeOrder {
+		row, ok := rows[scheme]
+		if !ok {
+			t.Fatalf("missing scheme %s:\n%s", scheme, out)
 		}
-		if db.Rounds[scheme] <= 0 {
+		if row[0] == "0" {
 			t.Fatalf("%s completed no rounds", scheme)
 		}
+		best[scheme] = runs[i].Curve.Best()
 	}
 	// HELCFL's cheaper rounds let it out-train Classic FL under the budget
 	// (the paper's joint objective).
-	if db.Best["HELCFL"] < db.Best["ClassicFL"]-0.05 {
-		t.Fatalf("HELCFL %g far below ClassicFL %g under budget",
-			db.Best["HELCFL"], db.Best["ClassicFL"])
+	if best["HELCFL"] < best["ClassicFL"]-0.05 {
+		t.Fatalf("HELCFL %g far below ClassicFL %g under budget", best["HELCFL"], best["ClassicFL"])
 	}
 	// SL stays collapsed regardless of budget.
-	if db.Best["SL"] >= db.Best["HELCFL"] {
+	if best["SL"] >= best["HELCFL"] {
 		t.Fatal("SL should trail under any budget")
 	}
-	out := db.Render().String()
 	if !strings.Contains(out, "constraint 14") {
 		t.Fatalf("render missing title:\n%s", out)
 	}
 }
 
 func TestDeadlineBudgetRejectsBadBudget(t *testing.T) {
-	if _, err := DeadlineCells(Tiny(), IID, 1, 0); err == nil {
+	if _, err := deadlineStudy(Tiny(), IID, 1, 0); err == nil {
 		t.Fatal("zero budget must error")
 	}
 }
@@ -50,24 +58,14 @@ func TestDeadlineBudgetRejectsBadBudget(t *testing.T) {
 func TestDeadlineBudgetMoreTimeNeverHurts(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 40
-	budget := func(sec float64) *DeadlineBudget {
-		cells, err := DeadlineCells(p, IID, 2, sec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := AssembleDeadlineBudget(IID, sec, runCells(t, cells))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-	short, long := budget(60), budget(240)
-	for _, scheme := range []string{"HELCFL", "ClassicFL"} {
-		if long.Best[scheme] < short.Best[scheme]-1e-9 {
+	short, _ := runStudy[schemeRun](t)(deadlineStudy(p, IID, 2, 60))
+	long, _ := runStudy[schemeRun](t)(deadlineStudy(p, IID, 2, 240))
+	for i, scheme := range SchemeOrder[:2] { // HELCFL, ClassicFL
+		if long[i].Curve.Best() < short[i].Curve.Best()-1e-9 {
 			t.Fatalf("%s: more budget reduced accuracy %g → %g",
-				scheme, short.Best[scheme], long.Best[scheme])
+				scheme, short[i].Curve.Best(), long[i].Curve.Best())
 		}
-		if long.Rounds[scheme] < short.Rounds[scheme] {
+		if len(long[i].Res.Records) < len(short[i].Res.Records) {
 			t.Fatalf("%s: more budget completed fewer rounds", scheme)
 		}
 	}

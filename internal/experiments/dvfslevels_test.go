@@ -6,25 +6,16 @@ import (
 )
 
 func TestDVFSLevelsAblation(t *testing.T) {
-	p := Tiny()
-	levels := []int{0, 8, 2}
-	cells, err := DVFSLevelsCells(p, IID, 1, levels)
-	if err != nil {
-		t.Fatal(err)
+	runs, out := runStudy[*Fig3Result](t)(dvfsLevelsStudy(Tiny(), IID, 1, []int{0, 8, 2}))
+	if len(runs) != 3 {
+		t.Fatalf("variants = %d", len(runs))
 	}
-	ab, err := AssembleDVFSLevelsAblation(IID, levels, runCells(t, cells))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ab.Labels) != 3 || ab.Labels[0] != "continuous" {
-		t.Fatalf("labels = %v", ab.Labels)
-	}
-	for i := range ab.Labels {
-		if !ab.Reached[i] {
-			t.Fatalf("%s: target unreached", ab.Labels[i])
+	for i, f3 := range runs {
+		if len(f3.Reached) == 0 || !f3.Reached[0] {
+			t.Fatalf("variant %d: target unreached", i)
 		}
 	}
-	cont, eight, two := ab.ReductionPct[0], ab.ReductionPct[1], ab.ReductionPct[2]
+	cont, eight, two := runs[0].ReductionPct[0], runs[1].ReductionPct[0], runs[2].ReductionPct[0]
 	// Quantization can only lose savings relative to the continuous ideal,
 	// and two coarse levels lose more than eight.
 	if eight > cont+1e-9 {
@@ -39,13 +30,13 @@ func TestDVFSLevelsAblation(t *testing.T) {
 	if cont <= 0 || eight <= 0 {
 		t.Fatalf("continuous (%.2f%%) and 8-level (%.2f%%) savings must be positive", cont, eight)
 	}
-	if !strings.Contains(ab.Render().String(), "continuous") {
-		t.Fatal("render missing baseline")
+	if !strings.Contains(out, "continuous") || !strings.Contains(out, "8 levels") {
+		t.Fatalf("render missing labels:\n%s", out)
 	}
 }
 
 func TestDVFSLevelsAblationRejectsOneLevel(t *testing.T) {
-	if _, err := DVFSLevelsCells(Tiny(), IID, 1, []int{1}); err == nil {
+	if _, err := dvfsLevelsStudy(Tiny(), IID, 1, []int{1}); err == nil {
 		t.Fatal("1 level must error")
 	}
 }

@@ -12,9 +12,8 @@ import (
 // The experiment tests run the Tiny preset with a fixed seed. Everything in
 // the pipeline is deterministic, so the asserted orderings are stable.
 
-// runCells executes a study's cells the way every caller outside the
-// registry does — on a default (all-cores) grid.Runner — and hands the
-// fixed-index results to the study's Assemble* function.
+// runCells executes cells on a default (all-cores) grid.Runner and returns
+// their fixed-index results.
 func runCells(t testing.TB, cells []grid.Cell) []any {
 	t.Helper()
 	res, err := (&grid.Runner{}).Run(context.Background(), cells)
@@ -22,6 +21,30 @@ func runCells(t testing.TB, cells []grid.Cell) []any {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// runStudy returns a runner for a study constructor's (plan, error):
+// it runs the plan's cells and returns their typed results plus the plan's
+// rendered text, as in runStudy[schemeRun](t)(etaStudy(…), nil).
+func runStudy[T any](t testing.TB) func(*Plan, error) ([]T, string) {
+	return func(plan *Plan, err error) ([]T, string) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := runCells(t, plan.Cells)
+		typed := make([]T, len(res))
+		for i := range res {
+			if typed[i], err = cellResult[T](res, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out strings.Builder
+		if err := plan.Render(res, Output{W: &out}); err != nil {
+			t.Fatal(err)
+		}
+		return typed, out.String()
+	}
 }
 
 func TestPresetValidate(t *testing.T) {
@@ -398,20 +421,17 @@ func TestEtaAblation(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 20
 	etas := []float64{0.5, 0.9}
-	ab, err := AssembleEtaAblation(IID, etas, runCells(t, EtaCells(p, IID, 1, etas)))
-	if err != nil {
-		t.Fatal(err)
+	runs, out := runStudy[schemeRun](t)(etaStudy(p, IID, 1, etas), nil)
+	if len(runs) != 2 {
+		t.Fatalf("ablation sizes wrong: %d", len(runs))
 	}
-	if len(ab.Best) != 2 || len(ab.TimeSec) != 2 {
-		t.Fatalf("ablation sizes wrong: %+v", ab)
-	}
-	for i := range ab.Best {
-		if ab.Best[i] <= 0 || ab.TimeSec[i] <= 0 {
-			t.Fatalf("η=%g: degenerate results", ab.Etas[i])
+	for i, r := range runs {
+		if r.Curve.Best() <= 0 || r.Res.TotalTime <= 0 {
+			t.Fatalf("η=%g: degenerate results", etas[i])
 		}
 	}
-	if ab.Render().String() == "" {
-		t.Fatal("render empty")
+	if !strings.Contains(out, "decay coefficient η") {
+		t.Fatalf("render missing title:\n%s", out)
 	}
 }
 
@@ -419,24 +439,19 @@ func TestFractionAblation(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 20
 	fractions := []float64{0.125, 0.25}
-	ab, err := AssembleFractionAblation(IID, fractions, runCells(t, FractionCells(p, IID, 1, fractions)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs, out := runStudy[schemeRun](t)(fractionStudy(p, IID, 1, fractions), nil)
 	// Selecting more users per round must cost more energy.
-	if ab.EnergyJ[1] <= ab.EnergyJ[0] {
-		t.Fatalf("C=0.25 energy %g not above C=0.125 energy %g", ab.EnergyJ[1], ab.EnergyJ[0])
+	if runs[1].Res.TotalEnergy <= runs[0].Res.TotalEnergy {
+		t.Fatalf("C=0.25 energy %g not above C=0.125 energy %g", runs[1].Res.TotalEnergy, runs[0].Res.TotalEnergy)
 	}
-	if ab.Render().String() == "" {
-		t.Fatal("render empty")
+	if !strings.Contains(out, "total energy") {
+		t.Fatalf("render missing column:\n%s", out)
 	}
 }
 
 func TestClampAblationFindsViolations(t *testing.T) {
-	ab, err := AssembleClampAblation(runCells(t, ClampCells(Tiny(), IID, 1, 30)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs, out := runStudy[clampRun](t)(clampStudy(Tiny(), IID, 1, 30), nil)
+	ab := runs[0]
 	// The literal pseudocode routinely demands frequencies below f_min
 	// (that is the point of the clamping study).
 	if ab.Violations == 0 {
@@ -445,8 +460,8 @@ func TestClampAblationFindsViolations(t *testing.T) {
 	if ab.WorstBelowPct <= 0 && ab.WorstAbovePct <= 0 {
 		t.Fatal("violations recorded but no magnitudes")
 	}
-	if ab.Render().String() == "" {
-		t.Fatal("render empty")
+	if !strings.Contains(out, "range violations") {
+		t.Fatalf("render missing column:\n%s", out)
 	}
 }
 

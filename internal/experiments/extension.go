@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 
-	"helcfl/internal/core"
 	"helcfl/internal/fl"
 	"helcfl/internal/grid"
 	"helcfl/internal/metrics"
@@ -36,47 +33,16 @@ func normalizeLambdas(lambdas []float64) []float64 {
 // LossAwareCells returns one loss-aware training cell per λ. Callers must
 // pass normalized lambdas (see normalizeLambdas) for baseline-first order.
 func LossAwareCells(p Preset, s Setting, seed int64, lambdas []float64) []grid.Cell {
-	cells := make([]grid.Cell, 0, len(lambdas))
-	for _, l := range lambdas {
-		lambda := l
-		cells = append(cells, grid.Cell{
-			Experiment: "lossaware",
-			Preset:     p.Name,
-			Setting:    string(s),
-			Scheme:     "HELCFL",
-			Variant:    fmt.Sprintf("lambda=%g", l),
-			Seed:       seed,
-			Run: func(context.Context, *rand.Rand) (any, error) {
-				env, err := CachedEnv(p, s, seed)
+	cells := make([]grid.Cell, len(lambdas))
+	for i, lambda := range lambdas {
+		cells[i] = newCell("lossaware", "HELCFL", fmt.Sprintf("lambda=%g", lambda), p, s, seed, nil,
+			func(c cellEnv) (schemeRun, error) {
+				planner, err := selection.NewHELCFLLossAware(c.Devices, c.Channel, c.ModelBits, presetParams(p), lambda)
 				if err != nil {
-					return nil, err
+					return schemeRun{}, err
 				}
-				planner, err := selection.NewHELCFLLossAware(env.Devices, env.Channel, env.ModelBits, core.Params{
-					Eta: p.Eta, Fraction: p.Fraction, StepsPerRound: p.LocalSteps, Clamp: true,
-				}, lambda)
-				if err != nil {
-					return nil, err
-				}
-				res, err := fl.Run(fl.Config{
-					Spec:       env.Spec,
-					Devices:    env.Devices,
-					Channel:    env.Channel,
-					UserData:   env.UserData,
-					Test:       env.Synth.Test,
-					Planner:    planner,
-					LR:         p.LR,
-					LocalSteps: p.LocalSteps,
-					MaxRounds:  p.MaxRounds,
-					EvalEvery:  p.EvalEvery,
-					Seed:       seed + 100,
-					Sink:       p.Sink,
-				})
-				if err != nil {
-					return nil, err
-				}
-				return schemeRun{Curve: metrics.CurveFromRecords(planner.Name(), res.Records), Res: res}, nil
-			},
-		})
+				return c.train(planner.Name(), func(cfg *fl.Config) { cfg.Planner = planner })
+			})
 	}
 	return cells
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"helcfl/internal/core"
+	"helcfl/internal/device"
 	"helcfl/internal/fl"
 	"helcfl/internal/grid"
 	"helcfl/internal/metrics"
@@ -31,33 +32,43 @@ func (r *Fig2Result) Curve(scheme string) metrics.Curve {
 	return c
 }
 
+// presetParams is the HELCFL scheduler setting every preset planner uses.
+func presetParams(p Preset) core.Params {
+	return core.Params{Eta: p.Eta, Fraction: p.Fraction, StepsPerRound: p.LocalSteps, Clamp: true}
+}
+
 // newPlanner builds the planner for a named scheme over the environment.
-// Each scheme gets an independent, deterministically seeded RNG.
-func newPlanner(name string, env *Env, seed int64) (fl.Planner, error) {
+// Each scheme gets an independent RNG seeded from the environment's seed.
+func newPlanner(name string, env *Env) (fl.Planner, error) {
 	p := env.Preset
 	switch name {
-	case "HELCFL":
-		return selection.NewHELCFL(env.Devices, env.Channel, env.ModelBits, core.Params{
-			Eta: p.Eta, Fraction: p.Fraction, StepsPerRound: p.LocalSteps, Clamp: true,
-		})
-	case "HELCFL-noDVFS":
-		h, err := selection.NewHELCFL(env.Devices, env.Channel, env.ModelBits, core.Params{
-			Eta: p.Eta, Fraction: p.Fraction, StepsPerRound: p.LocalSteps, Clamp: true,
-		})
+	case "HELCFL", "HELCFL-noDVFS":
+		h, err := selection.NewHELCFL(env.Devices, env.Channel, env.ModelBits, presetParams(p))
 		if err != nil {
 			return nil, err
 		}
-		h.DisableDVFS = true
+		h.DisableDVFS = name == "HELCFL-noDVFS"
 		return h, nil
 	case "ClassicFL":
-		return selection.NewClassicFL(env.Devices, p.Fraction, rand.New(rand.NewSource(seed+11))), nil
+		return selection.NewClassicFL(env.Devices, p.Fraction, rand.New(rand.NewSource(env.Seed+11))), nil
 	case "FedCS":
 		return selection.NewFedCS(env.Devices, env.Channel, env.ModelBits, p.FedCSDeadlineSec, p.LocalSteps), nil
 	case "FEDL":
-		return selection.NewFEDL(env.Devices, p.Fraction, p.FEDLK, rand.New(rand.NewSource(seed+13))), nil
+		return selection.NewFEDL(env.Devices, p.Fraction, p.FEDLK, rand.New(rand.NewSource(env.Seed+13))), nil
 	default:
 		return nil, fmt.Errorf("experiments: unknown scheme %q", name)
 	}
+}
+
+// plannedCohort plans round j and gathers the selected devices, in plan
+// order, with their planned frequencies.
+func plannedCohort(h fl.Planner, devices []*device.Device, j int) ([]*device.Device, []float64) {
+	sel, freqs := h.PlanRound(j)
+	devs := make([]*device.Device, len(sel))
+	for i, q := range sel {
+		devs[i] = devices[q]
+	}
+	return devs, freqs
 }
 
 // RunScheme executes one FL scheme on the environment and returns its curve.
@@ -66,19 +77,16 @@ func RunScheme(env *Env, scheme string) (metrics.Curve, *fl.Result, error) {
 }
 
 // RunSchemeWith is RunScheme with extra engine configuration applied by
-// mutate before the run (deadline, fault injection, fading, compression).
+// mutate before the run (deadline, fault injection, fading, compression,
+// tracing). scheme names the curve and, unless mutate installs a Planner,
+// picks the preset planner.
 func RunSchemeWith(env *Env, scheme string, mutate func(*fl.Config)) (metrics.Curve, *fl.Result, error) {
-	planner, err := newPlanner(scheme, env, env.Seed)
-	if err != nil {
-		return metrics.Curve{}, nil, err
-	}
 	cfg := fl.Config{
 		Spec:       env.Spec,
 		Devices:    env.Devices,
 		Channel:    env.Channel,
 		UserData:   env.UserData,
 		Test:       env.Synth.Test,
-		Planner:    planner,
 		LR:         env.Preset.LR,
 		LocalSteps: env.Preset.LocalSteps,
 		MaxRounds:  env.Preset.MaxRounds,
@@ -88,6 +96,13 @@ func RunSchemeWith(env *Env, scheme string, mutate func(*fl.Config)) (metrics.Cu
 	}
 	if mutate != nil {
 		mutate(&cfg)
+	}
+	if cfg.Planner == nil {
+		planner, err := newPlanner(scheme, env)
+		if err != nil {
+			return metrics.Curve{}, nil, err
+		}
+		cfg.Planner = planner
 	}
 	res, err := fl.Run(cfg)
 	if err != nil {

@@ -3,7 +3,11 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"helcfl/internal/grid"
@@ -66,7 +70,44 @@ func TestParallelMatchesSerialForEveryExperiment(t *testing.T) {
 			if len(serialOut) == 0 {
 				t.Fatal("experiment rendered nothing")
 			}
+			checkRenderGolden(t, def.Name, serialPlan, serialOut, serialArts)
 		})
+	}
+}
+
+// checkRenderGolden pins what an experiment prints: its ordered cell keys,
+// its rendered stream and its artifacts, byte for byte, against
+// testdata/render_<name>.golden (rewritten under -update).
+func checkRenderGolden(t *testing.T, name string, plan *Plan, out string, arts map[string]string) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("== cells\n")
+	for _, c := range plan.Cells {
+		b.WriteString(c.Key() + "\n")
+	}
+	b.WriteString("== render\n" + out)
+	names := make([]string, 0, len(arts))
+	for n := range arts {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		b.WriteString("== artifact " + n + "\n" + arts[n])
+	}
+	got := b.String()
+	path := filepath.Join("testdata", "render_"+name+".golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s (run with -update to create): %v", path, err)
+	}
+	if got != string(want) {
+		t.Fatalf("%s drifted from golden; rerun with -update if the change is deliberate.\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 

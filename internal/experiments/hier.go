@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 
-	"helcfl/internal/core"
 	"helcfl/internal/fl"
 	"helcfl/internal/grid"
 	"helcfl/internal/metrics"
-	"helcfl/internal/obs/span"
 	"helcfl/internal/report"
 	"helcfl/internal/selection"
 )
@@ -35,65 +31,23 @@ type hierRun struct {
 // HierCells returns one hierarchical training cell per edge count.
 func HierCells(p Preset, s Setting, seed int64, edgeCounts []int) ([]grid.Cell, error) {
 	cells := make([]grid.Cell, 0, len(edgeCounts))
-	for _, e := range edgeCounts {
-		if e <= 0 {
-			return nil, fmt.Errorf("experiments: non-positive edge count %d", e)
+	for _, edges := range edgeCounts {
+		if edges <= 0 {
+			return nil, fmt.Errorf("experiments: non-positive edge count %d", edges)
 		}
-		if e > p.Users {
-			return nil, fmt.Errorf("experiments: %d edge aggregators for %d users", e, p.Users)
+		if edges > p.Users {
+			return nil, fmt.Errorf("experiments: %d edge aggregators for %d users", edges, p.Users)
 		}
-		edges := e
-		cells = append(cells, grid.Cell{
-			Experiment: "hier",
-			Preset:     p.Name,
-			Setting:    string(s),
-			Scheme:     "HELCFL-hier",
-			Variant:    fmt.Sprintf("edges=%d", edges),
-			Seed:       seed,
-			Run: func(ctx context.Context, _ *rand.Rand) (any, error) {
-				_, envSp := span.StartCtx(ctx, "cell.envbuild")
-				env, err := CachedEnv(p, s, seed)
-				envSp.End()
+		cells = append(cells, newCell("hier", "HELCFL-hier", fmt.Sprintf("edges=%d", edges), p, s, seed, nil,
+			func(c cellEnv) (hierRun, error) {
+				planner, err := selection.NewHierHELCFL(c.Devices, edges, c.Channel, c.ModelBits, presetParams(p))
 				if err != nil {
-					return nil, err
+					return hierRun{}, err
 				}
-				runCtx, runSp := span.StartCtx(ctx, "cell.run")
-				defer runSp.End()
-				planner, err := selection.NewHierHELCFL(env.Devices, edges, env.Channel, env.ModelBits, core.Params{
-					Eta: p.Eta, Fraction: p.Fraction, StepsPerRound: p.LocalSteps, Clamp: true,
-				})
-				if err != nil {
-					return nil, err
-				}
-				cfg := fl.Config{
-					Spec:       env.Spec,
-					Devices:    env.Devices,
-					Channel:    env.Channel,
-					UserData:   env.UserData,
-					Test:       env.Synth.Test,
-					Planner:    planner,
-					LR:         env.Preset.LR,
-					LocalSteps: env.Preset.LocalSteps,
-					MaxRounds:  env.Preset.MaxRounds,
-					EvalEvery:  env.Preset.EvalEvery,
-					Seed:       env.Seed + 100, // model init shared with the flat schemes
-					Sink:       env.Preset.Sink,
-				}
-				if rec, parent := span.FromContext(runCtx); rec != nil {
-					cfg.Trace = rec
-					cfg.TraceParent = parent
-				}
-				res, err := fl.Run(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return hierRun{
-					Edges: edges,
-					Curve: metrics.CurveFromRecords(planner.Name(), res.Records),
-					Res:   res,
-				}, nil
-			},
-		})
+				// Model init (seed+100) is shared with the flat schemes.
+				run, err := c.train(planner.Name(), func(cfg *fl.Config) { cfg.Planner = planner })
+				return hierRun{Edges: edges, Curve: run.Curve, Res: run.Res}, err
+			}))
 	}
 	return cells, nil
 }
@@ -169,21 +123,17 @@ func hierPlan(p Preset, seed int64) (*Plan, error) {
 			counts = append(counts, e)
 		}
 	}
-	subs := make([]*Plan, 0, len(settingsBoth))
-	for _, st := range settingsBoth {
-		s := st
+	return eachSetting(func(s Setting) (*Plan, error) {
 		cells, err := HierCells(p, s, seed, counts)
 		if err != nil {
 			return nil, err
 		}
-		subs = append(subs, sectionPlan("", cells,
-			func(res []any) (fmt.Stringer, error) {
-				hs, err := AssembleHierStudy(s, counts, res)
-				if err != nil {
-					return nil, err
-				}
-				return hs.Render(), nil
-			}))
-	}
-	return composePlans(subs...), nil
+		return sectionPlan("", cells, func(res []any) (fmt.Stringer, error) {
+			hs, err := AssembleHierStudy(s, counts, res)
+			if err != nil {
+				return nil, err
+			}
+			return hs.Render(), nil
+		}), nil
+	})
 }

@@ -9,31 +9,23 @@ func TestModelAblation(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 16
 	kinds := []string{"logistic", "mlp"}
-	cells, err := ModelCells(p, IID, 1, kinds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab, err := AssembleModelAblation(IID, kinds, runCells(t, cells))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ab.Kinds) != 2 {
-		t.Fatalf("kinds = %d", len(ab.Kinds))
+	runs, out := runStudy[modelRun](t)(modelStudy(p, IID, 1, kinds))
+	if len(runs) != 2 {
+		t.Fatalf("kinds = %d", len(runs))
 	}
 	// The MLP carries more parameters, hence a bigger C_model and longer
 	// uploads on the same fleet.
-	if ab.Params[1] <= ab.Params[0] || ab.Bits[1] <= ab.Bits[0] {
-		t.Fatalf("mlp should outweigh logistic: %v / %v", ab.Params, ab.Bits)
+	if runs[1].Params <= runs[0].Params || runs[1].Bits <= runs[0].Bits {
+		t.Fatalf("mlp should outweigh logistic: %+v / %+v", runs[0], runs[1])
 	}
-	if ab.TimeSec[1] <= ab.TimeSec[0] {
-		t.Fatalf("bigger model must lengthen training: %g vs %g", ab.TimeSec[1], ab.TimeSec[0])
+	if runs[1].Run.Res.TotalTime <= runs[0].Run.Res.TotalTime {
+		t.Fatalf("bigger model must lengthen training: %g vs %g", runs[1].Run.Res.TotalTime, runs[0].Run.Res.TotalTime)
 	}
-	for i := range ab.Kinds {
-		if ab.Best[i] < 0.3 {
-			t.Fatalf("%s: accuracy collapsed to %g", ab.Kinds[i], ab.Best[i])
+	for i, r := range runs {
+		if r.Run.Curve.Best() < 0.3 {
+			t.Fatalf("%s: accuracy collapsed to %g", kinds[i], r.Run.Curve.Best())
 		}
 	}
-	out := ab.Render().String()
 	if !strings.Contains(out, "C_model") {
 		t.Fatalf("render missing column:\n%s", out)
 	}
@@ -53,22 +45,14 @@ func TestModelAblationSqueezeNet(t *testing.T) {
 	p.LR = 0.15
 	p.Noise = 1.0
 	p.LocalSteps = 5
-	kinds := []string{"squeezenet-mini"}
-	cells, err := ModelCells(p, IID, 1, kinds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab, err := AssembleModelAblation(IID, kinds, runCells(t, cells))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ab.Best[0] <= 0.3 {
-		t.Fatalf("CNN not learning: %g", ab.Best[0])
+	runs, _ := runStudy[modelRun](t)(modelStudy(p, IID, 1, []string{"squeezenet-mini"}))
+	if best := runs[0].Run.Curve.Best(); best <= 0.3 {
+		t.Fatalf("CNN not learning: %g", best)
 	}
 }
 
 func TestModelAblationEmptyKinds(t *testing.T) {
-	if _, err := ModelCells(Tiny(), IID, 1, nil); err == nil {
+	if _, err := modelStudy(Tiny(), IID, 1, nil); err == nil {
 		t.Fatal("empty kinds must error")
 	}
 }

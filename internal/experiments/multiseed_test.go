@@ -8,32 +8,38 @@ import (
 func TestRunMultiSeed(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 16
-	seeds := []int64{1, 2}
-	ms, err := AssembleMultiSeed(IID, seeds, runCells(t, MultiSeedCells(p, IID, seeds)))
-	if err != nil {
-		t.Fatal(err)
+	runs, out := runStudy[schemeRun](t)(multiSeedStudy(p, IID, []int64{1, 2}))
+	if len(runs) != 2*len(SchemeOrder) {
+		t.Fatalf("%d runs, want one per (seed, scheme)", len(runs))
 	}
-	for _, scheme := range SchemeOrder {
-		if len(ms.Best[scheme]) != 2 || len(ms.TimeSec[scheme]) != 2 {
-			t.Fatalf("%s: missing per-seed observations", scheme)
-		}
-		s := ms.AccuracySummary(scheme)
-		if s.N != 2 || s.Mean <= 0 {
-			t.Fatalf("%s: summary %+v", scheme, s)
+	for i, r := range runs {
+		if len(r.Curve.Points) == 0 || r.Curve.Best() <= 0 {
+			t.Fatalf("run %d (%s): empty curve", i, SchemeOrder[i%len(SchemeOrder)])
 		}
 	}
-	// SL loses to HELCFL on every seed.
-	if ms.WinRateOverBaseline("SL") != 1 {
-		t.Fatalf("HELCFL win rate over SL = %g, want 1", ms.WinRateOverBaseline("SL"))
+	// SL loses to HELCFL on every seed: the rendered win rate is 100%.
+	for seed := 0; seed < 2; seed++ {
+		h, sl := runs[seed*len(SchemeOrder)], runs[seed*len(SchemeOrder)+4]
+		if sl.Curve.Best() >= h.Curve.Best() {
+			t.Fatalf("seed %d: SL %g not below HELCFL %g", seed, sl.Curve.Best(), h.Curve.Best())
+		}
 	}
-	out := ms.Render().String()
-	if !strings.Contains(out, "win rate") || !strings.Contains(out, "HELCFL") {
+	var slRow string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "SL ") {
+			slRow = line
+		}
+	}
+	if !strings.Contains(slRow, "100%") {
+		t.Fatalf("SL row %q should show a 100%% HELCFL win rate", slRow)
+	}
+	if !strings.Contains(out, "win rate") || !strings.Contains(out, "2 seeds") {
 		t.Fatalf("render missing content:\n%s", out)
 	}
 }
 
 func TestRunMultiSeedNoSeeds(t *testing.T) {
-	if _, err := AssembleMultiSeed(IID, nil, nil); err == nil {
+	if _, err := multiSeedStudy(Tiny(), IID, nil); err == nil {
 		t.Fatal("empty seed list must error")
 	}
 }

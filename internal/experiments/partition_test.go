@@ -8,25 +8,19 @@ import (
 func TestPartitionAblation(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 24
-	alphas := []float64{0.2, 5.0}
-	ab, err := AssemblePartitionAblation(p, alphas, runCells(t, PartitionCells(p, 1, alphas)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ab.Labels) != 3 {
-		t.Fatalf("entries = %d", len(ab.Labels))
+	runs, out := runStudy[partitionRun](t)(partitionStudy(p, 1, []float64{0.2, 5.0}), nil)
+	if len(runs) != 3 {
+		t.Fatalf("entries = %d", len(runs))
 	}
 	// Dirichlet α=0.2 is more skewed than α=5 — fewer labels per user.
-	if ab.MeanLabels[1] >= ab.MeanLabels[2] {
-		t.Fatalf("label skew ordering wrong: α=0.2 → %g, α=5 → %g",
-			ab.MeanLabels[1], ab.MeanLabels[2])
+	if runs[1].MeanLabels >= runs[2].MeanLabels {
+		t.Fatalf("label skew ordering wrong: α=0.2 → %g, α=5 → %g", runs[1].MeanLabels, runs[2].MeanLabels)
 	}
-	for i := range ab.Labels {
-		if ab.Best[i] < 0.3 {
-			t.Fatalf("%s: accuracy collapsed to %g", ab.Labels[i], ab.Best[i])
+	for i, r := range runs {
+		if r.Run.Curve.Best() < 0.3 {
+			t.Fatalf("family %d: accuracy collapsed to %g", i, r.Run.Curve.Best())
 		}
 	}
-	out := ab.Render().String()
 	if !strings.Contains(out, "dirichlet") || !strings.Contains(out, "shards") {
 		t.Fatalf("render missing families:\n%s", out)
 	}

@@ -69,7 +69,7 @@ var definitions = []Definition{
 		return budgetPlan(p, seed)
 	}},
 	{"battery", "finite-battery fleet campaign", func(p Preset, seed int64, _ Options) (*Plan, error) {
-		return batteryPlan(p, seed)
+		return eachSetting(func(s Setting) (*Plan, error) { return BatteryPlan(p, s, seed, batterySelections) })
 	}},
 	{"hier", "hierarchical edge-aggregation tier (E edge aggregators)", func(p Preset, seed int64, _ Options) (*Plan, error) {
 		return hierPlan(p, seed)
@@ -272,11 +272,15 @@ func fig3Plan(p Preset, seed int64) *Plan {
 	}
 }
 
-// sectionPlan wraps cells with a section header and a table-producing fold.
+// sectionPlan prints a section header ("" for none) and the table its fold
+// makes from the cells' results.
 func sectionPlan(header string, cells []grid.Cell, fold func(res []any) (fmt.Stringer, error)) *Plan {
 	return &Plan{
 		Cells: cells,
 		Render: func(res []any, out Output) error {
+			if len(res) != len(cells) {
+				return fmt.Errorf("experiments: section %q got %d results, want %d", header, len(res), len(cells))
+			}
 			tbl, err := fold(res)
 			if err != nil {
 				return err
@@ -288,6 +292,18 @@ func sectionPlan(header string, cells []grid.Cell, fold func(res []any) (fmt.Str
 			return nil
 		},
 	}
+}
+
+// eachSetting composes one sub-plan per data setting, IID first.
+func eachSetting(sub func(s Setting) (*Plan, error)) (*Plan, error) {
+	subs := make([]*Plan, len(settingsBoth))
+	for i, s := range settingsBoth {
+		var err error
+		if subs[i], err = sub(s); err != nil {
+			return nil, err
+		}
+	}
+	return composePlans(subs...), nil
 }
 
 // Ablation sweep values — the CLI's canonical design-study grid.
@@ -309,71 +325,29 @@ var (
 
 func ablationPlan(p Preset, seed int64) (*Plan, error) {
 	lambdas := normalizeLambdas(ablationLambdas)
-	rbCells, err := RBCells(p, seed, ablationRBRounds, ablationKs)
+	rb, err := rbStudy(p, seed, ablationRBRounds, ablationKs)
 	if err != nil {
 		return nil, err
 	}
-	modelCells, err := ModelCells(p, IID, seed, ablationModels)
+	model, err := modelStudy(p, IID, seed, ablationModels)
 	if err != nil {
 		return nil, err
 	}
-	levelCells, err := DVFSLevelsCells(p, IID, seed, ablationLevels)
+	levels, err := dvfsLevelsStudy(p, IID, seed, ablationLevels)
 	if err != nil {
 		return nil, err
 	}
-	fairCells, err := FairnessCells(p, seed, ablationFairnessRounds)
+	fairness, err := fairnessStudy(p, seed, ablationFairnessRounds)
 	if err != nil {
 		return nil, err
 	}
 	return composePlans(
-		sectionPlan("η sweep …", EtaCells(p, NonIID, seed, ablationEtas),
-			func(res []any) (fmt.Stringer, error) {
-				ab, err := AssembleEtaAblation(NonIID, ablationEtas, res)
-				if err != nil {
-					return nil, err
-				}
-				return ab.Render(), nil
-			}),
-		sectionPlan("selection-fraction sweep …", FractionCells(p, IID, seed, ablationFractions),
-			func(res []any) (fmt.Stringer, error) {
-				ab, err := AssembleFractionAblation(IID, ablationFractions, res)
-				if err != nil {
-					return nil, err
-				}
-				return ab.Render(), nil
-			}),
-		sectionPlan("Algorithm 3 clamping study …", ClampCells(p, IID, seed, ablationClampRounds),
-			func(res []any) (fmt.Stringer, error) {
-				ab, err := AssembleClampAblation(res)
-				if err != nil {
-					return nil, err
-				}
-				return ab.Render(), nil
-			}),
-		sectionPlan("upload compression vs scheduling …", CompressionCells(p, IID, seed, DefaultCompressors()),
-			func(res []any) (fmt.Stringer, error) {
-				ab, err := AssembleCompressionAblation(IID, DefaultCompressors(), res)
-				if err != nil {
-					return nil, err
-				}
-				return ab.Render(), nil
-			}),
-		sectionPlan("upload-failure injection …", DropoutCells(p, IID, seed, ablationDropouts),
-			func(res []any) (fmt.Stringer, error) {
-				ab, err := AssembleDropoutAblation(p, IID, ablationDropouts, res)
-				if err != nil {
-					return nil, err
-				}
-				return ab.Render(), nil
-			}),
-		sectionPlan("block-fading channel …", FadingCells(p, IID, seed, ablationSigmas),
-			func(res []any) (fmt.Stringer, error) {
-				ab, err := AssembleFadingAblation(IID, ablationSigmas, res)
-				if err != nil {
-					return nil, err
-				}
-				return ab.Render(), nil
-			}),
+		etaStudy(p, NonIID, seed, ablationEtas),
+		fractionStudy(p, IID, seed, ablationFractions),
+		clampStudy(p, IID, seed, ablationClampRounds),
+		CompressionPlan(p, IID, seed, DefaultCompressors()),
+		dropoutStudy(p, IID, seed, ablationDropouts),
+		fadingStudy(p, IID, seed, ablationSigmas),
 		sectionPlan("loss-aware utility extension …", LossAwareCells(p, NonIID, seed, lambdas),
 			func(res []any) (fmt.Stringer, error) {
 				ext, err := AssembleLossAwareExtension(p, NonIID, lambdas, res)
@@ -382,46 +356,11 @@ func ablationPlan(p Preset, seed int64) (*Plan, error) {
 				}
 				return ext.Render(), nil
 			}),
-		sectionPlan("RB interpretation (serial vs parallel sub-channels) …", rbCells,
-			func(res []any) (fmt.Stringer, error) {
-				ab, err := AssembleRBAblation(res)
-				if err != nil {
-					return nil, err
-				}
-				return ab.Render(), nil
-			}),
-		sectionPlan("model architecture (C_model coupling) …", modelCells,
-			func(res []any) (fmt.Stringer, error) {
-				ab, err := AssembleModelAblation(IID, ablationModels, res)
-				if err != nil {
-					return nil, err
-				}
-				return ab.Render(), nil
-			}),
-		sectionPlan("partition family (shards vs Dirichlet) …", PartitionCells(p, seed, ablationAlphas),
-			func(res []any) (fmt.Stringer, error) {
-				ab, err := AssemblePartitionAblation(p, ablationAlphas, res)
-				if err != nil {
-					return nil, err
-				}
-				return ab.Render(), nil
-			}),
-		sectionPlan("discrete DVFS levels …", levelCells,
-			func(res []any) (fmt.Stringer, error) {
-				ab, err := AssembleDVFSLevelsAblation(IID, ablationLevels, res)
-				if err != nil {
-					return nil, err
-				}
-				return ab.Render(), nil
-			}),
-		sectionPlan("selection fairness …", fairCells,
-			func(res []any) (fmt.Stringer, error) {
-				st, err := AssembleFairnessStudy(ablationFairnessRounds, res)
-				if err != nil {
-					return nil, err
-				}
-				return st.Render(), nil
-			}),
+		rb,
+		model,
+		partitionStudy(p, seed, ablationAlphas),
+		levels,
+		fairness,
 	), nil
 }
 
@@ -433,19 +372,7 @@ func seedsPlan(p Preset, seed int64, n int) (*Plan, error) {
 	for i := range seeds {
 		seeds[i] = seed + int64(i)
 	}
-	subs := make([]*Plan, 0, len(settingsBoth))
-	for _, st := range settingsBoth {
-		s := st
-		subs = append(subs, sectionPlan("", MultiSeedCells(p, s, seeds),
-			func(res []any) (fmt.Stringer, error) {
-				ms, err := AssembleMultiSeed(s, seeds, res)
-				if err != nil {
-					return nil, err
-				}
-				return ms.Render(), nil
-			}))
-	}
-	return composePlans(subs...), nil
+	return eachSetting(func(s Setting) (*Plan, error) { return multiSeedStudy(p, s, seeds) })
 }
 
 // budgetSecs are the deadline budgets swept by the "budget" experiment —
@@ -453,22 +380,12 @@ func seedsPlan(p Preset, seed int64, n int) (*Plan, error) {
 var budgetSecs = []float64{180, 720}
 
 func budgetPlan(p Preset, seed int64) (*Plan, error) {
-	var subs []*Plan
-	for _, budget := range budgetSecs {
-		for _, st := range settingsBoth {
-			b, s := budget, st
-			cells, err := DeadlineCells(p, s, seed, b)
-			if err != nil {
-				return nil, err
-			}
-			subs = append(subs, sectionPlan("", cells,
-				func(res []any) (fmt.Stringer, error) {
-					db, err := AssembleDeadlineBudget(s, b, res)
-					if err != nil {
-						return nil, err
-					}
-					return db.Render(), nil
-				}))
+	subs := make([]*Plan, len(budgetSecs))
+	for i, budget := range budgetSecs {
+		var err error
+		subs[i], err = eachSetting(func(s Setting) (*Plan, error) { return deadlineStudy(p, s, seed, budget) })
+		if err != nil {
+			return nil, err
 		}
 	}
 	return composePlans(subs...), nil
@@ -477,26 +394,6 @@ func budgetPlan(p Preset, seed int64) (*Plan, error) {
 // batterySelections is the per-device budget in units of max-frequency
 // selections.
 const batterySelections = 8
-
-func batteryPlan(p Preset, seed int64) (*Plan, error) {
-	subs := make([]*Plan, 0, len(settingsBoth))
-	for _, st := range settingsBoth {
-		s := st
-		cells, err := BatteryCells(p, s, seed, batterySelections)
-		if err != nil {
-			return nil, err
-		}
-		subs = append(subs, sectionPlan("", cells,
-			func(res []any) (fmt.Stringer, error) {
-				bc, err := AssembleBatteryCampaign(s, res)
-				if err != nil {
-					return nil, err
-				}
-				return bc.Render(), nil
-			}))
-	}
-	return composePlans(subs...), nil
-}
 
 // headlinePlan consumes the Fig. 2 and Fig. 3 results (shared with their
 // own plans via composePlans dedup) and renders the headline summary.

@@ -8,22 +8,24 @@ import (
 func TestDropoutAblation(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 30
-	dropouts := []float64{0, 0.3}
-	ab, err := AssembleDropoutAblation(p, IID, dropouts, runCells(t, DropoutCells(p, IID, 1, dropouts)))
-	if err != nil {
-		t.Fatal(err)
+	runs, out := runStudy[schemeRun](t)(dropoutStudy(p, IID, 1, []float64{0, 0.3}), nil)
+	failed := func(r schemeRun) int {
+		n := 0
+		for _, rec := range r.Res.Records {
+			n += rec.Failed
+		}
+		return n
 	}
-	if ab.FailedUploads[0] != 0 {
-		t.Fatalf("clean run lost %d uploads", ab.FailedUploads[0])
+	if n := failed(runs[0]); n != 0 {
+		t.Fatalf("clean run lost %d uploads", n)
 	}
-	if ab.FailedUploads[1] == 0 {
+	if failed(runs[1]) == 0 {
 		t.Fatal("30%% dropout lost no uploads")
 	}
 	// Training degrades gracefully: the faulted run still learns.
-	if ab.Best[1] < 0.35 {
-		t.Fatalf("dropout run collapsed to %g", ab.Best[1])
+	if best := runs[1].Curve.Best(); best < 0.35 {
+		t.Fatalf("dropout run collapsed to %g", best)
 	}
-	out := ab.Render().String()
 	if !strings.Contains(out, "lost uploads") {
 		t.Fatalf("render missing column:\n%s", out)
 	}
@@ -32,20 +34,16 @@ func TestDropoutAblation(t *testing.T) {
 func TestFadingAblation(t *testing.T) {
 	p := Tiny()
 	p.MaxRounds = 20
-	sigmas := []float64{0, 0.6}
-	ab, err := AssembleFadingAblation(IID, sigmas, runCells(t, FadingCells(p, IID, 1, sigmas)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs, out := runStudy[schemeRun](t)(fadingStudy(p, IID, 1, []float64{0, 0.6}), nil)
 	// Fading perturbs realized delays relative to the static plan.
-	if ab.TimeSec[0] == ab.TimeSec[1] {
+	if runs[0].Res.TotalTime == runs[1].Res.TotalTime {
 		t.Fatal("fading must change total delay")
 	}
 	// But not training accuracy (same selections, same data).
-	if ab.Best[0] != ab.Best[1] {
-		t.Fatalf("fading changed accuracy: %g vs %g", ab.Best[0], ab.Best[1])
+	if runs[0].Curve.Best() != runs[1].Curve.Best() {
+		t.Fatalf("fading changed accuracy: %g vs %g", runs[0].Curve.Best(), runs[1].Curve.Best())
 	}
-	if ab.Render().String() == "" {
-		t.Fatal("render empty")
+	if !strings.Contains(out, "block-fading") {
+		t.Fatalf("render missing title:\n%s", out)
 	}
 }

@@ -183,6 +183,7 @@ func (l *Loader) load(path string) (*Package, error) {
 		Uses:       map[*ast.Ident]types.Object{},
 		Implicits:  map[ast.Node]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Instances:  map[*ast.Ident]types.Instance{},
 	}
 	conf := types.Config{Importer: l}
 	tpkg, err := conf.Check(path, l.fset, files, info)

@@ -54,3 +54,23 @@ func cells() []grid.Cell {
 		},
 	}
 }
+
+// missingGeneric reaches the wire only through a generic constructor.
+type missingGeneric struct{ Y float64 }
+
+// genericCell pins the generic-constructor shape: the Run result is the
+// constructor's type parameter, checked at each instantiation.
+func genericCell[T any](body func() (T, error)) grid.Cell {
+	return grid.Cell{
+		Experiment: "generic",
+		Run:        func(context.Context) (any, error) { return body() },
+	}
+}
+
+func genericCells() []grid.Cell {
+	return []grid.Cell{
+		genericCell(func() (goodRun, error) { return goodRun{}, nil }),
+		genericCell(func() (missingGeneric, error) { return missingGeneric{}, nil }), // want "cell result type missingGeneric has no gob.Register in the wire codec"
+		genericCell(func() (any, error) { return nil, nil }),                         // want "cell constructor genericCell instantiated with interface-typed result any"
+	}
+}

@@ -18,7 +18,9 @@ import (
 // fail at encode time. Types that implement gob.GobEncoder own their wire
 // format and are exempt from the field audit. A Run that returns an
 // interface or is not a visible function literal defeats the exhaustiveness
-// proof and is reported as such.
+// proof and is reported as such. A Run inside a generic cell constructor
+// whose result is one of the constructor's type parameters is checked at
+// every instantiation: each type argument must be registered.
 var WireCodec = &Analyzer{
 	Name: "wirecodec",
 	Doc:  "require every registry cell result type to be gob-registered with gob-safe fields",
@@ -33,6 +35,7 @@ func runWireCodec(p *Pass) {
 	required := map[string]token.Pos{}   // canonical type string -> first Run return site
 	reqTypes := map[string]types.Type{}
 	regTypes := map[string]types.Type{}
+	typeParams := map[*types.TypeParam]bool{} // Run results typed by a constructor's type parameter
 
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -51,12 +54,14 @@ func runWireCodec(p *Pass) {
 				}
 			case *ast.CompositeLit:
 				if isGridCell(p, n) {
-					collectCellResults(p, n, required, reqTypes)
+					collectCellResults(p, n, typeParams, required, reqTypes)
 				}
 			}
 			return true
 		})
 	}
+
+	requireInstances(p, typeParams, required, reqTypes)
 
 	for key, pos := range required {
 		if _, ok := registered[key]; !ok {
@@ -92,8 +97,9 @@ func isGridCell(p *Pass, cl *ast.CompositeLit) bool {
 }
 
 // collectCellResults records the concrete type of every result the cell's
-// Run function literal can return.
-func collectCellResults(p *Pass, cl *ast.CompositeLit, required map[string]token.Pos, reqTypes map[string]types.Type) {
+// Run function literal can return, and the type parameters standing in for
+// one inside a generic constructor.
+func collectCellResults(p *Pass, cl *ast.CompositeLit, typeParams map[*types.TypeParam]bool, required map[string]token.Pos, reqTypes map[string]types.Type) {
 	for _, elt := range cl.Elts {
 		kv, ok := elt.(*ast.KeyValueExpr)
 		if !ok {
@@ -116,15 +122,51 @@ func collectCellResults(p *Pass, cl *ast.CompositeLit, required map[string]token
 			if isNilExpr(p, ret.Results[0]) {
 				continue
 			}
+			if tp, ok := t.(*types.TypeParam); ok {
+				typeParams[tp] = true
+				continue
+			}
 			if types.IsInterface(t) {
 				p.Reportf(ret.Pos(), "cell Run returns an interface-typed result; return a concrete type so wirecodec can check its registration")
 				continue
 			}
-			key := types.TypeString(t, nil)
-			if _, ok := required[key]; !ok {
-				required[key] = ret.Pos()
-				reqTypes[key] = t
+			requireType(required, reqTypes, t, ret.Pos())
+		}
+	}
+}
+
+// requireType records t as a wire-crossing result first seen at pos.
+func requireType(required map[string]token.Pos, reqTypes map[string]types.Type, t types.Type, pos token.Pos) {
+	key := types.TypeString(t, nil)
+	if old, ok := required[key]; !ok || pos < old {
+		required[key] = pos
+		reqTypes[key] = t
+	}
+}
+
+// requireInstances resolves type-parameter-typed Run results: every
+// instantiation of the generic function declaring the parameter requires
+// its type argument, reported at the instantiation site.
+func requireInstances(p *Pass, typeParams map[*types.TypeParam]bool, required map[string]token.Pos, reqTypes map[string]types.Type) {
+	if len(typeParams) == 0 {
+		return
+	}
+	for id, inst := range p.Info.Instances {
+		fn, ok := p.Info.Uses[id].(*types.Func)
+		if !ok {
+			continue
+		}
+		tps := fn.Origin().Type().(*types.Signature).TypeParams()
+		for i := 0; i < tps.Len() && i < inst.TypeArgs.Len(); i++ {
+			if !typeParams[tps.At(i)] {
+				continue
 			}
+			t := inst.TypeArgs.At(i)
+			if types.IsInterface(t) {
+				p.Reportf(id.Pos(), "cell constructor %s instantiated with interface-typed result %s; use a concrete type so wirecodec can check its registration", fn.Name(), relType(p, t))
+				continue
+			}
+			requireType(required, reqTypes, t, id.Pos())
 		}
 	}
 }

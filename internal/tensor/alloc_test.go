@@ -15,12 +15,10 @@ func TestIntoKernelsAllocateNothing(t *testing.T) {
 	a, b := New(33, 65), New(65, 47) // off-block shapes, below parallelMinFlops
 	fillAdversarial(a, rng)
 	fillAdversarial(b, rng)
-	at, bt := a.Transpose(), b.Transpose()
+	at, bt := transpose(a), transpose(b)
 	dst := New(33, 47)
 	x := New(3, 8, 8)
 	fillAdversarial(x, rng)
-	cols := Im2ColNaive(x, 3, 3, 1, 1)
-	colsDst := New(cols.Dim(0), cols.Dim(1))
 	img := New(3, 8, 8)
 	bx := New(4, 3, 8, 8)
 	fillAdversarial(bx, rng)
@@ -35,8 +33,6 @@ func TestIntoKernelsAllocateNothing(t *testing.T) {
 		{"MatMulInto", func() { MatMulInto(dst, a, b) }},
 		{"MatMulTransAInto", func() { MatMulTransAInto(dst, at, b) }},
 		{"MatMulTransBInto", func() { MatMulTransBInto(dst, a, bt) }},
-		{"Im2ColInto", func() { Im2ColInto(colsDst, x, 3, 3, 1, 1) }},
-		{"Col2ImInto", func() { Col2ImInto(img, cols, 3, 8, 8, 3, 3, 1, 1) }},
 		{"Im2ColBatchInto", func() { Im2ColBatchInto(bcols, bx, 3, 3, 1, 1) }},
 		{"Col2ImBatchInto", func() { Col2ImBatchInto(bimg, bcols, 4, 3, 8, 8, 3, 3, 1, 1) }},
 		{"AddColSumsInto", func() { a.AddColSumsInto(colSums) }},
@@ -83,7 +79,7 @@ func BenchmarkMatMulNaive128(b *testing.B) {
 func BenchmarkMatMulTiled128(b *testing.B) {
 	x, y := benchPair(b, 128, 128, 128)
 	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
+		matMul(x, y)
 	}
 }
 
@@ -105,7 +101,7 @@ func BenchmarkMatMulNaive512(b *testing.B) {
 func BenchmarkMatMulTiled512(b *testing.B) {
 	x, y := benchPair(b, 512, 512, 512)
 	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
+		matMul(x, y)
 	}
 }
 
@@ -119,6 +115,6 @@ func BenchmarkMatMulTransBNaive256(b *testing.B) {
 func BenchmarkMatMulTransBTiled256(b *testing.B) {
 	x, y := benchPair(b, 256, 256, 256)
 	for i := 0; i < b.N; i++ {
-		MatMulTransB(x, y)
+		matMulTransB(x, y)
 	}
 }

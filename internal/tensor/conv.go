@@ -2,21 +2,12 @@ package tensor
 
 import "fmt"
 
-// Im2Col unrolls image patches into columns for convolution-as-matmul.
-//
-// x has shape (C, H, W). The result has shape (C·kh·kw, oh·ow) where
-// oh = (H+2·pad-kh)/stride + 1 and ow likewise. Each output column is the
-// flattened receptive field for one output position; out-of-bounds (padded)
-// positions contribute zeros.
-func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
-	c, oh, ow := checkIm2Col(x, kh, kw, stride, pad)
-	out := New(c*kh*kw, oh*ow)
-	im2colFill(out.data, x, kh, kw, stride, pad, oh, ow)
-	return out
-}
-
-// Im2ColBatchInto lowers a (B, C, H, W) batch into dst of shape
-// (C·kh·kw, B·oh·ow) with sample-major columns: sample i occupies columns
+// Im2ColBatchInto unrolls image patches into columns for
+// convolution-as-matmul: each column is the flattened receptive field of
+// one output position, padded positions contribute zeros, and
+// oh = (H+2·pad-kh)/stride + 1 (ow likewise). It lowers a (B, C, H, W)
+// batch into dst of shape (C·kh·kw, B·oh·ow) with sample-major columns:
+// sample i occupies columns
 // [i·oh·ow, (i+1)·oh·ow). dst is fully overwritten. Samples write disjoint
 // column ranges, so the batch dimension shards across goroutines for large
 // batches without affecting the result; steady-state serial calls perform
@@ -62,27 +53,6 @@ func checkIm2ColBatch(x *Tensor, kh, kw, stride, pad int) (b, c, oh, ow int) {
 	return b, c, oh, ow
 }
 
-// Im2ColInto is Im2Col into a caller-owned destination of shape
-// (C·kh·kw, oh·ow). dst is fully overwritten (padding positions zeroed).
-// Steady-state calls perform zero heap allocations.
-func Im2ColInto(dst, x *Tensor, kh, kw, stride, pad int) {
-	c, oh, ow := checkIm2Col(x, kh, kw, stride, pad)
-	if dst.Rank() != 2 || dst.shape[0] != c*kh*kw || dst.shape[1] != oh*ow {
-		panic(fmt.Sprintf("tensor: Im2ColInto destination shape %v, want (%d, %d)", dst.shape, c*kh*kw, oh*ow))
-	}
-	dst.Zero()
-	im2colFill(dst.data, x, kh, kw, stride, pad, oh, ow)
-}
-
-// im2colFill writes the patch-unroll of x into out (len c·kh·kw·oh·ow,
-// already zeroed).
-//
-//helcfl:noalloc
-func im2colFill(out []float64, x *Tensor, kh, kw, stride, pad, oh, ow int) {
-	c, h, w := x.shape[0], x.shape[1], x.shape[2]
-	im2colFillStrided(out, oh*ow, 0, x.data, c, h, w, kh, kw, stride, pad, oh, ow)
-}
-
 // im2colFillStrided writes the patch-unroll of one (c, h, w) image xdata
 // into out, where unroll row r starts at r·rowStride+colOff. out must be
 // pre-zeroed over the touched region; every in-bounds position is stored
@@ -116,54 +86,6 @@ func im2colFillStrided(out []float64, rowStride, colOff int, xdata []float64, c,
 	}
 }
 
-// checkIm2Col validates Im2Col arguments and returns (c, oh, ow).
-func checkIm2Col(x *Tensor, kh, kw, stride, pad int) (c, oh, ow int) {
-	if x.Rank() != 3 {
-		panic(fmt.Sprintf("tensor: Im2Col needs rank-3 (C,H,W) input, got %v", x.shape))
-	}
-	if stride <= 0 {
-		panic("tensor: Im2Col stride must be positive")
-	}
-	c, h, w := x.shape[0], x.shape[1], x.shape[2]
-	oh = (h+2*pad-kh)/stride + 1
-	ow = (w+2*pad-kw)/stride + 1
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Im2Col produces empty output for input %v kernel (%d,%d) stride %d pad %d", x.shape, kh, kw, stride, pad))
-	}
-	return c, oh, ow
-}
-
-// Col2Im is the adjoint of Im2Col: it scatters (accumulates) columns back
-// into an image of shape (C, H, W). Used to propagate convolution gradients
-// to the layer input.
-func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) *Tensor {
-	checkCol2Im(cols, c, h, w, kh, kw, stride, pad)
-	out := New(c, h, w)
-	col2imScatter(out.data, cols, c, h, w, kh, kw, stride, pad)
-	return out
-}
-
-// Col2ImInto is Col2Im into a caller-owned destination of shape (C, H, W).
-// dst is fully overwritten. Steady-state calls perform zero heap
-// allocations.
-func Col2ImInto(dst, cols *Tensor, c, h, w, kh, kw, stride, pad int) {
-	checkCol2Im(cols, c, h, w, kh, kw, stride, pad)
-	if dst.Rank() != 3 || dst.shape[0] != c || dst.shape[1] != h || dst.shape[2] != w {
-		panic(fmt.Sprintf("tensor: Col2ImInto destination shape %v, want (%d, %d, %d)", dst.shape, c, h, w))
-	}
-	dst.Zero()
-	col2imScatter(dst.data, cols, c, h, w, kh, kw, stride, pad)
-}
-
-// col2imScatter accumulates cols into out (len c·h·w, already zeroed).
-//
-//helcfl:noalloc
-func col2imScatter(out []float64, cols *Tensor, c, h, w, kh, kw, stride, pad int) {
-	oh := (h+2*pad-kh)/stride + 1
-	ow := (w+2*pad-kw)/stride + 1
-	col2imScatterStrided(out, cols.data, oh*ow, 0, c, h, w, kh, kw, stride, pad, oh, ow)
-}
-
 // col2imScatterStrided accumulates one sample's columns — unroll row r
 // starting at r·rowStride+colOff of colsData — into out (len c·h·w, already
 // zeroed) in the fixed (channel, ki, kj, oi, oj) order of the reference
@@ -195,7 +117,8 @@ func col2imScatterStrided(out, colsData []float64, rowStride, colOff, c, h, w, k
 	}
 }
 
-// Col2ImBatchInto is the adjoint of Im2ColBatchInto: it scatters a
+// Col2ImBatchInto is the adjoint of Im2ColBatchInto — it propagates
+// convolution gradients to the layer input: it scatters (accumulates) a
 // (C·kh·kw, B·oh·ow) sample-major column matrix back into dst of shape
 // (B, C, H, W). dst is fully overwritten. Samples touch disjoint image
 // planes, so the batch dimension shards across goroutines for large batches
@@ -230,47 +153,7 @@ func Col2ImBatchInto(dst, cols *Tensor, b, c, h, w, kh, kw, stride, pad int) {
 	}
 }
 
-// checkCol2Im validates Col2Im arguments.
-func checkCol2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) {
-	if cols.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: Col2Im needs rank-2 input, got %v", cols.shape))
-	}
-	if stride <= 0 {
-		panic("tensor: Col2Im stride must be positive")
-	}
-	oh := (h+2*pad-kh)/stride + 1
-	ow := (w+2*pad-kw)/stride + 1
-	if cols.shape[0] != c*kh*kw || cols.shape[1] != oh*ow {
-		panic(fmt.Sprintf("tensor: Col2Im shape %v inconsistent with (C,H,W)=(%d,%d,%d) kernel (%d,%d) stride %d pad %d",
-			cols.shape, c, h, w, kh, kw, stride, pad))
-	}
-}
-
 // ConvOutSize returns the spatial output size for a convolution dimension.
 func ConvOutSize(in, kernel, stride, pad int) int {
 	return (in+2*pad-kernel)/stride + 1
-}
-
-// Pad2D zero-pads a (C, H, W) tensor by pad on all four spatial sides.
-func Pad2D(x *Tensor, pad int) *Tensor {
-	if x.Rank() != 3 {
-		panic(fmt.Sprintf("tensor: Pad2D needs rank-3 (C,H,W) input, got %v", x.shape))
-	}
-	if pad == 0 {
-		return x.Clone()
-	}
-	if pad < 0 {
-		panic("tensor: Pad2D pad must be non-negative")
-	}
-	c, h, w := x.shape[0], x.shape[1], x.shape[2]
-	oh, ow := h+2*pad, w+2*pad
-	out := New(c, oh, ow)
-	for ch := 0; ch < c; ch++ {
-		for i := 0; i < h; i++ {
-			src := x.data[(ch*h+i)*w : (ch*h+i+1)*w]
-			dstBase := (ch*oh+i+pad)*ow + pad
-			copy(out.data[dstBase:dstBase+w], src)
-		}
-	}
-	return out
 }

@@ -9,7 +9,7 @@ import (
 func TestIm2ColIdentityKernel(t *testing.T) {
 	// 1x1 kernel, stride 1, no padding: im2col is just a reshape.
 	x := FromSlice([]float64{1, 2, 3, 4}, 1, 2, 2)
-	cols := Im2Col(x, 1, 1, 1, 0)
+	cols := im2col(x, 1, 1, 1, 0)
 	if cols.Dim(0) != 1 || cols.Dim(1) != 4 {
 		t.Fatalf("cols shape = %v", cols.Shape())
 	}
@@ -25,7 +25,7 @@ func TestIm2ColKnownPatch(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	}, 1, 3, 3)
-	cols := Im2Col(x, 2, 2, 1, 0)
+	cols := im2col(x, 2, 2, 1, 0)
 	if cols.Dim(0) != 4 || cols.Dim(1) != 4 {
 		t.Fatalf("cols shape = %v, want [4 4]", cols.Shape())
 	}
@@ -47,7 +47,7 @@ func TestIm2ColKnownPatch(t *testing.T) {
 
 func TestIm2ColPaddingZeros(t *testing.T) {
 	x := Ones(1, 2, 2)
-	cols := Im2Col(x, 3, 3, 1, 1)
+	cols := im2col(x, 3, 3, 1, 1)
 	// Output is 2x2 positions; the padded border contributes zeros, so the
 	// total sum must equal sum over patches of in-bounds ones.
 	if cols.Dim(0) != 9 || cols.Dim(1) != 4 {
@@ -63,7 +63,7 @@ func TestIm2ColStride(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		x.Data()[i] = float64(i)
 	}
-	cols := Im2Col(x, 2, 2, 2, 0)
+	cols := im2col(x, 2, 2, 2, 0)
 	if cols.Dim(1) != 4 {
 		t.Fatalf("stride-2 output positions = %d, want 4", cols.Dim(1))
 	}
@@ -82,31 +82,8 @@ func TestConvOutSize(t *testing.T) {
 	}
 }
 
-func TestPad2D(t *testing.T) {
-	x := Ones(2, 2, 2)
-	p := Pad2D(x, 1)
-	if p.Dim(1) != 4 || p.Dim(2) != 4 {
-		t.Fatalf("pad shape = %v", p.Shape())
-	}
-	if p.Sum() != x.Sum() {
-		t.Fatalf("padding must not change the sum: %g vs %g", p.Sum(), x.Sum())
-	}
-	if p.At(0, 0, 0) != 0 || p.At(0, 1, 1) != 1 {
-		t.Fatal("pad must put zeros on the border and keep interior values")
-	}
-}
-
-func TestPad2DZeroIsCopy(t *testing.T) {
-	x := Ones(1, 2, 2)
-	p := Pad2D(x, 0)
-	p.Set(5, 0, 0, 0)
-	if x.At(0, 0, 0) != 1 {
-		t.Fatal("Pad2D(x, 0) must return an independent copy")
-	}
-}
-
 // Property: Col2Im is the adjoint of Im2Col — for all x, y:
-// <Im2Col(x), y> == <x, Col2Im(y)>. This is exactly the property backprop
+// <im2col(x), y> == <x, col2im(y)>. This is exactly the property backprop
 // through convolution relies on.
 func TestCol2ImAdjointQuick(t *testing.T) {
 	f := func(seed int64) bool {
@@ -114,10 +91,10 @@ func TestCol2ImAdjointQuick(t *testing.T) {
 		c, h, w := 2, 5, 5
 		kh, kw, stride, pad := 3, 3, 1, 1
 		x := New(c, h, w).FillNormal(rng, 0, 1)
-		cols := Im2Col(x, kh, kw, stride, pad)
+		cols := im2col(x, kh, kw, stride, pad)
 		y := New(cols.Dim(0), cols.Dim(1)).FillNormal(rng, 0, 1)
 		lhs := cols.Dot(y)
-		rhs := x.Dot(Col2Im(y, c, h, w, kh, kw, stride, pad))
+		rhs := x.Dot(col2im(y, c, h, w, kh, kw, stride, pad))
 		d := lhs - rhs
 		if d < 0 {
 			d = -d
@@ -135,7 +112,7 @@ func TestCol2ImAccumulatesOverlaps(t *testing.T) {
 	c, h, w := 1, 2, 2
 	oh := ConvOutSize(h, 2, 1, 1)
 	cols := Ones(1*2*2, oh*oh)
-	img := Col2Im(cols, c, h, w, 2, 2, 1, 1)
+	img := col2im(cols, c, h, w, 2, 2, 1, 1)
 	for i, v := range img.Data() {
 		if v != 4 {
 			t.Fatalf("pixel %d = %g, want 4 (overlap accumulation)", i, v)
@@ -149,5 +126,5 @@ func TestIm2ColBadInputPanics(t *testing.T) {
 			t.Fatal("expected panic for rank-2 input")
 		}
 	}()
-	Im2Col(New(3, 3), 2, 2, 1, 0)
+	im2col(New(3, 3), 2, 2, 1, 0)
 }

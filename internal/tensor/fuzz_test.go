@@ -30,15 +30,15 @@ func FuzzMatMulTiledVsNaive(f *testing.F) {
 		a.Data()[rng.Intn(m*k)] = math.Float64frombits(raw)
 		b.Data()[rng.Intn(k*n)] = math.Float64frombits(raw)
 
-		if got, want := MatMul(a, b), MatMulNaive(a, b); !bitIdentical(got, want) {
+		if got, want := matMul(a, b), MatMulNaive(a, b); !bitIdentical(got, want) {
 			t.Fatalf("MatMul (%d,%d)x(%d,%d) diverges from naive", m, k, k, n)
 		}
-		at := a.Transpose()
-		if got, want := MatMulTransA(at, b), MatMulTransANaive(at, b); !bitIdentical(got, want) {
+		at := transpose(a)
+		if got, want := matMulTransA(at, b), MatMulTransANaive(at, b); !bitIdentical(got, want) {
 			t.Fatalf("MatMulTransA (%d,%d)ᵀx(%d,%d) diverges from naive", k, m, k, n)
 		}
-		bt := b.Transpose()
-		if got, want := MatMulTransB(a, bt), MatMulTransBNaive(a, bt); !bitIdentical(got, want) {
+		bt := transpose(b)
+		if got, want := matMulTransB(a, bt), MatMulTransBNaive(a, bt); !bitIdentical(got, want) {
 			t.Fatalf("MatMulTransB (%d,%d)x(%d,%d)ᵀ diverges from naive", m, k, n, k)
 		}
 	})
@@ -66,13 +66,13 @@ func FuzzIm2ColTiledVsNaive(f *testing.F) {
 		x := New(c, h, w)
 		fillAdversarial(x, rng)
 		want := Im2ColNaive(x, kh, kw, stride, pad)
-		if got := Im2Col(x, kh, kw, stride, pad); !bitIdentical(got, want) {
+		if got := im2col(x, kh, kw, stride, pad); !bitIdentical(got, want) {
 			t.Fatalf("Im2Col diverges: c=%d h=%d w=%d kh=%d kw=%d s=%d p=%d", c, h, w, kh, kw, stride, pad)
 		}
 		cols := New(want.Dim(0), want.Dim(1))
 		fillAdversarial(cols, rng)
 		wantIm := Col2ImNaive(cols, c, h, w, kh, kw, stride, pad)
-		if got := Col2Im(cols, c, h, w, kh, kw, stride, pad); !bitIdentical(got, wantIm) {
+		if got := col2im(cols, c, h, w, kh, kw, stride, pad); !bitIdentical(got, wantIm) {
 			t.Fatalf("Col2Im diverges: c=%d h=%d w=%d kh=%d kw=%d s=%d p=%d", c, h, w, kh, kw, stride, pad)
 		}
 	})

@@ -4,15 +4,11 @@ import "fmt"
 
 // Matrix-multiply kernels.
 //
-// All three products (a·b, aᵀ·b, a·bᵀ) come in two forms:
-//
-//   - MatMul*: allocate the result and compute it (the historical API);
-//   - MatMul*Into: compute into a caller-owned destination with zero heap
-//     allocations — the training hot path uses these through the layer
-//     scratch buffers in internal/nn.
-//
-// The straight-loop reference kernels (MatMul*Naive) live with the tests,
-// in matmul_naive_test.go.
+// All three products (a·b, aᵀ·b, a·bᵀ) compute into a caller-owned
+// destination with zero heap allocations (MatMul*Into) — the training hot
+// path uses them through the layer scratch buffers in internal/nn. The
+// straight-loop reference kernels (MatMul*Naive) live with the tests, in
+// matmul_naive_test.go.
 //
 // The compute kernels are blocked/tiled for cache locality and, for large
 // products, row-sharded across goroutines. Both transformations preserve
@@ -33,15 +29,6 @@ const (
 	// million multiply-adds the spawn overhead outweighs the concurrency.
 	parallelMinFlops = 1 << 20
 )
-
-// MatMul returns the matrix product a·b, where a has shape (m, k) and b has
-// shape (k, n).
-func MatMul(a, b *Tensor) *Tensor {
-	m, _, n := checkMatMul(a, b)
-	out := New(m, n)
-	MatMulInto(out, a, b)
-	return out
-}
 
 // MatMulInto computes a·b into dst, which must have shape (m, n). dst is
 // fully overwritten. Steady-state calls perform zero heap allocations.
@@ -105,16 +92,6 @@ func matMulRows(dst, a, b []float64, k, n, lo, hi int) {
 	}
 }
 
-// MatMulTransA returns aᵀ·b, where a has shape (k, m) and b has shape
-// (k, n), producing (m, n). Used for weight-gradient accumulation
-// (xᵀ · dy) without materializing the transpose.
-func MatMulTransA(a, b *Tensor) *Tensor {
-	_, m, n := checkMatMulTransA(a, b)
-	out := New(m, n)
-	MatMulTransAInto(out, a, b)
-	return out
-}
-
 // MatMulTransAInto computes aᵀ·b into dst, which must have shape (m, n).
 // dst is fully overwritten. Steady-state calls perform zero heap
 // allocations.
@@ -154,16 +131,6 @@ func matMulTransARows(dst, a, b []float64, k, m, n, lo, hi int) {
 			}
 		}
 	}
-}
-
-// MatMulTransB returns a·bᵀ, where a has shape (m, k) and b has shape
-// (n, k), producing (m, n). Used for input-gradient propagation
-// (dy · Wᵀ) without materializing the transpose.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, _, n := checkMatMulTransB(a, b)
-	out := New(m, n)
-	MatMulTransBInto(out, a, b)
-	return out
 }
 
 // MatMulTransBInto computes a·bᵀ into dst, which must have shape (m, n).
@@ -261,34 +228,4 @@ func checkDst(op string, dst *Tensor, m, n int) {
 	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: %s destination shape %v, want (%d, %d)", op, dst.shape, m, n))
 	}
-}
-
-// Transpose returns the transpose of a rank-2 tensor.
-func (t *Tensor) Transpose() *Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose needs rank 2, got shape %v", t.shape))
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	out := New(cols, rows)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			out.data[c*rows+r] = t.data[r*cols+c]
-		}
-	}
-	return out
-}
-
-// Outer returns the outer product a ⊗ b of two flat vectors, shaped
-// (a.Size(), b.Size()).
-func Outer(a, b *Tensor) *Tensor {
-	m, n := a.Size(), b.Size()
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		av := a.data[i]
-		row := out.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			row[j] = av * b.data[j]
-		}
-	}
-	return out
 }

@@ -66,7 +66,7 @@ func TestMatMulTiledMatchesNaiveBitwise(t *testing.T) {
 		fillAdversarial(b, rng)
 
 		want := MatMulNaive(a, b)
-		if got := MatMul(a, b); !bitIdentical(got, want) {
+		if got := matMul(a, b); !bitIdentical(got, want) {
 			t.Fatalf("MatMul (%d,%d)x(%d,%d) diverges from naive", m, k, k, n)
 		}
 		dst := New(m, n)
@@ -76,9 +76,9 @@ func TestMatMulTiledMatchesNaiveBitwise(t *testing.T) {
 			t.Fatalf("MatMulInto (%d,%d)x(%d,%d) diverges from naive", m, k, k, n)
 		}
 
-		at := a.Transpose() // (k, m): aᵀ·b == naive(a)·b
+		at := transpose(a) // (k, m): aᵀ·b == naive(a)·b
 		wantTA := MatMulTransANaive(at, b)
-		if got := MatMulTransA(at, b); !bitIdentical(got, wantTA) {
+		if got := matMulTransA(at, b); !bitIdentical(got, wantTA) {
 			t.Fatalf("MatMulTransA (%d,%d)ᵀx(%d,%d) diverges from naive", k, m, k, n)
 		}
 		dst.Fill(-1)
@@ -87,9 +87,9 @@ func TestMatMulTiledMatchesNaiveBitwise(t *testing.T) {
 			t.Fatalf("MatMulTransAInto (%d,%d)ᵀx(%d,%d) diverges from naive", k, m, k, n)
 		}
 
-		bt := b.Transpose() // (n, k): a·btᵀ == a·b shapes
+		bt := transpose(b) // (n, k): a·btᵀ == a·b shapes
 		wantTB := MatMulTransBNaive(a, bt)
-		if got := MatMulTransB(a, bt); !bitIdentical(got, wantTB) {
+		if got := matMulTransB(a, bt); !bitIdentical(got, wantTB) {
 			t.Fatalf("MatMulTransB (%d,%d)x(%d,%d)ᵀ diverges from naive", m, k, n, k)
 		}
 		dst.Fill(7)
@@ -110,23 +110,23 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	a, b := New(m, k), New(k, n)
 	fillAdversarial(a, rng)
 	fillAdversarial(b, rng)
-	at, bt := a.Transpose(), b.Transpose()
+	at, bt := transpose(a), transpose(b)
 
 	prev := SetWorkers(1)
 	defer SetWorkers(prev)
-	serial := MatMul(a, b)
-	serialTA := MatMulTransA(at, b)
-	serialTB := MatMulTransB(a, bt)
+	serial := matMul(a, b)
+	serialTA := matMulTransA(at, b)
+	serialTB := matMulTransB(a, bt)
 
 	for _, w := range []int{2, 3, 8} {
 		SetWorkers(w)
-		if got := MatMul(a, b); !bitIdentical(got, serial) {
+		if got := matMul(a, b); !bitIdentical(got, serial) {
 			t.Fatalf("parallel MatMul (workers=%d) diverges from serial", w)
 		}
-		if got := MatMulTransA(at, b); !bitIdentical(got, serialTA) {
+		if got := matMulTransA(at, b); !bitIdentical(got, serialTA) {
 			t.Fatalf("parallel MatMulTransA (workers=%d) diverges from serial", w)
 		}
-		if got := MatMulTransB(a, bt); !bitIdentical(got, serialTB) {
+		if got := matMulTransB(a, bt); !bitIdentical(got, serialTB) {
 			t.Fatalf("parallel MatMulTransB (workers=%d) diverges from serial", w)
 		}
 	}
@@ -148,27 +148,21 @@ func TestIm2ColCol2ImIntoMatchNaive(t *testing.T) {
 		x := New(tc.c, tc.h, tc.w)
 		fillAdversarial(x, rng)
 		want := Im2ColNaive(x, tc.kh, tc.kw, tc.stride, tc.pad)
-		if got := Im2Col(x, tc.kh, tc.kw, tc.stride, tc.pad); !bitIdentical(got, want) {
-			t.Fatalf("Im2Col %+v diverges from naive", tc)
-		}
 		dst := New(want.Dim(0), want.Dim(1))
-		dst.Fill(9)
-		Im2ColInto(dst, x, tc.kh, tc.kw, tc.stride, tc.pad)
+		dst.Fill(9) // Into must fully overwrite a dirty destination
+		Im2ColBatchInto(dst, x.Reshape(1, tc.c, tc.h, tc.w), tc.kh, tc.kw, tc.stride, tc.pad)
 		if !bitIdentical(dst, want) {
-			t.Fatalf("Im2ColInto %+v diverges from naive", tc)
+			t.Fatalf("Im2ColBatchInto %+v diverges from naive", tc)
 		}
 
 		cols := New(want.Dim(0), want.Dim(1))
 		fillAdversarial(cols, rng)
 		wantIm := Col2ImNaive(cols, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)
-		if got := Col2Im(cols, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad); !bitIdentical(got, wantIm) {
-			t.Fatalf("Col2Im %+v diverges from naive", tc)
-		}
-		dim := New(tc.c, tc.h, tc.w)
+		dim := New(1, tc.c, tc.h, tc.w)
 		dim.Fill(-2)
-		Col2ImInto(dim, cols, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)
-		if !bitIdentical(dim, wantIm) {
-			t.Fatalf("Col2ImInto %+v diverges from naive", tc)
+		Col2ImBatchInto(dim, cols, 1, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad)
+		if !bitIdentical(dim.Reshape(tc.c, tc.h, tc.w), wantIm) {
+			t.Fatalf("Col2ImBatchInto %+v diverges from naive", tc)
 		}
 	}
 }
@@ -181,10 +175,10 @@ func TestMatMulDegenerateVectors(t *testing.T) {
 		col := New(n, 1)
 		fillAdversarial(row, rng)
 		fillAdversarial(col, rng)
-		if got, want := MatMul(row, col), MatMulNaive(row, col); !bitIdentical(got, want) {
+		if got, want := matMul(row, col), MatMulNaive(row, col); !bitIdentical(got, want) {
 			t.Fatalf("1x%d · %dx1 diverges", n, n)
 		}
-		if got, want := MatMul(col, row), MatMulNaive(col, row); !bitIdentical(got, want) {
+		if got, want := matMul(col, row), MatMulNaive(col, row); !bitIdentical(got, want) {
 			t.Fatalf("%dx1 · 1x%d diverges", n, n)
 		}
 	}
@@ -203,16 +197,16 @@ func TestMatMulPanicsPreserved(t *testing.T) {
 		f()
 	}
 	a23, a32, v3 := New(2, 3), New(3, 2), New(3)
-	mustPanic("MatMul mismatch", func() { MatMul(a23, a23) })
-	mustPanic("MatMul rank", func() { MatMul(v3, a23) })
-	mustPanic("MatMulTransA mismatch", func() { MatMulTransA(a23, a32) })
-	mustPanic("MatMulTransB mismatch", func() { MatMulTransB(a23, New(2, 4)) })
+	mustPanic("MatMul mismatch", func() { matMul(a23, a23) })
+	mustPanic("MatMul rank", func() { matMul(v3, a23) })
+	mustPanic("MatMulTransA mismatch", func() { matMulTransA(a23, a32) })
+	mustPanic("MatMulTransB mismatch", func() { matMulTransB(a23, New(2, 4)) })
 	mustPanic("MatMulInto bad dst", func() { MatMulInto(New(2, 3), a23, a32) })
 	mustPanic("MatMulTransAInto bad dst", func() { MatMulTransAInto(New(2, 2), a23, a23) })
 	mustPanic("MatMulTransBInto bad dst", func() { MatMulTransBInto(New(3, 3), a23, New(4, 3)) })
-	mustPanic("Im2ColInto bad dst", func() { Im2ColInto(New(1, 1), New(1, 4, 4), 3, 3, 1, 0) })
-	mustPanic("Col2ImInto bad dst", func() { Col2ImInto(New(1, 2, 2), New(9, 4), 1, 4, 4, 3, 3, 1, 0) })
-	mustPanic("Col2Im zero stride", func() { Col2Im(New(9, 4), 1, 4, 4, 3, 3, 0, 0) })
+	mustPanic("Im2ColBatchInto bad dst", func() { Im2ColBatchInto(New(1, 1), New(1, 1, 4, 4), 3, 3, 1, 0) })
+	mustPanic("Col2ImBatchInto bad dst", func() { Col2ImBatchInto(New(1, 1, 2, 2), New(9, 4), 1, 1, 4, 4, 3, 3, 1, 0) })
+	mustPanic("Col2ImBatchInto zero stride", func() { Col2ImBatchInto(New(1, 1, 4, 4), New(9, 4), 1, 1, 4, 4, 3, 3, 0, 0) })
 }
 
 // TestConvBatchKernelsMatchPerSample pins the batched (sample-major) im2col

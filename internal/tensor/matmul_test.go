@@ -16,7 +16,7 @@ func TestMatMulKnown(t *testing.T) {
 		7, 8, 9,
 		10, 11, 12,
 	}, 2, 3)
-	got := MatMul(a, b)
+	got := matMul(a, b)
 	want := FromSlice([]float64{
 		27, 30, 33,
 		61, 68, 75,
@@ -34,10 +34,10 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		eye.Set(1, i, i)
 	}
-	if !MatMul(a, eye).AllClose(a, 1e-15) {
+	if !matMul(a, eye).AllClose(a, 1e-15) {
 		t.Fatal("A·I must equal A")
 	}
-	if !MatMul(eye, a).AllClose(a, 1e-15) {
+	if !matMul(eye, a).AllClose(a, 1e-15) {
 		t.Fatal("I·A must equal A")
 	}
 }
@@ -48,17 +48,17 @@ func TestMatMulDimensionMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic for inner-dimension mismatch")
 		}
 	}()
-	MatMul(New(2, 3), New(2, 3))
+	matMul(New(2, 3), New(2, 3))
 }
 
 func TestMatMulTransAAgreesWithExplicitTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := New(5, 3).FillNormal(rng, 0, 1)
 	b := New(5, 4).FillNormal(rng, 0, 1)
-	got := MatMulTransA(a, b)
-	want := MatMul(a.Transpose(), b)
+	got := matMulTransA(a, b)
+	want := matMul(transpose(a), b)
 	if !got.AllClose(want, 1e-12) {
-		t.Fatal("MatMulTransA must equal MatMul(Aᵀ, B)")
+		t.Fatal("MatMulTransA must equal matMul(Aᵀ, B)")
 	}
 }
 
@@ -66,32 +66,34 @@ func TestMatMulTransBAgreesWithExplicitTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := New(4, 6).FillNormal(rng, 0, 1)
 	b := New(5, 6).FillNormal(rng, 0, 1)
-	got := MatMulTransB(a, b)
-	want := MatMul(a, b.Transpose())
+	got := matMulTransB(a, b)
+	want := matMul(a, transpose(b))
 	if !got.AllClose(want, 1e-12) {
-		t.Fatal("MatMulTransB must equal MatMul(A, Bᵀ)")
+		t.Fatal("MatMulTransB must equal matMul(A, Bᵀ)")
 	}
 }
 
 func TestTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := New(3, 7).FillNormal(rng, 0, 1)
-	if !a.Transpose().Transpose().Equal(a) {
+	if !transpose(transpose(a)).Equal(a) {
 		t.Fatal("transpose must be an involution")
 	}
-	at := a.Transpose()
+	at := transpose(a)
 	if at.Dim(0) != 7 || at.Dim(1) != 3 {
 		t.Fatalf("transpose shape = %v", at.Shape())
 	}
 }
 
+// TestOuter: the outer product a ⊗ b is the k = 1 matrix product of a
+// column by a row.
 func TestOuter(t *testing.T) {
-	a := FromSlice([]float64{1, 2}, 2)
-	b := FromSlice([]float64{3, 4, 5}, 3)
-	got := Outer(a, b)
+	a := FromSlice([]float64{1, 2}, 2, 1)
+	b := FromSlice([]float64{3, 4, 5}, 1, 3)
+	got := matMul(a, b)
 	want := FromSlice([]float64{3, 4, 5, 6, 8, 10}, 2, 3)
 	if !got.Equal(want) {
-		t.Fatalf("Outer = %v, want %v", got, want)
+		t.Fatalf("a ⊗ b = %v, want %v", got, want)
 	}
 }
 
@@ -101,8 +103,8 @@ func TestMatMulTransposeIdentityQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := New(3, 4).FillNormal(rng, 0, 1)
 		b := New(4, 2).FillNormal(rng, 0, 1)
-		lhs := MatMul(a, b).Transpose()
-		rhs := MatMul(b.Transpose(), a.Transpose())
+		lhs := transpose(matMul(a, b))
+		rhs := matMul(transpose(b), transpose(a))
 		return lhs.AllClose(rhs, 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -117,8 +119,8 @@ func TestMatMulLinearityQuick(t *testing.T) {
 		a1 := New(3, 3).FillNormal(rng, 0, 1)
 		a2 := New(3, 3).FillNormal(rng, 0, 1)
 		b := New(3, 3).FillNormal(rng, 0, 1)
-		lhs := MatMul(a1.Add(a2), b)
-		rhs := MatMul(a1, b).Add(MatMul(a2, b))
+		lhs := matMul(a1.Add(a2), b)
+		rhs := matMul(a1, b).Add(matMul(a2, b))
 		return lhs.AllClose(rhs, 1e-10)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
