@@ -36,7 +36,7 @@ func main() {
 		opt.LR = sched.LR(step)
 		model.ZeroGrads()
 		l := loss.Forward(model.Forward(x, true), labels)
-		model.Backward(loss.Backward())
+		model.BackwardParams(loss.Backward())
 		opt.Step(model.Params(), model.Grads())
 		if step%30 == 0 {
 			_, acc := fl.Evaluate(model, env.Synth.Test, true)

@@ -37,7 +37,7 @@ func LocalUpdate(m *nn.Sequential, loss *nn.SoftmaxCrossEntropy, x *tensor.Tenso
 		m.ZeroGrads()
 		logits := m.Forward(x, true)
 		lossVal = loss.Forward(logits, labels)
-		m.Backward(loss.Backward())
+		m.BackwardParams(loss.Backward())
 		// θ ← θ - τ·(∇L + μ(θ − θ_G)); with μ=0 this is exactly Eq. (3)
 		// (the mean over |D_q| is inside the softmax-CE loss).
 		params, grads := m.Params(), m.Grads()

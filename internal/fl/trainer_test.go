@@ -11,6 +11,7 @@ import (
 	"helcfl/internal/device"
 	"helcfl/internal/nn"
 	"helcfl/internal/sim"
+	"helcfl/internal/tensor"
 	"helcfl/internal/wireless"
 )
 
@@ -85,6 +86,64 @@ func TestTrainerReuseMatchesFreshClients(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// fullBackwardUpdate is LocalUpdate's Eq. (3) loop written out with
+// Sequential.Backward, which also computes the first layer's input
+// gradient: the reference LocalUpdate's parameter-only backward must match.
+func fullBackwardUpdate(m *nn.Sequential, loss *nn.SoftmaxCrossEntropy, x *tensor.Tensor, labels []int, global []float64, lr float64, steps int, mu float64) ([]float64, float64) {
+	m.SetFlatParams(global)
+	lossVal := 0.0
+	for s := 0; s < steps; s++ {
+		m.ZeroGrads()
+		lossVal = loss.Forward(m.Forward(x, true), labels)
+		m.Backward(loss.Backward())
+		off := 0
+		for i, p := range m.Params() {
+			g := m.Grads()[i]
+			if mu != 0 {
+				pd, gd := p.Data(), g.Data()
+				for j := range gd {
+					gd[j] += mu * (pd[j] - global[off+j])
+				}
+			}
+			p.AXPY(-lr, g)
+			off += p.Size()
+		}
+	}
+	return m.GetFlatParams(), lossVal
+}
+
+// TestLocalUpdateMatchesFullBackward pins the parameter-only backward on
+// the product path: for every model kind, with and without the proximal
+// term, over one and several steps, LocalUpdate's parameters and loss are
+// bit-identical to the same loop run with the full Backward.
+func TestLocalUpdateMatchesFullBackward(t *testing.T) {
+	for _, spec := range []nn.ModelSpec{
+		{Kind: "mlp", InC: 3, H: 8, W: 8, Classes: 10, Hidden: []int{32}},
+		{Kind: "logistic", InC: 3, H: 8, W: 8, Classes: 10},
+		{Kind: "squeezenet-mini", InC: 3, H: 8, W: 8, Classes: 10},
+	} {
+		env := newSizedEnv(t, 31, []int{24}, spec)
+		d := env.users[0]
+		x := modelInput(d, spec.FlattensInput())
+		global := spec.Build(rand.New(rand.NewSource(9))).GetFlatParams()
+		for _, mu := range []float64{0, 0.01} {
+			for _, steps := range []int{1, 3} {
+				m := spec.Build(rand.New(rand.NewSource(1)))
+				ref := m.Clone()
+				got := make([]float64, len(global))
+				gotLoss := LocalUpdate(m, nn.NewSoftmaxCrossEntropy(), x, d.Labels, global, 0.1, steps, mu, got)
+				want, wantLoss := fullBackwardUpdate(ref, nn.NewSoftmaxCrossEntropy(), x, d.Labels, global, 0.1, steps, mu)
+				if !sameBits(gotLoss, wantLoss) {
+					t.Errorf("%s mu=%g steps=%d: loss %v, full backward %v", spec.Kind, mu, steps, gotLoss, wantLoss)
+				}
+				if !slices.EqualFunc(got, want, sameBits) {
+					t.Errorf("%s mu=%g steps=%d: parameters diverge from the full-backward loop", spec.Kind, mu, steps)
+				}
+			}
+		}
 	}
 }
 

@@ -10,12 +10,17 @@ import (
 
 // trainStep runs one full-batch GD step: zero grads, forward, loss,
 // backward, SGD-style parameter update — the exact shape of the client-side
-// hot loop in internal/fl.
-func trainStep(m *Sequential, loss *SoftmaxCrossEntropy, x *tensor.Tensor, labels []int, lr float64) float64 {
+// hot loop in internal/fl, which backpropagates with BackwardParams; the
+// gates below run it with Backward too.
+func trainStep(m *Sequential, loss *SoftmaxCrossEntropy, x *tensor.Tensor, labels []int, lr float64, paramsOnly bool) float64 {
 	m.ZeroGrads()
 	logits := m.Forward(x, true)
 	l := loss.Forward(logits, labels)
-	m.Backward(loss.Backward())
+	if paramsOnly {
+		m.BackwardParams(loss.Backward())
+	} else {
+		m.Backward(loss.Backward())
+	}
 	params, grads := m.Params(), m.Grads()
 	for i, p := range params {
 		p.AXPY(-lr, grads[i])
@@ -47,23 +52,33 @@ func randomBatch(spec ModelSpec, batch int, rng *rand.Rand) (*tensor.Tensor, []i
 	return x, labels
 }
 
+// forEachBackward runs body as one subtest per backward pass a training
+// step can take: Backward, and BackwardParams (the one internal/fl uses).
+func forEachBackward(t *testing.T, body func(t *testing.T, paramsOnly bool)) {
+	t.Run("Backward", func(t *testing.T) { body(t, false) })
+	t.Run("BackwardParams", func(t *testing.T) { body(t, true) })
+}
+
 // TestTrainStepZeroAllocs pins zero steady-state heap allocations for a
-// full training step on every model kind the experiments build. Layer
-// scratch is allocated on the first (warm-up) step and reused afterwards.
+// full training step on every model kind the experiments build, through
+// both backward passes. Layer scratch is allocated on the first (warm-up)
+// step and reused afterwards.
 func TestTrainStepZeroAllocs(t *testing.T) {
 	for _, spec := range allocSpecs {
 		t.Run(spec.Kind, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			m := spec.Build(rng)
-			loss := NewSoftmaxCrossEntropy()
-			x, labels := randomBatch(spec, 16, rng)
-			trainStep(m, loss, x, labels, 0.05) // warm-up: allocates scratch
-			n := testing.AllocsPerRun(20, func() {
-				trainStep(m, loss, x, labels, 0.05)
+			forEachBackward(t, func(t *testing.T, paramsOnly bool) {
+				rng := rand.New(rand.NewSource(11))
+				m := spec.Build(rng)
+				loss := NewSoftmaxCrossEntropy()
+				x, labels := randomBatch(spec, 16, rng)
+				trainStep(m, loss, x, labels, 0.05, paramsOnly) // warm-up: allocates scratch
+				n := testing.AllocsPerRun(20, func() {
+					trainStep(m, loss, x, labels, 0.05, paramsOnly)
+				})
+				if n != 0 {
+					t.Errorf("%s steady-state training step allocates %v times, want 0", spec.Kind, n)
+				}
 			})
-			if n != 0 {
-				t.Errorf("%s steady-state training step allocates %v times, want 0", spec.Kind, n)
-			}
 		})
 	}
 }
@@ -76,20 +91,22 @@ func TestTrainStepZeroAllocs(t *testing.T) {
 func TestTrainStepZeroAllocsAlternatingBatches(t *testing.T) {
 	for _, spec := range allocSpecs {
 		t.Run(spec.Kind, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(13))
-			m := spec.Build(rng)
-			loss := NewSoftmaxCrossEntropy()
-			xs, ls := randomBatch(spec, 9, rng)
-			xl, ll := randomBatch(spec, 16, rng)
-			trainStep(m, loss, xs, ls, 0.05)
-			trainStep(m, loss, xl, ll, 0.05)
-			n := testing.AllocsPerRun(20, func() {
-				trainStep(m, loss, xs, ls, 0.05)
-				trainStep(m, loss, xl, ll, 0.05)
+			forEachBackward(t, func(t *testing.T, paramsOnly bool) {
+				rng := rand.New(rand.NewSource(13))
+				m := spec.Build(rng)
+				loss := NewSoftmaxCrossEntropy()
+				xs, ls := randomBatch(spec, 9, rng)
+				xl, ll := randomBatch(spec, 16, rng)
+				trainStep(m, loss, xs, ls, 0.05, paramsOnly)
+				trainStep(m, loss, xl, ll, 0.05, paramsOnly)
+				n := testing.AllocsPerRun(20, func() {
+					trainStep(m, loss, xs, ls, 0.05, paramsOnly)
+					trainStep(m, loss, xl, ll, 0.05, paramsOnly)
+				})
+				if n != 0 {
+					t.Errorf("%s alternating 9- and 16-sample steps allocates %v times, want 0", spec.Kind, n)
+				}
 			})
-			if n != 0 {
-				t.Errorf("%s alternating 9- and 16-sample steps allocates %v times, want 0", spec.Kind, n)
-			}
 		})
 	}
 }

@@ -179,3 +179,26 @@ func TestLayerGradAccumulation(t *testing.T) {
 		})
 	}
 }
+
+// BackwardParams accumulates the same parameter gradients as Backward, bit
+// for bit, whatever the first layer is: Dense and Conv2D take their
+// parameter-only path, every other layer its full Backward.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	for _, tc := range layerCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			full := NewSequential(tc.make(rng))
+			params := full.Clone()
+			x := tc.input(rng)
+			dout := full.Forward(x, true).Clone().FillNormal(rng, 0, 1)
+			params.Forward(x, true)
+			full.Backward(dout.Clone())
+			params.BackwardParams(dout)
+			for i, g := range params.Grads() {
+				if !bitEqualTensors(g, full.Grads()[i]) {
+					t.Fatalf("grad %d differs from Backward's", i)
+				}
+			}
+		})
+	}
+}

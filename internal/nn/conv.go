@@ -91,6 +91,23 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	c.backwardParams(dout)
+	b := c.batch
+	positions := c.outH * c.outW
+	ckk := c.InC * c.KH * c.KW
+
+	// dcols = Wᵀ·dy, one matmul for the batch, then scatter dcols back per
+	// sample; samples shard across goroutines for large batches.
+	c.dcols = ensure2(c.dcols, ckk, b*positions)
+	tensor.MatMulTransAInto(c.dcols, c.w, c.dyMega)
+	c.dx = ensure4(c.dx, b, c.InC, c.inH, c.inW)
+	tensor.Col2ImBatchInto(c.dx, c.dcols, b, c.InC, c.inH, c.inW, c.KH, c.KW, c.Stride, c.Pad)
+	return c.dx
+}
+
+// backwardParams reorders dout into c.dyMega and accumulates dW += dy·colsᵀ
+// and db: the parameter half of Backward, all a first layer needs.
+func (c *Conv2D) backwardParams(dout *tensor.Tensor) {
 	if c.cols == nil {
 		panic("nn: Conv2D backward before forward")
 	}
@@ -115,18 +132,9 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		dbd[oc] += sum
 	}
 
-	// dW += dy·colsᵀ and dcols = Wᵀ·dy, each one matmul for the batch.
 	c.dwTmp = ensure2(c.dwTmp, c.OutC, ckk)
 	tensor.MatMulTransBInto(c.dwTmp, c.dyMega, c.cols)
 	c.dw.AddInPlace(c.dwTmp)
-	c.dcols = ensure2(c.dcols, ckk, b*positions)
-	tensor.MatMulTransAInto(c.dcols, c.w, c.dyMega)
-
-	// Scatter dcols back per sample; samples shard across goroutines for
-	// large batches.
-	c.dx = ensure4(c.dx, b, c.InC, c.inH, c.inW)
-	tensor.Col2ImBatchInto(c.dx, c.dcols, b, c.InC, c.inH, c.inW, c.KH, c.KW, c.Stride, c.Pad)
-	return c.dx
 }
 
 // Params implements Layer.

@@ -48,6 +48,15 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	d.backwardParams(dout)
+	d.dx = ensure2(d.dx, dout.Dim(0), d.In)
+	tensor.MatMulTransBInto(d.dx, dout, d.w)
+	return d.dx
+}
+
+// backwardParams accumulates dW += xᵀ·dout and db += colsum(dout): the
+// parameter half of Backward, all a first layer needs.
+func (d *Dense) backwardParams(dout *tensor.Tensor) {
 	if d.x == nil {
 		panic("nn: Dense backward before forward")
 	}
@@ -55,9 +64,6 @@ func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	tensor.MatMulTransAInto(d.dwTmp, d.x, dout)
 	d.dw.AddInPlace(d.dwTmp)
 	dout.AddColSumsInto(d.db)
-	d.dx = ensure2(d.dx, dout.Dim(0), d.In)
-	tensor.MatMulTransBInto(d.dx, dout, d.w)
-	return d.dx
 }
 
 // Params implements Layer.

@@ -42,7 +42,35 @@ func (m *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward propagates a loss gradient through all layers in reverse,
 // accumulating parameter gradients, and returns the input gradient.
 func (m *Sequential) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	return m.backward(dout, false)
+}
+
+// BackwardParams is Backward for a training step: it accumulates the same
+// parameter gradients, bit for bit, but the first layer skips the gradient
+// with respect to the model input, which no optimizer reads. For Dense
+// that is one of its three matmuls; for Conv2D a matmul and the col2im
+// scatter.
+func (m *Sequential) BackwardParams(dout *tensor.Tensor) {
+	m.backward(dout, true)
+}
+
+// paramBackwarder is a layer that can accumulate its parameter gradients
+// without computing its input gradient.
+type paramBackwarder interface {
+	backwardParams(dout *tensor.Tensor)
+}
+
+// backward runs the layers in reverse. With paramsOnly, a first layer
+// that is a paramBackwarder stops at its parameter gradients and the
+// result is nil; any other first layer runs its full Backward.
+func (m *Sequential) backward(dout *tensor.Tensor, paramsOnly bool) *tensor.Tensor {
 	for i := len(m.layers) - 1; i >= 0; i-- {
+		if paramsOnly && i == 0 {
+			if l, ok := m.layers[0].(paramBackwarder); ok {
+				l.backwardParams(dout)
+				return nil
+			}
+		}
 		dout = m.layers[i].Backward(dout)
 	}
 	return dout

@@ -118,3 +118,40 @@ func BenchmarkMatMulTransBTiled256(b *testing.B) {
 		matMulTransB(x, y)
 	}
 }
+
+// BenchmarkMatMulShapes times each kernel at the shapes the fl_* workloads
+// feed it, single-worker so the number is the kernel's and not the
+// scheduler's: MLP-128 on 192-feature inputs (40-sample local update,
+// 256-sample evaluation batch) and the squeezenet-mini stem on a 40-image
+// batch of 8×8 positions. a, b and dst are the stored shapes.
+func BenchmarkMatMulShapes(b *testing.B) {
+	cases := []struct {
+		name      string
+		kernel    func(dst, a, b *Tensor)
+		a, b, dst [2]int
+	}{
+		{"mlp_eval", MatMulInto, [2]int{256, 192}, [2]int{192, 128}, [2]int{256, 128}},
+		{"mlp_update", MatMulInto, [2]int{40, 192}, [2]int{192, 128}, [2]int{40, 128}},
+		{"mlp_dW", MatMulTransAInto, [2]int{40, 192}, [2]int{40, 128}, [2]int{192, 128}},
+		{"mlp_dx", MatMulTransBInto, [2]int{40, 128}, [2]int{192, 128}, [2]int{40, 192}},
+		{"cnn_stem", MatMulInto, [2]int{16, 27}, [2]int{27, 2560}, [2]int{16, 2560}},
+		{"cnn_dW", MatMulTransBInto, [2]int{16, 2560}, [2]int{27, 2560}, [2]int{16, 27}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			prev := SetWorkers(1)
+			defer SetWorkers(prev)
+			rng := rand.New(rand.NewSource(6))
+			x := New(c.a[:]...).FillNormal(rng, 0, 1)
+			y := New(c.b[:]...).FillNormal(rng, 0, 1)
+			dst := New(c.dst[:]...)
+			flops := c.a[0] * c.a[1] * c.dst[1] // every a element meets one dst row
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.kernel(dst, x, y)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(flops), "ns/flop")
+		})
+	}
+}

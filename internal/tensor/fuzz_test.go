@@ -7,17 +7,23 @@ import (
 )
 
 // FuzzMatMulTiledVsNaive drives the tiled a·b, aᵀ·b, and a·bᵀ kernels
-// against their naive references with fuzzer-chosen shapes and a raw
-// float64 bit pattern injected into one element, requiring bit-for-bit
-// identical outputs. Shapes are clamped so each case runs in microseconds;
-// the corpus seeds cover block-boundary and degenerate 1×N/N×1 shapes.
+// against their naive references with fuzzer-chosen shapes, a fuzzer-chosen
+// extra zero density (zr/256 of the entries on top of fillAdversarial's
+// quarter — the half-zero seeds look like ReLU activations and split the
+// fused axpy4 groups every which way), and a raw float64 bit pattern
+// injected into one element, requiring bit-for-bit identical outputs.
+// Shapes are clamped so each case runs in microseconds; the corpus seeds
+// cover block-boundary and degenerate 1×N/N×1 shapes.
 func FuzzMatMulTiledVsNaive(f *testing.F) {
-	f.Add(uint8(1), uint8(1), uint8(1), int64(0), uint64(0))
-	f.Add(uint8(1), uint8(65), uint8(1), int64(1), math.Float64bits(-0.0))          // 1×N · N×1 across blockK
-	f.Add(uint8(64), uint8(64), uint8(64), int64(2), math.Float64bits(1e300))       // exact block multiple
-	f.Add(uint8(65), uint8(63), uint8(66), int64(3), math.Float64bits(math.Inf(1))) // straddles blockK
-	f.Add(uint8(7), uint8(129), uint8(3), int64(4), math.Float64bits(math.NaN()))   // two k-blocks + NaN
-	f.Fuzz(func(t *testing.T, mr, kr, nr uint8, seed int64, raw uint64) {
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), int64(0), uint64(0))
+	f.Add(uint8(1), uint8(65), uint8(1), uint8(0), int64(1), math.Float64bits(-0.0))           // 1×N · N×1 across blockK
+	f.Add(uint8(64), uint8(64), uint8(64), uint8(0), int64(2), math.Float64bits(1e300))        // exact block multiple
+	f.Add(uint8(65), uint8(63), uint8(66), uint8(0), int64(3), math.Float64bits(math.Inf(1)))  // straddles blockK
+	f.Add(uint8(7), uint8(129), uint8(3), uint8(0), int64(4), math.Float64bits(math.NaN()))    // two k-blocks + NaN
+	f.Add(uint8(40), uint8(128), uint8(10), uint8(85), int64(5), uint64(0))                    // half zeros, MLP hidden shape
+	f.Add(uint8(33), uint8(130), uint8(67), uint8(85), int64(6), math.Float64bits(math.NaN())) // half zeros + NaN, off-4 dims
+	f.Add(uint8(13), uint8(70), uint8(9), uint8(170), int64(7), math.Float64bits(math.Inf(-1)))
+	f.Fuzz(func(t *testing.T, mr, kr, nr, zr uint8, seed int64, raw uint64) {
 		m := int(mr)%72 + 1
 		k := int(kr)%140 + 1 // crosses the blockK=64 boundary twice
 		n := int(nr)%72 + 1
@@ -25,6 +31,13 @@ func FuzzMatMulTiledVsNaive(f *testing.F) {
 		a, b := New(m, k), New(k, n)
 		fillAdversarial(a, rng)
 		fillAdversarial(b, rng)
+		for _, d := range [][]float64{a.Data(), b.Data()} {
+			for i := range d {
+				if rng.Intn(256) < int(zr) {
+					d[i] = 0
+				}
+			}
+		}
 		// Inject the fuzzer's raw bit pattern (possibly Inf/NaN/denormal)
 		// into one element of each operand.
 		a.Data()[rng.Intn(m*k)] = math.Float64frombits(raw)

@@ -10,14 +10,18 @@ import "fmt"
 // straight-loop reference kernels (MatMul*Naive) live with the tests, in
 // matmul_naive_test.go.
 //
-// The compute kernels are blocked/tiled for cache locality and, for large
-// products, row-sharded across goroutines. Both transformations preserve
-// the exact floating-point accumulation order of the naive kernels — tiles
-// advance the reduction index p monotonically per output element, and
-// parallel shards own disjoint output rows — so every form is bit-for-bit
-// identical to its reference. The differential and fuzz tests in this
-// package enforce that identity; do not change loop order, zero-skip
-// conditions, or accumulation structure without them.
+// The compute kernels are blocked/tiled for cache locality, register-
+// blocked four reduction terms (axpy4) or four output columns (dot4) per
+// inner-loop pass, and, for large products, row-sharded across goroutines.
+// Every transformation preserves the exact floating-point accumulation
+// order of the naive kernels — each output element takes its terms in
+// ascending p with the same zero-skip, every product and sum rounded on its
+// own, and parallel shards own disjoint output rows — so every form is
+// bit-for-bit identical to its reference. Products stay in the same plain
+// x*y form as the references, so a platform that fuses multiply-adds
+// fuses both alike. The differential and fuzz tests in this package
+// enforce that identity; do not change loop order, zero-skip conditions,
+// or accumulation structure without them.
 
 const (
 	// blockK and blockN tile the reduction and column dimensions so one
@@ -62,30 +66,63 @@ func axpyPanel(out, brow []float64, av float64) {
 	}
 }
 
-// matMulRows computes output rows [lo, hi) of a·b with k/n tiling. For a
-// fixed output element, contributions arrive in ascending-p order with the
-// same zero-skip as the naive ikj kernel, so the result is bit-identical.
+// axpy4 adds a0·b0 + a1·b1 + a2·b2 + a3·b3 elementwise into out — four
+// axpyPanel passes fused into one, so out[j] is loaded and stored once per
+// four multiply-adds instead of once per one. The order argument: each
+// term is added to the running sum in turn, b0 first, with every product
+// and every sum rounded on its own, so out[j] ends up with exactly the bits
+// of axpyPanel(b0, a0) … axpyPanel(b3, a3) run one after another. Callers
+// pass the four rows in ascending reduction index. Never inlined for the
+// same register reason as axpyPanel.
+//
+//helcfl:noalloc
+//go:noinline
+func axpy4(out, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
+	n := len(b0)
+	out, b1, b2, b3 = out[:n], b1[:n], b2[:n], b3[:n]
+	for j, v := range b0 {
+		s := out[j] + a0*v
+		s += a1 * b1[j]
+		s += a2 * b2[j]
+		s += a3 * b3[j]
+		out[j] = s
+	}
+}
+
+// matMulRows computes output rows [lo, hi) of a·b with k/n tiling. Per
+// row and k-block it lists the nonzero a[i, p] in ascending p, then feeds
+// them to axpy4 four at a time and the last 0–3 to axpyPanel. For a fixed
+// output element, contributions arrive in ascending-p order with the same
+// zero-skip as the naive ikj kernel, so the result is bit-identical.
 //
 //helcfl:noalloc
 func matMulRows(dst, a, b []float64, k, n, lo, hi int) {
+	var nz [blockK]int // nonzero reduction indices of one row's k-block
 	for kb := 0; kb < k; kb += blockK {
-		kEnd := kb + blockK
-		if kEnd > k {
-			kEnd = k
-		}
+		kEnd := min(kb+blockK, k)
 		for jb := 0; jb < n; jb += blockN {
-			jEnd := jb + blockN
-			if jEnd > n {
-				jEnd = n
-			}
+			jEnd := min(jb+blockN, n)
 			for i := lo; i < hi; i++ {
-				arow := a[i*k+kb : i*k+kEnd]
+				arow := a[i*k : (i+1)*k]
 				orow := dst[i*n+jb : i*n+jEnd]
-				for pi, av := range arow {
-					if av == 0 {
-						continue
+				cnt := 0
+				for p := kb; p < kEnd; p++ {
+					if arow[p] != 0 {
+						nz[cnt] = p
+						cnt++
 					}
-					axpyPanel(orow, b[(kb+pi)*n+jb:(kb+pi)*n+jEnd], av)
+				}
+				q := 0
+				for ; q+4 <= cnt; q += 4 {
+					p0, p1, p2, p3 := nz[q], nz[q+1], nz[q+2], nz[q+3]
+					axpy4(orow,
+						b[p0*n+jb:p0*n+jEnd], b[p1*n+jb:p1*n+jEnd],
+						b[p2*n+jb:p2*n+jEnd], b[p3*n+jb:p3*n+jEnd],
+						arow[p0], arow[p1], arow[p2], arow[p3])
+				}
+				for ; q < cnt; q++ {
+					p := nz[q]
+					axpyPanel(orow, b[p*n+jb:p*n+jEnd], arow[p])
 				}
 			}
 		}
@@ -110,17 +147,41 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 
 // matMulTransARows computes output rows [lo, hi) of aᵀ·b, tiling the
 // column dimension so the touched output panel stays cache-resident across
-// the full p sweep. Ascending-p accumulation and the zero-skip match the
-// naive pkj kernel exactly.
+// the full p sweep. p advances four at a time: a row whose four a[p.., i]
+// are all nonzero takes one axpy4, any other takes one axpyPanel per
+// nonzero entry, in order. Ascending-p accumulation and the zero-skip
+// match the naive pkj kernel exactly.
 //
 //helcfl:noalloc
 func matMulTransARows(dst, a, b []float64, k, m, n, lo, hi int) {
 	for jb := 0; jb < n; jb += blockN {
-		jEnd := jb + blockN
-		if jEnd > n {
-			jEnd = n
+		jEnd := min(jb+blockN, n)
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			b0, b1 := b[p*n+jb:p*n+jEnd], b[(p+1)*n+jb:(p+1)*n+jEnd]
+			b2, b3 := b[(p+2)*n+jb:(p+2)*n+jEnd], b[(p+3)*n+jb:(p+3)*n+jEnd]
+			for i := lo; i < hi; i++ {
+				a0, a1, a2, a3 := a[p*m+i], a[(p+1)*m+i], a[(p+2)*m+i], a[(p+3)*m+i]
+				orow := dst[i*n+jb : i*n+jEnd]
+				if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
+					axpy4(orow, b0, b1, b2, b3, a0, a1, a2, a3)
+					continue
+				}
+				if a0 != 0 {
+					axpyPanel(orow, b0, a0)
+				}
+				if a1 != 0 {
+					axpyPanel(orow, b1, a1)
+				}
+				if a2 != 0 {
+					axpyPanel(orow, b2, a2)
+				}
+				if a3 != 0 {
+					axpyPanel(orow, b3, a3)
+				}
+			}
 		}
-		for p := 0; p < k; p++ {
+		for ; p < k; p++ {
 			arow := a[p*m+lo : p*m+hi]
 			brow := b[p*n+jb : p*n+jEnd]
 			for ii, av := range arow {
@@ -152,36 +213,58 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 // matMulTransBRows computes output rows [lo, hi) of a·bᵀ with k-dimension
 // tiling: each output element accumulates its dot product across k-blocks
 // in ascending-p order starting from the zeroed destination — the same
-// addition chain as the naive per-element dot product.
+// addition chain as the naive per-element dot product. Output columns go
+// four at a time through dot4, whose four independent chains overlap the
+// add latency a single chain waits on; the last 0–3 columns run alone.
 //
 //helcfl:noalloc
 func matMulTransBRows(dst, a, b []float64, k, n, lo, hi int) {
 	for jb := 0; jb < n; jb += blockN {
-		jEnd := jb + blockN
-		if jEnd > n {
-			jEnd = n
-		}
+		jEnd := min(jb+blockN, n)
 		for kb := 0; kb < k; kb += blockK {
-			kEnd := kb + blockK
-			if kEnd > k {
-				kEnd = k
-			}
+			kEnd := min(kb+blockK, k)
 			for i := lo; i < hi; i++ {
 				arow := a[i*k+kb : i*k+kEnd]
-				orow := dst[i*n+jb : i*n+jEnd]
-				for jj := range orow {
+				orow := dst[i*n : i*n+jEnd]
+				j := jb
+				for ; j+4 <= jEnd; j += 4 {
+					r := j*k + kb // row j of b, at this k-block
+					orow[j], orow[j+1], orow[j+2], orow[j+3] = dot4(arow,
+						b[r:r+kEnd-kb], b[r+k:r+k+kEnd-kb], b[r+2*k:r+2*k+kEnd-kb], b[r+3*k:r+3*k+kEnd-kb],
+						orow[j], orow[j+1], orow[j+2], orow[j+3])
+				}
+				for ; j < jEnd; j++ {
 					// The [:len(arow)] reslice lets the compiler drop the
 					// brow[p] bounds check from the dot-product loop.
-					brow := b[(jb+jj)*k+kb : (jb+jj)*k+kEnd][:len(arow)]
-					s := orow[jj]
+					brow := b[j*k+kb : j*k+kEnd][:len(arow)]
+					s := orow[j]
 					for p, av := range arow {
 						s += av * brow[p]
 					}
-					orow[jj] = s
+					orow[j] = s
 				}
 			}
 		}
 	}
+}
+
+// dot4 continues four dot products of arow — with b0, b1, b2 and b3 — from
+// the running sums s0…s3 and returns them. Each sum takes its terms in
+// ascending p with every product and sum rounded on its own: four separate
+// chains interleaved, never one chain split.
+//
+//helcfl:noalloc
+//go:noinline
+func dot4(arow, b0, b1, b2, b3 []float64, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
+	n := len(arow)
+	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
+	for p, av := range arow {
+		s0 += av * b0[p]
+		s1 += av * b1[p]
+		s2 += av * b2[p]
+		s3 += av * b3[p]
+	}
+	return s0, s1, s2, s3
 }
 
 // checkMatMul validates a·b operands and returns (m, k, n).

@@ -288,3 +288,109 @@ func TestConvBatchKernelsMatchPerSample(t *testing.T) {
 		}
 	}
 }
+
+// fillRowPatterns gives row i of a (m, k) exactly counts[i%len(counts)]
+// nonzero entries in every k-block, at random positions (fillAdversarial
+// values, so ±0 still counts as zero). A count of 0 is an all-zero row.
+// These drive the fused kernels through every split of a k-block into
+// axpy4 groups of four plus an axpyPanel tail of 0–3.
+func fillRowPatterns(a *Tensor, counts []int, rng *rand.Rand) {
+	m, k := a.Dim(0), a.Dim(1)
+	d := a.Data()
+	for i := 0; i < m; i++ {
+		row := d[i*k : (i+1)*k]
+		for kb := 0; kb < k; kb += blockK {
+			blk := row[kb:min(kb+blockK, k)]
+			clear(blk)
+			for _, pi := range rng.Perm(len(blk))[:min(counts[i%len(counts)], len(blk))] {
+				for blk[pi] == 0 {
+					blk[pi] = rng.NormFloat64()
+				}
+			}
+		}
+	}
+}
+
+// TestFusedKernelsMatchNaiveOnSparsePatterns runs the a·b, aᵀ·b and a·bᵀ
+// kernels over rows holding 0, 1, 2, 3, 4, 5, 63 and 64 nonzeros per
+// k-block, with m and n off multiples of four, at one and four workers
+// (the 40×130×258 product clears parallelMinFlops, so four workers
+// shard), against the naive oracles.
+func TestFusedKernelsMatchNaiveOnSparsePatterns(t *testing.T) {
+	counts := []int{0, 1, 2, 3, 4, 5, 63, 64}
+	prev := SetWorkers(1)
+	defer SetWorkers(prev)
+	for _, workers := range []int{1, 4} {
+		SetWorkers(workers)
+		for _, dims := range [][3]int{{40, 130, 258}, {19, 130, 7}, {9, 64, 5}, {11, 3, 13}} {
+			m, k, n := dims[0], dims[1], dims[2]
+			rng := rand.New(rand.NewSource(int64(m*k*n + workers)))
+			a, b := New(m, k), New(k, n)
+			fillRowPatterns(a, counts, rng)
+			fillAdversarial(b, rng)
+			at, bt := transpose(a), transpose(b)
+			dst := New(m, n)
+
+			dst.Fill(3)
+			MatMulInto(dst, a, b)
+			if !bitIdentical(dst, MatMulNaive(a, b)) {
+				t.Fatalf("workers=%d MatMulInto (%d,%d)x(%d,%d) diverges from naive", workers, m, k, k, n)
+			}
+			dst.Fill(3)
+			MatMulTransAInto(dst, at, b)
+			if !bitIdentical(dst, MatMulTransANaive(at, b)) {
+				t.Fatalf("workers=%d MatMulTransAInto (%d,%d)ᵀx(%d,%d) diverges from naive", workers, k, m, k, n)
+			}
+			dst.Fill(3)
+			MatMulTransBInto(dst, a, bt)
+			if !bitIdentical(dst, MatMulTransBNaive(a, bt)) {
+				t.Fatalf("workers=%d MatMulTransBInto (%d,%d)x(%d,%d)ᵀ diverges from naive", workers, m, k, n, k)
+			}
+		}
+	}
+}
+
+// TestZeroSkipHidesNonFiniteB puts NaN, +Inf and -Inf in every b row that
+// meets only zero a entries (±0): the a·b and aᵀ·b kernels skip those
+// terms, as the naive oracles do, so the product stays finite. (a·bᵀ has
+// no zero-skip in its oracle, so it is not held to this.)
+func TestZeroSkipHidesNonFiniteB(t *testing.T) {
+	nonFinite := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	prev := SetWorkers(1)
+	defer SetWorkers(prev)
+	for _, workers := range []int{1, 4} {
+		SetWorkers(workers)
+		rng := rand.New(rand.NewSource(int64(8 + workers)))
+		m, k, n := 40, 130, 258
+		a, b := New(m, k), New(k, n)
+		fillRowPatterns(a, []int{1, 3, 4, 5, 63}, rng)
+		fillAdversarial(b, rng)
+		// Every fifth a column zero (±0 mixed), so across TransA's groups of
+		// four the zero lands in each position in turn.
+		for p := 2; p < k; p += 5 {
+			for i := 0; i < m; i++ {
+				a.Data()[i*k+p] = math.Copysign(0, float64(i%2)-0.5)
+			}
+			for j := 0; j < n; j++ {
+				b.Data()[p*n+j] = nonFinite[(p+j)%len(nonFinite)]
+			}
+		}
+		at := transpose(a)
+		check := func(name string, got, want *Tensor) {
+			t.Helper()
+			if !bitIdentical(got, want) {
+				t.Fatalf("workers=%d %s diverges from naive", workers, name)
+			}
+			for _, v := range got.Data() {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("workers=%d %s let a non-finite b entry under a zero a through: %v", workers, name, v)
+				}
+			}
+		}
+		dst := New(m, n)
+		MatMulInto(dst, a, b)
+		check("MatMulInto", dst, MatMulNaive(a, b))
+		MatMulTransAInto(dst, at, b)
+		check("MatMulTransAInto", dst, MatMulTransANaive(at, b))
+	}
+}

@@ -1,7 +1,8 @@
 // Package tensor provides dense, row-major float64 tensors and the linear
 // algebra primitives the neural-network substrate needs: elementwise
-// arithmetic, matrix multiplication, reductions, padding, and the
-// im2col/col2im transforms used by convolution layers.
+// arithmetic, matrix multiplication, reductions, and the batched
+// im2col/col2im transforms, zero padding included, used by convolution
+// layers.
 //
 // Tensors carry an explicit shape; all operations validate shapes eagerly and
 // panic on mismatch, because a shape error is a programming bug, not a
