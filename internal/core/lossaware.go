@@ -56,12 +56,10 @@ func (l *LossAwareScheduler) ObserveRound(j int, selected []int, losses []float6
 	}
 }
 
-// lossBonus returns 1 + λ·L̂_q.
-func (l *LossAwareScheduler) lossBonus(q int) float64 {
-	if l.Lambda == 0 || !l.seen[q] {
-		return 1 + l.Lambda // unseen users get the mean bonus (L̂ = 1)
-	}
-	mean := 0.0
+// meanLoss returns the fleet mean of the last observed losses, in one
+// pass over the fleet; ok is false when no user has reported a loss or
+// every report is zero, which makes every bonus the neutral 1 + λ.
+func (l *LossAwareScheduler) meanLoss() (mean float64, ok bool) {
 	n := 0
 	for i, s := range l.seen {
 		if s {
@@ -70,47 +68,33 @@ func (l *LossAwareScheduler) lossBonus(q int) float64 {
 		}
 	}
 	if n == 0 || mean == 0 {
-		return 1 + l.Lambda
+		return 0, false
 	}
-	mean /= float64(n)
+	return mean / float64(n), true
+}
+
+// lossBonus returns 1 + λ·L̂_q for the fleet mean from meanLoss.
+func (l *LossAwareScheduler) lossBonus(q int, mean float64, ok bool) float64 {
+	if l.Lambda == 0 || !l.seen[q] || !ok {
+		return 1 + l.Lambda // unseen users get the mean bonus (L̂ = 1)
+	}
 	return 1 + l.Lambda*l.lastLoss[q]/mean
 }
 
 // Utility returns the loss-augmented utility of user q.
 func (l *LossAwareScheduler) Utility(q int) float64 {
-	return l.Scheduler.Utility(q) * l.lossBonus(q)
+	mean, ok := l.meanLoss()
+	return l.Scheduler.Utility(q) * l.lossBonus(q, mean, ok)
 }
 
-// SelectRound mirrors Algorithm 2's loop over the augmented utility.
+// SelectRound is Algorithm 2 over the augmented utility: it fills the
+// scheduler's utility vector with u_q·(1 + λ·L̂_q) and runs the shared
+// top-N heap, returning a freshly allocated index slice.
 func (l *LossAwareScheduler) SelectRound() []int {
-	n := l.NumSelect()
-	users := l.NumUsers()
-	utilities := make([]float64, users)
-	for q := 0; q < users; q++ {
-		utilities[q] = l.Utility(q)
+	mean, ok := l.meanLoss()
+	util := l.utilityBuf()
+	for q := range util {
+		util[q] = l.Scheduler.Utility(q) * l.lossBonus(q, mean, ok)
 	}
-	l.lastUtil = utilities
-	selectable := make([]bool, users)
-	for q := range selectable {
-		selectable[q] = true
-	}
-	selected := make([]int, 0, n)
-	for len(selected) < n {
-		best := -1
-		for q := 0; q < users; q++ {
-			if !selectable[q] {
-				continue
-			}
-			if best == -1 || utilities[q] > utilities[best] {
-				best = q
-			}
-		}
-		if best == -1 {
-			break
-		}
-		selectable[best] = false
-		selected = append(selected, best)
-		l.markSelected(best)
-	}
-	return selected
+	return l.selectTop(make([]int, 0, l.cohortSize()))
 }

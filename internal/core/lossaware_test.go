@@ -2,10 +2,69 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"helcfl/internal/device"
 	"helcfl/internal/wireless"
 )
+
+// lossBonusNaive is the pre-hoist reference bonus: 1 + λ·L̂_q with the
+// fleet-mean loss recomputed for every user.
+func (l *LossAwareScheduler) lossBonusNaive(q int) float64 {
+	if l.Lambda == 0 || !l.seen[q] {
+		return 1 + l.Lambda
+	}
+	mean := 0.0
+	n := 0
+	for i, s := range l.seen {
+		if s {
+			mean += l.lastLoss[i]
+			n++
+		}
+	}
+	if n == 0 || mean == 0 {
+		return 1 + l.Lambda
+	}
+	mean /= float64(n)
+	return 1 + l.Lambda*l.lastLoss[q]/mean
+}
+
+// SelectRoundNaive is the pre-heap reference: the literal O(Q·N) repeated
+// argmax of Algorithm 2 over the loss-augmented utility, ties broken by
+// index. TestLossAwareSelectMatchesNaive runs it against SelectRound.
+func (l *LossAwareScheduler) SelectRoundNaive() []int {
+	n := l.NumSelect()
+	users := l.NumUsers()
+	utilities := make([]float64, users)
+	for q := 0; q < users; q++ {
+		utilities[q] = l.Scheduler.Utility(q) * l.lossBonusNaive(q)
+	}
+	l.lastUtil = utilities
+	selectable := make([]bool, users)
+	for q := range selectable {
+		selectable[q] = true
+	}
+	selected := make([]int, 0, n)
+	for len(selected) < n {
+		best := -1
+		for q := 0; q < users; q++ {
+			if !selectable[q] {
+				continue
+			}
+			if best == -1 || utilities[q] > utilities[best] {
+				best = q
+			}
+		}
+		if best == -1 {
+			break
+		}
+		selectable[best] = false
+		selected = append(selected, best)
+		l.markSelected(best)
+	}
+	return selected
+}
 
 func newLossAware(t *testing.T, n int, lambda float64) *LossAwareScheduler {
 	t.Helper()
@@ -49,13 +108,14 @@ func TestLossAwareBonusRaisesHighLossUsers(t *testing.T) {
 	la := newLossAware(t, 10, 1.0)
 	sel := []int{0, 1}
 	la.ObserveRound(0, sel, []float64{4.0, 0.5}) // user 0 struggling
-	u0 := la.lossBonus(0)
-	u1 := la.lossBonus(1)
+	mean, ok := la.meanLoss()
+	u0 := la.lossBonus(0, mean, ok)
+	u1 := la.lossBonus(1, mean, ok)
 	if u0 <= u1 {
 		t.Fatalf("high-loss user bonus %g not above low-loss %g", u0, u1)
 	}
 	// Unseen users get the neutral mean bonus 1+λ.
-	if got := la.lossBonus(5); math.Abs(got-2) > 1e-12 {
+	if got := la.lossBonus(5, mean, ok); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("unseen bonus = %g, want 2", got)
 	}
 }
@@ -125,5 +185,62 @@ func TestLossAwareNegativeLambdaRejected(t *testing.T) {
 	}
 	if _, err := NewLossAwareScheduler(base, -1); err == nil {
 		t.Fatal("negative λ must be rejected")
+	}
+}
+
+// TestLossAwareSelectMatchesNaive pins the loss-aware selection — the
+// shared top-N heap over the bonus-scaled utility — to the naive repeated
+// argmax: across random and tie-heavy fleets, λ ∈ {0, 0.5, 2} and ten
+// rounds of loss feedback drawn from a small value set (so bonuses tie
+// too), both must select the same users in the same order and leave the
+// same decay counters and bitwise-identical utility vectors.
+func TestLossAwareSelectMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ch := wireless.DefaultChannel()
+	fleets := []*device.Fleet{tieFleet(60, 6), tieFleet(120, 40)}
+	for trial := 0; trial < 4; trial++ {
+		fleets = append(fleets, randomFleet(20+rng.Intn(200), int64(trial)))
+	}
+	newLA := func(f *device.Fleet, p Params, lambda float64) *LossAwareScheduler {
+		base, err := NewFleetScheduler(f, ch, testModelBits, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		la, err := NewLossAwareScheduler(base, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return la
+	}
+	for fi, f := range fleets {
+		for _, lambda := range []float64{0, 0.5, 2} {
+			p := DefaultParams()
+			p.Fraction = []float64{0.05, 0.1, 0.33, 1.0}[rng.Intn(4)]
+			heap, naive := newLA(f, p, lambda), newLA(f, p, lambda)
+			for round := 0; round < 10; round++ {
+				got, want := heap.SelectRound(), naive.SelectRoundNaive()
+				if len(got) != len(want) {
+					t.Fatalf("fleet %d λ=%g round %d: heap selected %d users, naive %d", fi, lambda, round, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("fleet %d λ=%g round %d: selection[%d] = %d (heap) vs %d (naive)", fi, lambda, round, i, got[i], want[i])
+					}
+				}
+				gu, wu := heap.LastUtilities(), naive.LastUtilities()
+				ga, wa := heap.Appearances(), naive.Appearances()
+				for q := range gu {
+					if math.Float64bits(gu[q]) != math.Float64bits(wu[q]) || ga[q] != wa[q] {
+						t.Fatalf("fleet %d λ=%g round %d user %d: (util %v, α %d) vs naive (%v, %d)", fi, lambda, round, q, gu[q], ga[q], wu[q], wa[q])
+					}
+				}
+				losses := make([]float64, len(got))
+				for i := range losses {
+					losses[i] = []float64{0.25, 0.5, 1, 3}[rng.Intn(4)]
+				}
+				heap.ObserveRound(round, got, losses)
+				naive.ObserveRound(round, want, losses)
+			}
+		}
 	}
 }

@@ -282,17 +282,15 @@ func siftDown(h []selEntry, i int) {
 	h[i] = e
 }
 
-// computeUtilities refreshes the fleet-wide Eq. (20) utility vector into
-// the reused lastUtil buffer.
-func (s *Scheduler) computeUtilities() {
+// utilityBuf returns the reused lastUtil buffer sized to the fleet, for
+// the caller to fill with this round's utilities before selectTop.
+func (s *Scheduler) utilityBuf() []float64 {
 	q := s.fleet.Len()
 	if cap(s.lastUtil) < q {
 		s.lastUtil = make([]float64, q)
 	}
 	s.lastUtil = s.lastUtil[:q]
-	for i := 0; i < q; i++ {
-		s.lastUtil[i] = s.etaPow[i] / (s.tcalMax[i] + s.tcom[i])
-	}
+	return s.lastUtil
 }
 
 // SelectRound runs the selection of Algorithm 2 (lines 8–19) and returns a
@@ -309,21 +307,32 @@ func (s *Scheduler) SelectRoundAppend(dst []int) []int {
 	return s.selectAppend(dst[:0])
 }
 
-// selectAppend is the streaming top-N selection: all Q candidates flow past
-// a size-N min-heap whose root is the weakest current winner, giving
-// O(Q + N·log N + R·log N) work for R root replacements — no full sort, no
-// interface dispatch, no allocation once buffers are warm. It returns the
-// identical index sequence, tie-breaks included, as the naive argmax
-// reference (SelectRoundNaive, in scheduler_equiv_test.go): utilities are
-// computed before any decay increment, replacement requires a strictly
-// greater utility (an equal-utility candidate has a higher index, which the
-// naive scan never prefers), and the final worst-first extraction filled
-// back-to-front reproduces the (utility desc, index asc) selection order
-// exactly. The root is the minimum of a total order, so the replacement
-// count LastHeapPushes reports does not depend on the heap's layout. The
-// property test there pins this under random fleets and forced ties.
+// selectAppend is Algorithm 2's selection over the Eq. (20) utilities:
+// refresh the fleet-wide utility vector, then pick its top N.
 func (s *Scheduler) selectAppend(dst []int) []int {
-	s.computeUtilities()
+	util := s.utilityBuf()
+	for i := range util {
+		util[i] = s.etaPow[i] / (s.tcalMax[i] + s.tcom[i])
+	}
+	return s.selectTop(dst)
+}
+
+// selectTop is the streaming top-N selection over lastUtil, shared by the
+// paper's Eq. (20) utility and the loss-aware extension's: all Q candidates
+// flow past a size-N min-heap whose root is the weakest current winner,
+// giving O(Q + N·log N + R·log N) work for R root replacements — no full
+// sort, no interface dispatch, no allocation once buffers are warm. It
+// returns the identical index sequence, tie-breaks included, as the naive
+// argmax reference (SelectRoundNaive, in scheduler_equiv_test.go):
+// utilities are computed before any decay increment, replacement requires
+// a strictly greater utility (an equal-utility candidate has a higher
+// index, which the naive scan never prefers), and the final worst-first
+// extraction filled back-to-front reproduces the (utility desc, index asc)
+// selection order exactly. The root is the minimum of a total order, so the
+// replacement count LastHeapPushes reports does not depend on the heap's
+// layout. The property test there pins this under random fleets and forced
+// ties.
+func (s *Scheduler) selectTop(dst []int) []int {
 	util := s.lastUtil
 	n := s.cohortSize()
 	if cap(s.heap) < n {

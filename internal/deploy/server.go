@@ -567,7 +567,9 @@ func (s *Server) aggregateLocked() {
 		uploaded = append(uploaded, user)
 	}
 	partial := len(missing) > 0
-	s.global.SetFlatParams(fl.FedAvg(uploads, weights))
+	avg := make([]float64, s.global.NumParams())
+	fl.FedAvgInto(avg, uploads, weights)
+	s.global.SetFlatParams(avg)
 	s.mAggs.Inc()
 	if partial {
 		s.mPartial.Inc()

@@ -11,8 +11,8 @@ import (
 )
 
 // The hierarchical edge-aggregation study: HELCFL with the fleet sharded
-// across E edge aggregators (selection.HierHELCFL). Each edge runs its own
-// Algorithm 2+3 plan against its own parallel TDMA uplink, and the FLCC
+// across E edge aggregators (selection.NewHierHELCFL). Each edge runs its
+// own Algorithm 2+3 plan against its own parallel TDMA uplink, and the FLCC
 // performs a second-level weighted FedAvg over the edge models. E = 1 is
 // the flat paper scheme (bit-identical; the selection/fl tests pin it), so
 // the sweep isolates what the tier buys: parallel uplinks shrink round

@@ -9,9 +9,9 @@ import (
 )
 
 // LocalUpdate is the one Eq. (3) loop on the product path — the engine's
-// per-worker trainers, Client, and deploy.Client all train through it:
-// `steps` full-batch gradient-descent passes of m over (x, labels) at
-// learning rate lr, returning the final local training loss.
+// per-worker trainers, RunSL's per-user models, and deploy.Client all train
+// through it: `steps` full-batch gradient-descent passes of m over
+// (x, labels) at learning rate lr, returning the final local training loss.
 //
 // A non-nil global first overwrites m's parameters (the broadcast of
 // Algorithm 1, line 5) and anchors a FedProx proximal term (Li et al.,
@@ -67,59 +67,4 @@ func modelInput(d *dataset.Dataset, flattenInput bool) *tensor.Tensor {
 		return d.FlatX()
 	}
 	return d.X
-}
-
-// Client is a user device that owns a model: the separated-learning
-// baseline (RunSL), where every user's model persists across rounds, and
-// tests that need a reference local update. The FL engine holds none — a
-// user's model never survives a round there, so it trains the whole cohort
-// on a few worker-owned models instead; see Engine.
-type Client struct {
-	// User is the device index.
-	User int
-	// Data is the local dataset D_q.
-	Data *dataset.Dataset
-
-	model *nn.Sequential
-	x     *tensor.Tensor
-	loss  *nn.SoftmaxCrossEntropy
-	flat  []float64 // reused upload buffer, valid until the next update
-}
-
-// NewClient builds a client around a model instance structurally identical
-// to the global model.
-func NewClient(user int, data *dataset.Dataset, model *nn.Sequential, flattenInput bool) *Client {
-	if data == nil || data.N() == 0 {
-		panic(fmt.Sprintf("fl: client %d has no data", user))
-	}
-	return &Client{User: user, Data: data, model: model, x: modelInput(data, flattenInput), loss: nn.NewSoftmaxCrossEntropy()}
-}
-
-// LocalUpdate implements Eq. (3): starting from the broadcast global
-// parameters, run `steps` full-batch gradient-descent passes over the local
-// dataset at learning rate lr, and return the updated flat parameter vector
-// (the upload payload) along with the final local training loss.
-func (c *Client) LocalUpdate(globalFlat []float64, lr float64, steps int) ([]float64, float64) {
-	return c.LocalUpdateProx(globalFlat, lr, steps, 0)
-}
-
-// LocalUpdateProx is LocalUpdate with a FedProx proximal weight μ (see the
-// package-level LocalUpdate). The returned slice is the client's internal
-// upload buffer, reused on the next update — callers that need it past that
-// point must copy it.
-func (c *Client) LocalUpdateProx(globalFlat []float64, lr float64, steps int, mu float64) ([]float64, float64) {
-	if len(c.flat) != c.model.NumParams() {
-		c.flat = make([]float64, c.model.NumParams())
-	}
-	return c.flat, LocalUpdate(c.model, c.loss, c.x, c.Data.Labels, globalFlat, lr, steps, mu, c.flat)
-}
-
-// Model exposes the client's model (used by the SL engine, where the model
-// is persistent per user rather than overwritten each round).
-func (c *Client) Model() *nn.Sequential { return c.model }
-
-// TrainOwn runs `steps` GD passes on the client's persistent model without
-// resetting from a global model — the separated-learning update.
-func (c *Client) TrainOwn(lr float64, steps int) float64 {
-	return LocalUpdate(c.model, c.loss, c.x, c.Data.Labels, nil, lr, steps, 0, nil)
 }

@@ -256,8 +256,8 @@ type Engine struct {
 	deltaBuf   []float64
 	avgBuf     []float64
 
-	// Hierarchical aggregation tier, active when the planner implements
-	// EdgeTopology: edgeBuf maps each selected user to its edge aggregator,
+	// Edge-aggregation tier: the planner's EdgeTopology, or the single
+	// FLCC edge. edgeBuf maps each selected user to its edge aggregator,
 	// upEdgesBuf the surviving uploads likewise, hierScratch the per-edge
 	// FedAvg accumulators.
 	topo        EdgeTopology
@@ -337,7 +337,7 @@ func newEngineState(cfg Config) (*Engine, error) {
 	if evalEvery <= 0 {
 		evalEvery = 1
 	}
-	var topo EdgeTopology
+	var topo EdgeTopology = flcc{}
 	if t, ok := cfg.Planner.(EdgeTopology); ok && t.NumEdges() > 0 {
 		topo = t
 	}
@@ -482,18 +482,13 @@ func (e *Engine) Step() (bool, error) {
 	}
 	// round.Users aliases the engine's sim scratch: valid until the next
 	// Step, which covers every use below (telemetry and battery roll-up).
-	var round sim.RoundResult
-	if e.topo != nil {
-		// Hierarchical tier: each user uploads to its edge aggregator and
-		// the per-edge TDMA chains run in parallel.
-		e.edgeBuf = growInts(e.edgeBuf, len(selected))
-		for i, q := range selected {
-			e.edgeBuf[i] = e.topo.EdgeOf(q)
-		}
-		round = e.simScratch.SimulateRoundEdges(e.selDevs, freqs, cfg.Channel, e.modelBits, cfg.LocalSteps, gains, e.edgeBuf, e.topo.NumEdges())
-	} else {
-		round = e.simScratch.SimulateRoundGains(e.selDevs, freqs, cfg.Channel, e.modelBits, cfg.LocalSteps, gains)
+	// Each user uploads to its edge aggregator and the per-edge TDMA chains
+	// run in parallel.
+	e.edgeBuf = growInts(e.edgeBuf, len(selected))
+	for i, q := range selected {
+		e.edgeBuf[i] = e.topo.EdgeOf(q)
 	}
+	round := e.simScratch.SimulateRoundEdges(e.selDevs, freqs, cfg.Channel, e.modelBits, cfg.LocalSteps, gains, e.edgeBuf, e.topo.NumEdges())
 
 	trainSp := cfg.Trace.Start(roundSp.Ref(), "fl.round.train")
 
@@ -610,9 +605,7 @@ func (e *Engine) Step() (bool, error) {
 		}
 		uploads = append(uploads, flat)
 		weights = append(weights, cfg.UserData[q].N())
-		if e.topo != nil {
-			upEdges = append(upEdges, e.edgeBuf[si])
-		}
+		upEdges = append(upEdges, e.edgeBuf[si])
 	}
 	e.uploadsBuf, e.weightsBuf, e.upEdgesBuf = uploads, weights, upEdges
 	if cfg.Trace != nil {
@@ -630,11 +623,7 @@ func (e *Engine) Step() (bool, error) {
 	aggSp := cfg.Trace.Start(roundSp.Ref(), "fl.round.aggregate")
 	if len(uploads) > 0 {
 		e.avgBuf = growFloats(e.avgBuf, len(uploads[0]))
-		if e.topo != nil {
-			FedAvgHierInto(e.avgBuf, &e.hierScratch, uploads, weights, upEdges, e.topo.NumEdges())
-		} else {
-			FedAvgInto(e.avgBuf, uploads, weights)
-		}
+		FedAvgHierInto(e.avgBuf, &e.hierScratch, uploads, weights, upEdges, e.topo.NumEdges())
 		e.global.SetFlatParams(e.avgBuf)
 		if cfg.Sink != nil {
 			cfg.Sink.OnAggregate(obs.AggregateEvent{

@@ -6,9 +6,11 @@ import (
 	"testing"
 )
 
-// TestFedAvgIntoMatchesFedAvg pins bit-identity between the allocating and
-// buffer-reusing aggregation forms across randomized upload sets, with the
-// destination deliberately dirty to prove it is fully overwritten.
+// TestFedAvgIntoMatchesFedAvg pins FedAvgInto — the single-edge case of
+// FedAvgHierInto — bit-identical to the literal Eq. (18) weighted mean
+// (fedAvgOracle) across randomized upload sets, with the destination
+// NaN-poisoned to prove it is fully overwritten, and pins it
+// allocation-free.
 func TestFedAvgIntoMatchesFedAvg(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	dst := make([]float64, 64)
@@ -24,7 +26,7 @@ func TestFedAvgIntoMatchesFedAvg(t *testing.T) {
 			uploads[i] = u
 			weights[i] = rng.Intn(30) + 1
 		}
-		want := FedAvg(uploads, weights)
+		want := fedAvgOracle(uploads, weights)
 		for j := range dst {
 			dst[j] = math.NaN() // poison: FedAvgInto must overwrite every slot
 		}
@@ -34,11 +36,13 @@ func TestFedAvgIntoMatchesFedAvg(t *testing.T) {
 				t.Fatalf("trial %d param %d: got %g, want %g", trial, j, dst[j], want[j])
 			}
 		}
+		if allocs := testing.AllocsPerRun(10, func() { FedAvgInto(dst, uploads, weights) }); allocs != 0 {
+			t.Fatalf("trial %d: FedAvgInto allocated %v times per call", trial, allocs)
+		}
 	}
 }
 
-// TestFedAvgIntoValidation checks the destination-length guard on top of
-// the panics shared with FedAvg.
+// TestFedAvgIntoValidation checks the destination-length guard.
 func TestFedAvgIntoValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -79,7 +79,7 @@ func baseConfig(env *testEnv, planner Planner) Config {
 }
 
 func TestFedAvgWeightedMean(t *testing.T) {
-	got := FedAvg([][]float64{{1, 2}, {4, 8}}, []int{1, 3})
+	got := fedAvg([][]float64{{1, 2}, {4, 8}}, []int{1, 3})
 	want := []float64{(1 + 3*4) / 4.0, (2 + 3*8) / 4.0}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
@@ -90,10 +90,10 @@ func TestFedAvgWeightedMean(t *testing.T) {
 
 func TestFedAvgValidation(t *testing.T) {
 	for name, f := range map[string]func(){
-		"empty":           func() { FedAvg(nil, nil) },
-		"weight mismatch": func() { FedAvg([][]float64{{1}}, []int{1, 2}) },
-		"length mismatch": func() { FedAvg([][]float64{{1}, {1, 2}}, []int{1, 1}) },
-		"zero weight":     func() { FedAvg([][]float64{{1}, {2}}, []int{1, 0}) },
+		"empty":           func() { FedAvgInto(nil, nil, nil) },
+		"weight mismatch": func() { FedAvgInto(make([]float64, 1), [][]float64{{1}}, []int{1, 2}) },
+		"length mismatch": func() { FedAvgInto(make([]float64, 1), [][]float64{{1}, {1, 2}}, []int{1, 1}) },
+		"zero weight":     func() { FedAvgInto(make([]float64, 1), [][]float64{{1}, {2}}, []int{1, 0}) },
 	} {
 		func() {
 			defer func() {
@@ -125,7 +125,7 @@ func TestFedAvgEquivalentToCentralizedGD(t *testing.T) {
 		uploads[q] = flat
 		weights[q] = d.N()
 	}
-	fedFlat := FedAvg(uploads, weights)
+	fedFlat := fedAvg(uploads, weights)
 
 	// Centralized: one GD step on the union of the users' data. env.users
 	// was produced by an IID partition of synth.Train covering every sample
@@ -382,6 +382,50 @@ func TestSLWorseThanFederated(t *testing.T) {
 	}
 }
 
+// TestRunSLMatchesClientReference pins RunSL's per-user models to the
+// Client reference: one Client per user, built in fleet order from the same
+// seeded stream, trained with TrainOwn and evaluated on the same panel
+// must reproduce every record's training loss and test accuracy bitwise.
+func TestRunSLMatchesClientReference(t *testing.T) {
+	env := newTestEnv(t, 17, 6)
+	cfg := SLConfig{
+		Spec: env.spec, Devices: env.devs, Channel: env.ch,
+		UserData: env.users, Test: env.test,
+		Fraction: 0.5, LR: 0.3, LocalSteps: 2, MaxRounds: 8, EvalEvery: 3, EvalUsers: 4, Seed: 5,
+	}
+	res, err := RunSL(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	clients := make([]*Client, len(env.devs))
+	for q := range clients {
+		clients[q] = NewClient(q, env.users[q], env.spec.Build(rng), true)
+	}
+	panel := rng.Perm(len(clients))[:cfg.EvalUsers]
+	for j, rec := range res.Records {
+		lossSum := 0.0
+		sel := rng.Perm(len(clients))[:len(rec.Selected)]
+		for _, q := range sel {
+			lossSum += clients[q].TrainOwn(cfg.LR, cfg.LocalSteps)
+		}
+		if got, want := rec.TrainLoss, lossSum/float64(len(sel)); got != want {
+			t.Fatalf("round %d: train loss %v, reference %v", j, got, want)
+		}
+		if !rec.Evaluated {
+			continue
+		}
+		accSum := 0.0
+		for _, q := range panel {
+			_, a := Evaluate(clients[q].Model(), env.test, true)
+			accSum += a
+		}
+		if got, want := rec.TestAccuracy, accSum/float64(len(panel)); got != want {
+			t.Fatalf("round %d: accuracy %v, reference %v", j, got, want)
+		}
+	}
+}
+
 func TestRunSLValidation(t *testing.T) {
 	env := newTestEnv(t, 14, 4)
 	good := SLConfig{
@@ -418,13 +462,23 @@ func TestComposedPlannerBoundsCheck(t *testing.T) {
 	p.PlanRound(0)
 }
 
+// TestClientRequiresData checks that separated learning rejects a user
+// without local data with an error, for a nil and an empty dataset.
 func TestClientRequiresData(t *testing.T) {
 	env := newTestEnv(t, 16, 3)
-	rng := rand.New(rand.NewSource(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for nil data")
+	for name, data := range map[string]*dataset.Dataset{
+		"nil":   nil,
+		"empty": {},
+	} {
+		users := append([]*dataset.Dataset(nil), env.users...)
+		users[1] = data
+		_, err := RunSL(SLConfig{
+			Spec: env.spec, Devices: env.devs, Channel: env.ch,
+			UserData: users, Test: env.test,
+			Fraction: 1, LR: 0.1, LocalSteps: 1, MaxRounds: 2,
+		})
+		if err == nil {
+			t.Fatalf("%s data: RunSL must fail", name)
 		}
-	}()
-	NewClient(0, nil, env.spec.Build(rng), true)
+	}
 }

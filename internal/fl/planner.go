@@ -55,17 +55,23 @@ type TracedPlanner interface {
 
 // EdgeTopology is an optional Planner extension declaring a hierarchical
 // aggregation tier: users upload to one of NumEdges edge aggregators (their
-// TDMA uplinks run in parallel) and the FLCC performs a second-level
-// weighted average over the edge models. A planner implementing it switches
-// the engine's round simulation to sim.Scratch.SimulateRoundEdges and its
-// aggregation to FedAvgHierInto; with NumEdges() == 1 both are bit-identical
-// to the flat path.
+// TDMA uplinks run in parallel, sim.Scratch.SimulateRoundEdges) and the
+// FLCC performs a second-level weighted average over the edge models
+// (FedAvgHierInto). A planner without it has one edge, the FLCC — the
+// paper's flat scheme.
 type EdgeTopology interface {
 	// NumEdges returns E ≥ 1, the number of edge aggregators.
 	NumEdges() int
 	// EdgeOf maps a fleet index to its edge aggregator in [0, NumEdges()).
 	EdgeOf(q int) int
 }
+
+// flcc is the topology of a planner without EdgeTopology: one edge, the
+// FLCC itself.
+type flcc struct{}
+
+func (flcc) NumEdges() int  { return 1 }
+func (flcc) EdgeOf(int) int { return 0 }
 
 // StatefulPlanner is an optional Planner extension for checkpoint/resume:
 // planners whose decisions depend on cross-round mutable state (the HELCFL

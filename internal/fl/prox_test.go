@@ -85,7 +85,7 @@ func TestProxReducesClientDrift(t *testing.T) {
 			uploads[q] = flat
 			weights[q] = d.N()
 		}
-		return FedAvg(uploads, weights)
+		return fedAvg(uploads, weights)
 	}
 	centralRef := func() []float64 {
 		c := NewClient(0, synth.Train, global.Clone(), true)

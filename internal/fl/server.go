@@ -8,53 +8,12 @@ import (
 	"helcfl/internal/tensor"
 )
 
-// FedAvg aggregates uploaded flat parameter vectors with the weighted mean
-// of Eq. (18): M_G ← Σ |D_q|·M_q / Σ |D_q|.
-func FedAvg(uploads [][]float64, weights []int) []float64 {
-	if len(uploads) == 0 {
-		panic("fl: FedAvg with no uploads")
-	}
-	out := make([]float64, len(uploads[0]))
-	FedAvgInto(out, uploads, weights)
-	return out
-}
-
-// FedAvgInto is FedAvg writing into a caller-owned destination of exactly
-// the parameter length — the allocation-free form for round hot loops. dst
-// is fully overwritten.
+// FedAvgInto aggregates uploaded flat parameter vectors with the weighted
+// mean of Eq. (18), M_G ← Σ |D_q|·M_q / Σ |D_q|, into a caller-owned dst of
+// exactly the parameter length (fully overwritten). It is FedAvgHierInto
+// with one edge, the FLCC: no scratch, no allocation.
 func FedAvgInto(dst []float64, uploads [][]float64, weights []int) {
-	if len(uploads) == 0 {
-		panic("fl: FedAvg with no uploads")
-	}
-	if len(uploads) != len(weights) {
-		panic(fmt.Sprintf("fl: %d uploads but %d weights", len(uploads), len(weights)))
-	}
-	n := len(uploads[0])
-	if len(dst) != n {
-		panic(fmt.Sprintf("fl: FedAvg destination has %d params, want %d", len(dst), n))
-	}
-	out := dst
-	for j := range out {
-		out[j] = 0
-	}
-	totalW := 0.0
-	for i, u := range uploads {
-		if len(u) != n {
-			panic(fmt.Sprintf("fl: upload %d has %d params, want %d", i, len(u), n))
-		}
-		if weights[i] <= 0 {
-			panic(fmt.Sprintf("fl: non-positive weight %d for upload %d", weights[i], i))
-		}
-		w := float64(weights[i])
-		totalW += w
-		for j, v := range u {
-			out[j] += w * v
-		}
-	}
-	inv := 1 / totalW
-	for j := range out {
-		out[j] *= inv
-	}
+	FedAvgHierInto(dst, nil, uploads, weights, nil, 1)
 }
 
 // HierScratch holds the per-edge accumulators of FedAvgHierInto so the
@@ -64,23 +23,24 @@ type HierScratch struct {
 	wsum []float64
 }
 
-// FedAvgHierInto is two-level FedAvg for a hierarchical aggregation tier:
-// each edge aggregator e computes the Eq. (18) weighted mean over its own
-// uploads (edges[i] names upload i's aggregator), then the FLCC averages
-// the E edge models weighted by their total sample counts. The composition
-// is algebraically identical to flat FedAvg —
+// FedAvgHierInto is FedAvg over an edge-aggregation tier: each edge
+// aggregator e computes the Eq. (18) weighted mean over its own uploads
+// (edges[i] names upload i's aggregator; edges may be nil when
+// numEdges == 1), then the FLCC averages the E edge models weighted by
+// their total sample counts. The composition is algebraically identical to
+// one-level FedAvg —
 //
 //	Σ_e (W_e/W)·(Σ_{i∈e} w_i·M_i / W_e) = Σ_i w_i·M_i / W
 //
-// — but not bitwise (the float sums associate differently), except for
-// E == 1 where share = W/W = 1 exactly and the result is bit-identical to
-// FedAvgInto (pinned by test). Edges with no uploads this round simply
-// contribute nothing.
+// — but not bitwise for E > 1 (the float sums associate differently). At
+// E = 1 the single edge accumulates straight into dst and the second level
+// reduces to the 1/W scaling, leaving scratch untouched (it may be nil).
+// Edges with no uploads this round simply contribute nothing.
 func FedAvgHierInto(dst []float64, scratch *HierScratch, uploads [][]float64, weights []int, edges []int, numEdges int) {
 	if len(uploads) == 0 {
 		panic("fl: FedAvg with no uploads")
 	}
-	if len(uploads) != len(weights) || len(uploads) != len(edges) {
+	if len(uploads) != len(weights) || ((edges != nil || numEdges > 1) && len(uploads) != len(edges)) {
 		panic(fmt.Sprintf("fl: %d uploads but %d weights and %d edge assignments", len(uploads), len(weights), len(edges)))
 	}
 	if numEdges <= 0 {
@@ -89,6 +49,39 @@ func FedAvgHierInto(dst []float64, scratch *HierScratch, uploads [][]float64, we
 	n := len(uploads[0])
 	if len(dst) != n {
 		panic(fmt.Sprintf("fl: FedAvg destination has %d params, want %d", len(dst), n))
+	}
+	// upload validates upload i and returns its weight and edge.
+	upload := func(i int) (float64, int) {
+		if len(uploads[i]) != n {
+			panic(fmt.Sprintf("fl: upload %d has %d params, want %d", i, len(uploads[i]), n))
+		}
+		if weights[i] <= 0 {
+			panic(fmt.Sprintf("fl: non-positive weight %d for upload %d", weights[i], i))
+		}
+		e := 0
+		if edges != nil {
+			e = edges[i]
+		}
+		if e < 0 || e >= numEdges {
+			panic(fmt.Sprintf("fl: upload %d assigned to edge %d outside [0, %d)", i, e, numEdges))
+		}
+		return float64(weights[i]), e
+	}
+	if numEdges == 1 {
+		clear(dst)
+		totalW := 0.0
+		for i, u := range uploads {
+			w, _ := upload(i)
+			totalW += w
+			for j, v := range u {
+				dst[j] += w * v
+			}
+		}
+		inv := 1 / totalW
+		for j := range dst {
+			dst[j] *= inv
+		}
+		return
 	}
 	if len(scratch.sums) < numEdges {
 		scratch.sums = make([][]float64, numEdges)
@@ -100,25 +93,12 @@ func FedAvgHierInto(dst []float64, scratch *HierScratch, uploads [][]float64, we
 		if len(sums[e]) != n {
 			sums[e] = make([]float64, n)
 		}
-		row := sums[e]
-		for j := range row {
-			row[j] = 0
-		}
+		clear(sums[e])
 		wsum[e] = 0
 	}
 	// First level: per-edge weighted sums, accumulated in upload order.
 	for i, u := range uploads {
-		if len(u) != n {
-			panic(fmt.Sprintf("fl: upload %d has %d params, want %d", i, len(u), n))
-		}
-		if weights[i] <= 0 {
-			panic(fmt.Sprintf("fl: non-positive weight %d for upload %d", weights[i], i))
-		}
-		e := edges[i]
-		if e < 0 || e >= numEdges {
-			panic(fmt.Sprintf("fl: upload %d assigned to edge %d outside [0, %d)", i, e, numEdges))
-		}
-		w := float64(weights[i])
+		w, e := upload(i)
 		wsum[e] += w
 		row := sums[e]
 		for j, v := range u {
@@ -130,9 +110,7 @@ func FedAvgHierInto(dst []float64, scratch *HierScratch, uploads [][]float64, we
 		totalW += wsum[e]
 	}
 	// Second level: FLCC-side weighted mean of the edge models.
-	for j := range dst {
-		dst[j] = 0
-	}
+	clear(dst)
 	for e := 0; e < numEdges; e++ {
 		if wsum[e] == 0 {
 			continue // edge had no participants this round

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestFedAvgHierSingleEdgeBitIdentical pins the E == 1 hierarchical path
-// bit-identical to flat FedAvg: share = W/W = 1.0 exactly in IEEE-754, so
-// the two-level composition collapses to the one-level mean bitwise.
+// TestFedAvgHierSingleEdgeBitIdentical pins the E == 1 path — explicit
+// all-zero edges and nil edges, scratch or none — bit-identical to the
+// literal one-level mean (fedAvgOracle) into a NaN-poisoned destination.
 func TestFedAvgHierSingleEdgeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 20; trial++ {
@@ -24,14 +24,21 @@ func TestFedAvgHierSingleEdgeBitIdentical(t *testing.T) {
 			}
 			weights[i] = 1 + rng.Intn(100)
 		}
-		flat := make([]float64, n)
-		hier := make([]float64, n)
+		want := fedAvgOracle(uploads, weights)
 		var scratch HierScratch
-		FedAvgInto(flat, uploads, weights)
-		FedAvgHierInto(hier, &scratch, uploads, weights, edges, 1)
-		for j := range flat {
-			if flat[j] != hier[j] {
-				t.Fatalf("trial %d: param %d diverges: flat %v, hier %v", trial, j, flat[j], hier[j])
+		for name, avg := range map[string]func(dst []float64){
+			"zero edges": func(dst []float64) { FedAvgHierInto(dst, &scratch, uploads, weights, edges, 1) },
+			"nil edges":  func(dst []float64) { FedAvgHierInto(dst, nil, uploads, weights, nil, 1) },
+		} {
+			got := make([]float64, n)
+			for j := range got {
+				got[j] = math.NaN()
+			}
+			avg(got)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("trial %d %s: param %d diverges: got %v, want %v", trial, name, j, got[j], want[j])
+				}
 			}
 		}
 	}
@@ -57,10 +64,9 @@ func TestFedAvgHierWeightedCorrectness(t *testing.T) {
 			weights[i] = 1 + rng.Intn(100)
 			edges[i] = rng.Intn(numEdges)
 		}
-		flat := make([]float64, n)
+		flat := fedAvgOracle(uploads, weights)
 		hier := make([]float64, n)
 		var scratch HierScratch
-		FedAvgInto(flat, uploads, weights)
 		FedAvgHierInto(hier, &scratch, uploads, weights, edges, numEdges)
 		for j := range flat {
 			if math.Abs(flat[j]-hier[j]) > 1e-12*(1+math.Abs(flat[j])) {
@@ -72,9 +78,8 @@ func TestFedAvgHierWeightedCorrectness(t *testing.T) {
 	uploads := [][]float64{{1, 2}, {3, 4}}
 	weights := []int{1, 3}
 	dst := make([]float64, 2)
-	want := make([]float64, 2)
+	want := fedAvgOracle(uploads, weights)
 	var scratch HierScratch
-	FedAvgInto(want, uploads, weights)
 	FedAvgHierInto(dst, &scratch, uploads, weights, []int{2, 2}, 5)
 	for j := range dst {
 		if dst[j] != want[j] {
@@ -91,6 +96,8 @@ func TestFedAvgHierPanics(t *testing.T) {
 		"no uploads":   func() { FedAvgHierInto(dst, &scratch, nil, nil, nil, 1) },
 		"ragged edges": func() { FedAvgHierInto(dst, &scratch, ok, []int{1}, []int{0, 1}, 2) },
 		"zero edges":   func() { FedAvgHierInto(dst, &scratch, ok, []int{1}, []int{0}, 0) },
+		"nil edges":    func() { FedAvgHierInto(dst, &scratch, ok, []int{1}, nil, 2) },
+		"one edge":     func() { FedAvgHierInto(dst, nil, ok, []int{1}, []int{1}, 1) },
 		"edge range":   func() { FedAvgHierInto(dst, &scratch, ok, []int{1}, []int{3}, 2) },
 		"bad weight":   func() { FedAvgHierInto(dst, &scratch, ok, []int{0}, []int{0}, 1) },
 	} {

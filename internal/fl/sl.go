@@ -8,6 +8,7 @@ import (
 	"helcfl/internal/device"
 	"helcfl/internal/nn"
 	"helcfl/internal/sim"
+	"helcfl/internal/tensor"
 	"helcfl/internal/wireless"
 )
 
@@ -57,18 +58,27 @@ func RunSL(cfg SLConfig) (*SLResult, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	flatten := cfg.Spec.FlattensInput()
-	clients := make([]*Client, len(cfg.Devices))
+	// Every user's model persists across rounds, trained on its cached
+	// input view; one loss serves every (sequential) update.
+	models := make([]*nn.Sequential, len(cfg.Devices))
+	inputs := make([]*tensor.Tensor, len(cfg.Devices))
 	for q, d := range cfg.Devices {
+		data := cfg.UserData[q]
+		if data == nil || data.N() == 0 {
+			return nil, fmt.Errorf("fl: SL user %d has no data", q)
+		}
 		// Skip-if-equal, like the FL engine: cached-environment fleets are
 		// shared across concurrent cells and must stay write-free here.
-		if n := cfg.UserData[q].N(); d.NumSamples != n {
+		if n := data.N(); d.NumSamples != n {
 			d.NumSamples = n
 		}
-		clients[q] = NewClient(q, cfg.UserData[q], cfg.Spec.Build(rng), flatten)
+		models[q] = cfg.Spec.Build(rng)
+		inputs[q] = modelInput(data, flatten)
 	}
+	loss := nn.NewSoftmaxCrossEntropy()
 
 	// Deterministic evaluation panel.
-	evalSet := rng.Perm(len(clients))
+	evalSet := rng.Perm(len(models))
 	if cfg.EvalUsers > 0 && cfg.EvalUsers < len(evalSet) {
 		evalSet = evalSet[:cfg.EvalUsers]
 	}
@@ -88,7 +98,7 @@ func RunSL(cfg SLConfig) (*SLResult, error) {
 		lossSum := 0.0
 		var maxDelay, energy float64
 		for _, q := range sel {
-			lossSum += clients[q].TrainOwn(cfg.LR, cfg.LocalSteps)
+			lossSum += LocalUpdate(models[q], loss, inputs[q], cfg.UserData[q].Labels, nil, cfg.LR, cfg.LocalSteps, 0, nil)
 			d := cfg.Devices[q]
 			delay := float64(cfg.LocalSteps) * d.ComputeDelayAtMax()
 			if delay > maxDelay {
@@ -112,7 +122,7 @@ func RunSL(cfg SLConfig) (*SLResult, error) {
 		if j%evalEvery == 0 || j == cfg.MaxRounds-1 {
 			accSum := 0.0
 			for _, q := range evalSet {
-				_, a := Evaluate(clients[q].Model(), cfg.Test, flatten)
+				_, a := Evaluate(models[q], cfg.Test, flatten)
 				accSum += a
 			}
 			rec.Evaluated = true

@@ -33,7 +33,7 @@ func TestEq19BreaksWithMultipleLocalSteps(t *testing.T) {
 			uploads[q] = flat
 			weights[q] = d.N()
 		}
-		return FedAvg(uploads, weights)
+		return fedAvg(uploads, weights)
 	}
 	centralAfter := func(steps int) []float64 {
 		c := NewClient(0, synth.Train, global.Clone(), true)

@@ -1,6 +1,10 @@
 package selection
 
 import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -19,9 +23,10 @@ func hierFleet(n int, seed int64) []*device.Device {
 	return devs
 }
 
-// TestHierHELCFLSingleEdgeMatchesFlat pins the E = 1 hierarchical planner
-// bit-identical to the flat HELCFL planner over many rounds: one shard is
-// the whole fleet and the single edge is the FLCC.
+// TestHierHELCFLSingleEdgeMatchesFlat pins the E = 1 planner — the paper's
+// flat HELCFL — bit-identical to a bare core scheduler over the whole fleet
+// for 20 rounds: one shard is the whole fleet and the single edge is the
+// FLCC. Both constructors build it.
 func TestHierHELCFLSingleEdgeMatchesFlat(t *testing.T) {
 	devs := hierFleet(80, 6)
 	ch := wireless.DefaultChannel()
@@ -33,18 +38,123 @@ func TestHierHELCFLSingleEdgeMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if flat.Name() != "HELCFL" || hier.Name() != "HELCFL-hier" || flat.NumEdges() != 1 {
+		t.Fatalf("names %q/%q, edges %d", flat.Name(), hier.Name(), flat.NumEdges())
+	}
+	ref, err := core.NewScheduler(devs, ch, 4e5, core.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for j := 0; j < 20; j++ {
-		fs, ff := flat.PlanRound(j)
-		hs, hf := hier.PlanRound(j)
-		if len(fs) != len(hs) {
-			t.Fatalf("round %d: cohort sizes %d vs %d", j, len(fs), len(hs))
-		}
-		for i := range fs {
-			if fs[i] != hs[i] || ff[i] != hf[i] {
-				t.Fatalf("round %d user %d: flat (%d, %v) vs hier (%d, %v)", j, i, fs[i], ff[i], hs[i], hf[i])
-			}
+		ws, wf := ref.PlanRound(ch, 4e5)
+		for name, p := range map[string]*HELCFLPlanner{"flat": flat, "hier": hier} {
+			gs, gf := p.PlanRound(j)
+			requirePlan(t, fmt.Sprintf("%s round %d", name, j), gs, gf, ws, wf)
 		}
 	}
+}
+
+// TestHierHELCFLMatchesShardSchedulers pins E ∈ {2, 3, 5} to E independent
+// core schedulers, one per contiguous shard, whose shard-local selections
+// are lifted to fleet indices and concatenated edge-major.
+func TestHierHELCFLMatchesShardSchedulers(t *testing.T) {
+	devs := hierFleet(47, 3)
+	ch := wireless.DefaultChannel()
+	for _, numEdges := range []int{2, 3, 5} {
+		h, err := NewHierHELCFL(devs, numEdges, ch, 4e5, core.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := make([]*core.Scheduler, numEdges)
+		offs := make([]int, numEdges)
+		off := 0
+		for e := range refs {
+			size := len(devs) / numEdges
+			if e < len(devs)%numEdges {
+				size++
+			}
+			if refs[e], err = core.NewScheduler(devs[off:off+size], ch, 4e5, core.DefaultParams()); err != nil {
+				t.Fatal(err)
+			}
+			offs[e] = off
+			off += size
+		}
+		for j := 0; j < 10; j++ {
+			var ws []int
+			var wf []float64
+			for e, ref := range refs {
+				sel, freqs := ref.PlanRound(ch, 4e5)
+				for i, l := range sel {
+					ws = append(ws, offs[e]+l)
+					wf = append(wf, freqs[i])
+				}
+			}
+			gs, gf := h.PlanRound(j)
+			requirePlan(t, fmt.Sprintf("E=%d round %d", numEdges, j), gs, gf, ws, wf)
+		}
+	}
+}
+
+func requirePlan(t *testing.T, what string, gs []int, gf []float64, ws []int, wf []float64) {
+	t.Helper()
+	if len(gs) != len(ws) || len(gf) != len(wf) {
+		t.Fatalf("%s: plan sizes %d/%d, want %d/%d", what, len(gs), len(gf), len(ws), len(wf))
+	}
+	for i := range ws {
+		if gs[i] != ws[i] || math.Float64bits(gf[i]) != math.Float64bits(wf[i]) {
+			t.Fatalf("%s: slot %d = (%d, %v), want (%d, %v)", what, i, gs[i], gf[i], ws[i], wf[i])
+		}
+	}
+}
+
+// TestHELCFLFlatCheckpointCompat pins the E = 1 wire form: ExportState is a
+// bare core.SchedulerState gob (what flat checkpoints and deploy snapshots
+// hold), and such a gob imports into a fresh planner that then makes the
+// same next plan as the scheduler it was taken from.
+func TestHELCFLFlatCheckpointCompat(t *testing.T) {
+	devs := hierFleet(50, 4)
+	ch := wireless.DefaultChannel()
+	p, err := NewHELCFL(devs, ch, 4e5, core.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 4; j++ {
+		p.PlanRound(j)
+	}
+	blob, err := p.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st core.SchedulerState
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
+		t.Fatalf("E = 1 state is not a bare core.SchedulerState: %v", err)
+	}
+	if want := p.Scheduler().Appearances(); fmt.Sprint(st.Alpha) != fmt.Sprint(want) {
+		t.Fatalf("exported α %v, want %v", st.Alpha, want)
+	}
+
+	// A bare scheduler state, as a flat checkpoint holds it.
+	ref, err := core.NewScheduler(devs, ch, 4e5, core.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 7; j++ {
+		ref.PlanRound(ch, 4e5)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ref.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := NewHELCFL(devs, ch, 4e5, core.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.ImportState(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	ws, wf := ref.PlanRound(ch, 4e5)
+	gs, gf := resumed.PlanRound(7)
+	requirePlan(t, "resumed round 7", gs, gf, ws, wf)
 }
 
 // TestHierHELCFLShards checks the contiguous balanced partition, EdgeOf,

@@ -24,7 +24,6 @@ import (
 	"helcfl/internal/core"
 	"helcfl/internal/device"
 	"helcfl/internal/fl"
-	"helcfl/internal/obs/span"
 	"helcfl/internal/sim"
 	"helcfl/internal/wireless"
 )
@@ -199,88 +198,14 @@ func NewFEDL(devs []*device.Device, fraction, k float64, rng *rand.Rand) fl.Plan
 	}
 }
 
-// HELCFLPlanner adapts the core scheduler (Algorithms 2+3) to fl.Planner.
-type HELCFLPlanner struct {
-	sched *core.Scheduler
-	ch    wireless.Channel
-	bits  float64
-	// DisableDVFS replaces Algorithm 3 with max-frequency operation; used
-	// by the Fig. 3 ablation ("HELCFL w/o DVFS").
-	DisableDVFS bool
-	devs        []*device.Device
-}
-
-// NewHELCFL builds the full HELCFL planner.
-func NewHELCFL(devs []*device.Device, ch wireless.Channel, modelBits float64, params core.Params) (*HELCFLPlanner, error) {
-	sched, err := core.NewScheduler(devs, ch, modelBits, params)
-	if err != nil {
-		return nil, err
-	}
-	return &HELCFLPlanner{sched: sched, ch: ch, bits: modelBits, devs: devs}, nil
-}
-
-// Name implements fl.Planner.
-func (h *HELCFLPlanner) Name() string {
-	if h.DisableDVFS {
-		return "HELCFL-noDVFS"
-	}
-	return "HELCFL"
-}
-
-// PlanRound implements fl.Planner.
-func (h *HELCFLPlanner) PlanRound(j int) ([]int, []float64) {
-	if h.DisableDVFS {
-		sel := h.sched.SelectRound()
-		devs := make([]*device.Device, len(sel))
-		for i, q := range sel {
-			devs[i] = h.devs[q]
-		}
-		return sel, sim.MaxFrequencies(devs)
-	}
-	return h.sched.PlanRound(h.ch, h.bits)
-}
-
-// Scheduler exposes the underlying core scheduler (for inspection in tests
-// and reports).
-func (h *HELCFLPlanner) Scheduler() *core.Scheduler { return h.sched }
-
-// SetTrace implements fl.TracedPlanner: the engine hands down its span
-// recorder so Algorithm 2 selection and the Algorithm 3 DVFS solve appear
-// as children of each round's plan span.
-func (h *HELCFLPlanner) SetTrace(rec *span.Recorder, parent span.Ref) {
-	h.sched.SetTrace(rec, parent)
-}
-
-// ExportState implements fl.StatefulPlanner: the Algorithm 2 decay state.
-func (h *HELCFLPlanner) ExportState() ([]byte, error) {
-	return gobEncode(h.sched.ExportState())
-}
-
-// ImportState implements fl.StatefulPlanner.
-func (h *HELCFLPlanner) ImportState(raw []byte) error {
-	var st core.SchedulerState
-	if err := gobDecode(raw, &st); err != nil {
-		return err
-	}
-	return h.sched.ImportState(st)
-}
-
-// SelectionDetail implements fl.DecisionDetailer: the Eq. (20) utilities of
-// the last planned round and the α_q decay counters.
-func (h *HELCFLPlanner) SelectionDetail() ([]float64, []int) {
-	return h.sched.LastUtilities(), h.sched.Appearances()
-}
-
 // HELCFLLossAware is the loss-aware HELCFL extension: Algorithm 2's
 // greedy-decay selection augmented with an Oort-style statistical-utility
 // bonus (see core.LossAwareScheduler), plus Algorithm 3 frequencies. It
 // implements fl.Observer to receive per-round loss feedback.
 type HELCFLLossAware struct {
-	sched  *core.LossAwareScheduler
-	ch     wireless.Channel
-	bits   float64
-	devs   []*device.Device
-	params core.Params
+	sched *core.LossAwareScheduler
+	ch    wireless.Channel
+	bits  float64
 }
 
 // NewHELCFLLossAware builds the extension with statistical weight lambda.
@@ -293,7 +218,7 @@ func NewHELCFLLossAware(devs []*device.Device, ch wireless.Channel, modelBits fl
 	if err != nil {
 		return nil, err
 	}
-	return &HELCFLLossAware{sched: la, ch: ch, bits: modelBits, devs: devs, params: params}, nil
+	return &HELCFLLossAware{sched: la, ch: ch, bits: modelBits}, nil
 }
 
 // Name implements fl.Planner.

@@ -19,26 +19,70 @@ func edgeFleet(n int, seed int64) []*device.Device {
 	return devs
 }
 
+// flatRoundReference is the paper's flat round built directly from the
+// cost model and wireless.ScheduleTDMA: Eqs. (4)–(8) per user, one TDMA
+// uplink to the FLCC, the Eq. (10) and Eq. (11) roll-ups in input order.
+func flatRoundReference(devs []*device.Device, freqs []float64, ch wireless.Channel, modelBits float64, steps int) RoundResult {
+	scale := float64(steps)
+	users := make([]UserRound, len(devs))
+	reqs := make([]wireless.UploadRequest, len(devs))
+	var res RoundResult
+	for i, d := range devs {
+		upload := ch.UploadDelay(modelBits, d.TxPower, d.ChannelGain)
+		users[i] = UserRound{
+			User: d.ID, Freq: freqs[i],
+			ComputeDelay: scale * d.ComputeDelay(freqs[i]), ComputeEnergy: scale * d.ComputeEnergy(freqs[i]),
+			UploadDelay: upload, UploadEnergy: d.TxPower * upload,
+		}
+		reqs[i] = wireless.UploadRequest{User: i, ComputeDone: users[i].ComputeDelay, Duration: upload}
+	}
+	for _, u := range users {
+		res.Eq10Delay = math.Max(res.Eq10Delay, u.TotalDelay())
+		res.ComputeEnergy += u.ComputeEnergy
+		res.UploadEnergy += u.UploadEnergy
+	}
+	res.TotalEnergy = res.ComputeEnergy + res.UploadEnergy
+	slots, makespan := wireless.ScheduleTDMA(reqs)
+	res.Makespan, res.TotalSlack = makespan, wireless.TotalWait(slots)
+	for _, slot := range slots {
+		u := users[slot.User]
+		u.UploadStart, u.UploadEnd, u.Wait = slot.Start, slot.End, slot.Wait
+		res.Users = append(res.Users, u)
+	}
+	return res
+}
+
 // TestSimulateRoundEdgesSingleEdgeMatchesFlat pins the numEdges == 1 path
-// bit-identical to the flat simulator: one edge IS the FLCC.
+// — with explicit all-zero edges and with nil edges — bit-identical to a
+// flat reference built from the cost model and wireless.ScheduleTDMA: one
+// edge IS the FLCC.
 func TestSimulateRoundEdgesSingleEdgeMatchesFlat(t *testing.T) {
 	devs := edgeFleet(17, 4)
 	ch := wireless.DefaultChannel()
 	freqs := MaxFrequencies(devs)
-	edges := make([]int, len(devs))
+	for i := range freqs {
+		if i%3 == 1 { // stretch some users so the uplink sees real slack
+			freqs[i] = devs[i].ClampFreq(0.6 * freqs[i])
+		}
+	}
+	want := flatRoundReference(devs, freqs, ch, 4e5, 2)
 	var a, b Scratch
-	flat := a.SimulateRoundGains(devs, freqs, ch, 4e5, 1, nil)
-	hier := b.SimulateRoundEdges(devs, freqs, ch, 4e5, 1, nil, edges, 1)
-	if flat.Makespan != hier.Makespan || flat.Eq10Delay != hier.Eq10Delay ||
-		flat.TotalEnergy != hier.TotalEnergy || flat.TotalSlack != hier.TotalSlack {
-		t.Fatalf("single-edge aggregates diverge from flat:\nflat %+v\nhier %+v", flat, hier)
-	}
-	if len(flat.Users) != len(hier.Users) {
-		t.Fatalf("user counts %d vs %d", len(flat.Users), len(hier.Users))
-	}
-	for i := range flat.Users {
-		if flat.Users[i] != hier.Users[i] {
-			t.Fatalf("user %d diverges:\nflat %+v\nhier %+v", i, flat.Users[i], hier.Users[i])
+	for name, got := range map[string]RoundResult{
+		"zero edges": a.SimulateRoundEdges(devs, freqs, ch, 4e5, 2, nil, make([]int, len(devs)), 1),
+		"nil edges":  b.SimulateRoundGains(devs, freqs, ch, 4e5, 2, nil),
+	} {
+		if got.Makespan != want.Makespan || got.Eq10Delay != want.Eq10Delay ||
+			got.ComputeEnergy != want.ComputeEnergy || got.UploadEnergy != want.UploadEnergy ||
+			got.TotalEnergy != want.TotalEnergy || got.TotalSlack != want.TotalSlack {
+			t.Fatalf("%s: aggregates diverge from the TDMA reference:\ngot  %+v\nwant %+v", name, got, want)
+		}
+		if len(got.Users) != len(want.Users) {
+			t.Fatalf("%s: user counts %d vs %d", name, len(got.Users), len(want.Users))
+		}
+		for i := range want.Users {
+			if got.Users[i] != want.Users[i] {
+				t.Fatalf("%s: user %d diverges:\ngot  %+v\nwant %+v", name, i, got.Users[i], want.Users[i])
+			}
 		}
 	}
 }
@@ -58,7 +102,7 @@ func TestSimulateRoundEdgesParallelUplinks(t *testing.T) {
 		edges[i] = i % numEdges
 	}
 	var s Scratch
-	flat := SimulateRoundGains(devs, freqs, ch, 4e5, 1, nil)
+	flat := SimulateRound(devs, freqs, ch, 4e5, 1)
 	hier := s.SimulateRoundEdges(devs, freqs, ch, 4e5, 1, nil, edges, numEdges)
 
 	if hier.Makespan > flat.Makespan {
@@ -81,7 +125,7 @@ func TestSimulateRoundEdgesParallelUplinks(t *testing.T) {
 				ef = append(ef, freqs[i])
 			}
 		}
-		r := SimulateRoundGains(ed, ef, ch, 4e5, 1, nil)
+		r := SimulateRound(ed, ef, ch, 4e5, 1)
 		if r.Makespan > maxEdge {
 			maxEdge = r.Makespan
 		}
@@ -115,10 +159,12 @@ func TestSimulateRoundEdgesPanics(t *testing.T) {
 	freqs := MaxFrequencies(devs)
 	var s Scratch
 	for name, f := range map[string]func(){
-		"ragged edges":  func() { s.SimulateRoundEdges(devs, freqs, ch, 4e5, 1, nil, []int{0}, 1) },
-		"zero edges":    func() { s.SimulateRoundEdges(devs, freqs, ch, 4e5, 1, nil, []int{0, 0, 0}, 0) },
-		"edge range":    func() { s.SimulateRoundEdges(devs, freqs, ch, 4e5, 1, nil, []int{0, 2, 0}, 2) },
-		"negative edge": func() { s.SimulateRoundEdges(devs, freqs, ch, 4e5, 1, nil, []int{0, -1, 0}, 2) },
+		"ragged edges":   func() { s.SimulateRoundEdges(devs, freqs, ch, 4e5, 1, nil, []int{0}, 1) },
+		"nil edges":      func() { s.SimulateRoundEdges(devs, freqs, ch, 4e5, 1, nil, nil, 2) },
+		"zero edges":     func() { s.SimulateRoundEdges(devs, freqs, ch, 4e5, 1, nil, []int{0, 0, 0}, 0) },
+		"edge range":     func() { s.SimulateRoundEdges(devs, freqs, ch, 4e5, 1, nil, []int{0, 2, 0}, 2) },
+		"one-edge range": func() { s.SimulateRoundEdges(devs, freqs, ch, 4e5, 1, nil, []int{0, 1, 0}, 1) },
+		"negative edge":  func() { s.SimulateRoundEdges(devs, freqs, ch, 4e5, 1, nil, []int{0, -1, 0}, 2) },
 	} {
 		func() {
 			defer func() {

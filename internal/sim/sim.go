@@ -59,15 +59,8 @@ type RoundResult struct {
 // steps is the number of local full-batch GD passes (the paper uses 1) and
 // scales compute delay and energy linearly.
 func SimulateRound(devs []*device.Device, freqs []float64, ch wireless.Channel, modelBits float64, steps int) RoundResult {
-	return SimulateRoundGains(devs, freqs, ch, modelBits, steps, nil)
-}
-
-// SimulateRoundGains is SimulateRound with per-round channel gains
-// overriding each device's static gain (for fading-channel studies). gains
-// must align with devs, or be nil to use the static gains.
-func SimulateRoundGains(devs []*device.Device, freqs []float64, ch wireless.Channel, modelBits float64, steps int, gains []float64) RoundResult {
 	var s Scratch
-	return s.SimulateRoundGains(devs, freqs, ch, modelBits, steps, gains)
+	return s.SimulateRoundGains(devs, freqs, ch, modelBits, steps, nil)
 }
 
 // Scratch holds the per-round working buffers of the simulator so a caller
@@ -76,7 +69,7 @@ func SimulateRoundGains(devs []*device.Device, freqs []float64, ch wireless.Chan
 //
 // The RoundResult returned by its methods aliases the scratch: Users is
 // only valid until the next call on the same Scratch. Callers that need to
-// retain a round must copy it (or use the allocating free functions).
+// retain a round must copy it (or use the allocating SimulateRound).
 type Scratch struct {
 	users []UserRound
 	reqs  []wireless.UploadRequest
@@ -88,17 +81,74 @@ type Scratch struct {
 	edgeEnd  []int
 }
 
-// SimulateRoundGains is the buffer-reusing form of the free function of the
-// same name; results are value-identical, but the returned RoundResult is
-// only valid until the next call on this Scratch.
+// SimulateRoundGains is SimulateRound with per-round channel gains
+// overriding each device's static gain (for fading-channel studies), on
+// this Scratch's buffers: the one-edge case of SimulateRoundEdges, where
+// every device uploads to the FLCC. gains must align with devs, or be nil
+// to use the static gains.
 func (s *Scratch) SimulateRoundGains(devs []*device.Device, freqs []float64, ch wireless.Channel, modelBits float64, steps int, gains []float64) RoundResult {
+	return s.SimulateRoundEdges(devs, freqs, ch, modelBits, steps, gains, nil, 1)
+}
+
+// SimulateRoundEdges simulates a round over an edge-aggregation tier: each
+// selected device uploads to its edge aggregator (edges[i], in
+// [0, numEdges); nil when numEdges == 1) instead of the
+// FLCC, and the numEdges TDMA uplinks run in parallel. The round makespan
+// is the slowest edge's makespan; stop-and-wait slack sums across edges.
+// Edge→FLCC backhaul is modeled as free, the standard wired-backhaul
+// assumption in hierarchical FL (the access uplink is the bottleneck the
+// paper's Eq. (6)–(8) model). With numEdges == 1 the single edge is the
+// FLCC — the paper's flat round.
+//
+// Users is ordered edge-major (edge 0's slots, then edge 1's, ...), each
+// edge in its own TDMA transmission order.
+func (s *Scratch) SimulateRoundEdges(devs []*device.Device, freqs []float64, ch wireless.Channel, modelBits float64, steps int, gains []float64, edges []int, numEdges int) RoundResult {
+	if (edges != nil || numEdges > 1) && len(edges) != len(devs) {
+		panic(fmt.Sprintf("sim: %d devices but %d edge assignments", len(devs), len(edges)))
+	}
+	if numEdges <= 0 {
+		panic(fmt.Sprintf("sim: non-positive edge count %d", numEdges))
+	}
 	res := s.fill(devs, freqs, ch, modelBits, steps, gains)
-	s.uplink(&res, s.reqs)
+
+	// Bucket the requests by edge in one counting pass, keeping input order
+	// inside each bucket: count, prefix-sum to bucket starts, scatter. The
+	// scatter advances each start to its bucket's end. One edge needs only
+	// the count's range check.
+	s.edgeEnd = slices.Grow(s.edgeEnd[:0], numEdges)[:numEdges]
+	end := s.edgeEnd
+	clear(end)
+	for i, e := range edges {
+		if e < 0 || e >= numEdges {
+			panic(fmt.Sprintf("sim: device %d assigned to edge %d outside [0, %d)", devs[i].ID, e, numEdges))
+		}
+		end[e]++
+	}
+	if numEdges == 1 {
+		s.uplink(&res, s.reqs)
+		return res
+	}
+	start := 0
+	for e, count := range end {
+		end[e] = start
+		start += count
+	}
+	s.edgeReqs = slices.Grow(s.edgeReqs[:0], len(edges))[:len(edges)]
+	for i, e := range edges {
+		s.edgeReqs[end[e]] = s.reqs[i]
+		end[e]++
+	}
+
+	start = 0
+	for _, stop := range end {
+		s.uplink(&res, s.edgeReqs[start:stop])
+		start = stop
+	}
 	return res
 }
 
-// fill is the per-user pass shared by the flat and edge-tier simulators: it
-// validates the round's inputs, evaluates Eqs. (4)–(8) once per user into
+// fill is the per-user pass of the simulator: it validates the round's
+// inputs, evaluates Eqs. (4)–(8) once per user into
 // s.users (input order), stages one upload request per user in s.reqs
 // (User is the input position), empties s.out, and returns the Eq. (10) /
 // Eq. (11) roll-up. The TDMA half of the result is left to uplink.
