@@ -5,7 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"helcfl/internal/fl"
+	"helcfl/internal/obs"
 	"helcfl/internal/trace"
 )
 
@@ -16,11 +16,11 @@ func TestInspectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := []fl.RoundRecord{
-		{Round: 0, Delay: 1, Energy: 2, ComputeEnergy: 1.5, CumTime: 1, CumEnergy: 2,
-			Evaluated: true, TestAccuracy: 0.5},
-	}
-	if err := trace.Write(f, "HELCFL", recs); err != nil {
+	sink := trace.NewSink(f)
+	sink.OnRunStart(obs.RunStartEvent{Scheme: "HELCFL"})
+	sink.OnRoundEnd(obs.RoundEndEvent{Round: 0, DelaySec: 1, EnergyJ: 2, ComputeJ: 1.5, CumTimeSec: 1, CumEnergyJ: 2,
+		Evaluated: true, TestAccuracy: 0.5})
+	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -86,11 +86,6 @@ func main() {
 	}
 }
 
-// run is runCtx without cancellation — the test entry point.
-func run(args []string) error {
-	return runCtx(context.Background(), args)
-}
-
 // commandNames lists everything args[0] may be: the registry's experiments
 // in display order, then the bespoke single-run commands. Usage and the
 // unknown-experiment error are built from it, so a new Definition shows up
@@ -471,6 +466,10 @@ func runEval(p experiments.Preset, seed int64, settingName, modelPath string) er
 	env, err := experiments.BuildEnv(p, setting, seed)
 	if err != nil {
 		return err
+	}
+	if d := env.Spec; spec.InC != d.InC || spec.H != d.H || spec.W != d.W || spec.Classes != d.Classes {
+		return fmt.Errorf("eval: %s takes %dx%dx%d inputs and %d classes, preset %s data is %dx%dx%d with %d classes",
+			modelPath, spec.InC, spec.H, spec.W, spec.Classes, p.Name, d.InC, d.H, d.W, d.Classes)
 	}
 	loss, acc := fl.Evaluate(model, env.Synth.Test, spec.FlattensInput())
 	fmt.Printf("%s on %s/%s test set: loss %.4f, accuracy %.2f%%\n",

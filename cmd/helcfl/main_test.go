@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"helcfl/internal/experiments"
+	"helcfl/internal/nn"
 	"helcfl/internal/obs/span"
 	"helcfl/internal/trace"
 )
@@ -21,25 +23,25 @@ import (
 // argument parsing and each subcommand's happy path at tiny scale.
 
 func TestRunUsageAndUnknowns(t *testing.T) {
-	if err := run(nil); err == nil {
+	if err := runCtx(context.Background(), nil); err == nil {
 		t.Fatal("no args must error")
 	}
-	if err := run([]string{"nope"}); err == nil {
+	if err := runCtx(context.Background(), []string{"nope"}); err == nil {
 		t.Fatal("unknown experiment must error")
 	}
-	if err := run([]string{"fig1", "-preset", "bogus"}); err == nil {
+	if err := runCtx(context.Background(), []string{"fig1", "-preset", "bogus"}); err == nil {
 		t.Fatal("unknown preset must error")
 	}
-	if err := run([]string{"fig1", "-definitely-not-a-flag"}); err == nil {
+	if err := runCtx(context.Background(), []string{"fig1", "-definitely-not-a-flag"}); err == nil {
 		t.Fatal("bad flag must error")
 	}
-	if err := run([]string{"trace", "-preset", "tiny", "-setting", "weird"}); err == nil {
+	if err := runCtx(context.Background(), []string{"trace", "-preset", "tiny", "-setting", "weird"}); err == nil {
 		t.Fatal("bad setting must error")
 	}
 
 	// A stray positional argument ends flag parsing: unchecked, this would
 	// run the default preset and exit 0 with the bad -preset never read.
-	err := run([]string{"fig1", "tiny", "-preset", "nonsense"})
+	err := runCtx(context.Background(), []string{"fig1", "tiny", "-preset", "nonsense"})
 	if err == nil {
 		t.Fatal("leftover arguments must error")
 	}
@@ -52,12 +54,12 @@ func TestRunUsageAndUnknowns(t *testing.T) {
 	// The timing subcommands and their flags are gone (_bench/ replaced
 	// them); each must be rejected, not ignored.
 	for _, cmd := range []string{"bench", "bench-scale"} {
-		if err := run([]string{cmd, "-preset", "tiny"}); err == nil {
+		if err := runCtx(context.Background(), []string{cmd, "-preset", "tiny"}); err == nil {
 			t.Fatalf("removed subcommand %q must error", cmd)
 		}
 	}
 	for _, flag := range []string{"-experiment", "-bench-out", "-scale-out", "-max-q", "-budget-sec"} {
-		if err := run([]string{"fig1", "-preset", "tiny", flag, "1"}); err == nil {
+		if err := runCtx(context.Background(), []string{"fig1", "-preset", "tiny", flag, "1"}); err == nil {
 			t.Fatalf("removed flag %s must error", flag)
 		}
 	}
@@ -67,7 +69,7 @@ func TestRunUsageAndUnknowns(t *testing.T) {
 // unknown-experiment error name every registered experiment plus the three
 // bespoke commands, so the list cannot drift when a Definition is added.
 func TestCommandListComesFromRegistry(t *testing.T) {
-	usage, unknown := run(nil), run([]string{"nope", "-preset", "tiny"})
+	usage, unknown := runCtx(context.Background(), nil), runCtx(context.Background(), []string{"nope", "-preset", "tiny"})
 	if usage == nil || unknown == nil {
 		t.Fatal("no args and an unknown experiment must both error")
 	}
@@ -85,7 +87,7 @@ func TestCommandListComesFromRegistry(t *testing.T) {
 }
 
 func TestRunFig1Tiny(t *testing.T) {
-	if err := run([]string{"fig1", "-preset", "tiny"}); err != nil {
+	if err := runCtx(context.Background(), []string{"fig1", "-preset", "tiny"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -93,23 +95,32 @@ func TestRunFig1Tiny(t *testing.T) {
 func TestRunTrainEvalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	model := filepath.Join(dir, "m.helcfl")
-	if err := run([]string{"train", "-preset", "tiny", "-model", model}); err != nil {
+	if err := runCtx(context.Background(), []string{"train", "-preset", "tiny", "-model", model}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(model); err != nil {
 		t.Fatal("model file not written")
 	}
-	if err := run([]string{"eval", "-preset", "tiny", "-model", model}); err != nil {
+	if err := runCtx(context.Background(), []string{"eval", "-preset", "tiny", "-model", model}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"eval", "-preset", "tiny", "-model", filepath.Join(dir, "missing")}); err == nil {
+	if err := runCtx(context.Background(), []string{"eval", "-preset", "tiny", "-model", filepath.Join(dir, "missing")}); err == nil {
 		t.Fatal("missing model must error")
+	}
+	// A valid model for other data is an error, not a shape panic.
+	spec := nn.ModelSpec{Kind: "logistic", InC: 1, H: 2, W: 2, Classes: 2}
+	other := filepath.Join(dir, "other.helcfl")
+	if err := nn.SaveModel(other, spec, spec.Build(rand.New(rand.NewSource(1)))); err != nil {
+		t.Fatal(err)
+	}
+	if err := runCtx(context.Background(), []string{"eval", "-preset", "tiny", "-model", other}); err == nil || !strings.Contains(err.Error(), "1x2x2") {
+		t.Fatalf("eval of a 1x2x2 model on tiny data: %v, want a geometry error", err)
 	}
 }
 
 func TestRunTraceWritesFile(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"trace", "-preset", "tiny", "-out", dir}); err != nil {
+	if err := runCtx(context.Background(), []string{"trace", "-preset", "tiny", "-out", dir}); err != nil {
 		t.Fatal(err)
 	}
 	matches, _ := filepath.Glob(filepath.Join(dir, "trace_*.jsonl"))
@@ -132,7 +143,7 @@ func TestRunVerboseWithLiveMetrics(t *testing.T) {
 	defer func() { stderr = old }()
 
 	dir := t.TempDir()
-	if err := run([]string{"trace", "-preset", "tiny", "-v", "-metrics-addr", "127.0.0.1:0", "-out", dir}); err != nil {
+	if err := runCtx(context.Background(), []string{"trace", "-preset", "tiny", "-v", "-metrics-addr", "127.0.0.1:0", "-out", dir}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -197,13 +208,13 @@ func TestRunVerboseWithLiveMetrics(t *testing.T) {
 }
 
 func TestRunRejectsBadMetricsAddr(t *testing.T) {
-	if err := run([]string{"fig1", "-preset", "tiny", "-metrics-addr", "256.0.0.1:bogus"}); err == nil {
+	if err := runCtx(context.Background(), []string{"fig1", "-preset", "tiny", "-metrics-addr", "256.0.0.1:bogus"}); err == nil {
 		t.Fatal("unusable metrics address must error")
 	}
 }
 
 func TestRunSeedsValidatesCount(t *testing.T) {
-	if err := run([]string{"seeds", "-preset", "tiny", "-n", "0"}); err == nil {
+	if err := runCtx(context.Background(), []string{"seeds", "-preset", "tiny", "-n", "0"}); err == nil {
 		t.Fatal("zero seed count must error")
 	}
 }
@@ -212,7 +223,7 @@ func TestRunBatteryTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("battery campaign trains ten runs")
 	}
-	if err := run([]string{"battery", "-preset", "tiny"}); err != nil {
+	if err := runCtx(context.Background(), []string{"battery", "-preset", "tiny"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -221,7 +232,7 @@ func TestRunSeedsTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed campaign is slow")
 	}
-	if err := run([]string{"seeds", "-preset", "tiny", "-n", "2"}); err != nil {
+	if err := runCtx(context.Background(), []string{"seeds", "-preset", "tiny", "-n", "2"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -233,7 +244,7 @@ func TestRunAllTiny(t *testing.T) {
 		t.Skip("full campaign is slow")
 	}
 	dir := t.TempDir()
-	if err := run([]string{"all", "-preset", "tiny", "-out", dir}); err != nil {
+	if err := runCtx(context.Background(), []string{"all", "-preset", "tiny", "-out", dir}); err != nil {
 		t.Fatal(err)
 	}
 	matches, _ := filepath.Glob(filepath.Join(dir, "fig2_tiny_*.csv"))
@@ -243,7 +254,7 @@ func TestRunAllTiny(t *testing.T) {
 }
 
 func TestRunParallelFlag(t *testing.T) {
-	if err := run([]string{"fig2", "-preset", "tiny", "-parallel", "4"}); err != nil {
+	if err := runCtx(context.Background(), []string{"fig2", "-preset", "tiny", "-parallel", "4"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -265,7 +276,7 @@ func TestRunFig2TraceOut(t *testing.T) {
 	dir := t.TempDir()
 	spansPath := filepath.Join(dir, "spans.jsonl")
 	flightDir := filepath.Join(dir, "flight")
-	if err := run([]string{"fig2", "-preset", "tiny", "-parallel", "2",
+	if err := runCtx(context.Background(), []string{"fig2", "-preset", "tiny", "-parallel", "2",
 		"-trace-out", spansPath, "-flightrec-out", flightDir}); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +354,7 @@ func TestRunFig2TraceOut(t *testing.T) {
 func TestRunTraceSpanInterop(t *testing.T) {
 	dir := t.TempDir()
 	spansPath := filepath.Join(dir, "spans.jsonl")
-	if err := run([]string{"trace", "-preset", "tiny", "-out", dir, "-trace-out", spansPath}); err != nil {
+	if err := runCtx(context.Background(), []string{"trace", "-preset", "tiny", "-out", dir, "-trace-out", spansPath}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -81,12 +81,6 @@ func (l *LossAwareScheduler) lossBonus(q int, mean float64, ok bool) float64 {
 	return 1 + l.Lambda*l.lastLoss[q]/mean
 }
 
-// Utility returns the loss-augmented utility of user q.
-func (l *LossAwareScheduler) Utility(q int) float64 {
-	mean, ok := l.meanLoss()
-	return l.Scheduler.Utility(q) * l.lossBonus(q, mean, ok)
-}
-
 // SelectRound is Algorithm 2 over the augmented utility: it fills the
 // scheduler's utility vector with u_q·(1 + λ·L̂_q) and runs the shared
 // top-N heap, returning a freshly allocated index slice.

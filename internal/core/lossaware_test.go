@@ -82,8 +82,9 @@ func newLossAware(t *testing.T, n int, lambda float64) *LossAwareScheduler {
 
 func TestLossAwareZeroLambdaMatchesBase(t *testing.T) {
 	la := newLossAware(t, 20, 0)
+	mean, ok := la.meanLoss()
 	for q := 0; q < 20; q++ {
-		if la.Utility(q) != la.Scheduler.Utility(q) {
+		if la.lossBonus(q, mean, ok) != 1 {
 			t.Fatalf("λ=0 utility differs for user %d", q)
 		}
 	}

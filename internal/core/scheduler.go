@@ -373,16 +373,6 @@ func (s *Scheduler) selectTop(dst []int) []int {
 	return dst
 }
 
-// StaticDelay returns T_q^cal(f_max) + T_q^com for user q, the denominator
-// of Eq. (20). Exposed for baselines (FedCS ranks on the same quantity).
-func (s *Scheduler) StaticDelay(q int) float64 { return s.tcalMax[q] + s.tcom[q] }
-
-// TComOf returns the cached upload delay of user q.
-func (s *Scheduler) TComOf(q int) float64 { return s.tcom[q] }
-
-// TCalMaxOf returns the cached max-frequency compute delay of user q.
-func (s *Scheduler) TCalMaxOf(q int) float64 { return s.tcalMax[q] }
-
 // PlanRound runs one full FLCC scheduling decision: Algorithm 2 selection
 // followed by Algorithm 3 frequency determination. The returned slices are
 // freshly allocated (the FL engine retains them in its round records); the

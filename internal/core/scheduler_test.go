@@ -62,7 +62,7 @@ func TestUtilityEq20(t *testing.T) {
 	devs := fleet(5, 2)
 	s := newSched(t, devs, DefaultParams())
 	for q := range devs {
-		want := 1.0 / (s.TCalMaxOf(q) + s.TComOf(q))
+		want := 1.0 / (s.tcalMax[q] + s.tcom[q])
 		if got := s.Utility(q); math.Abs(got-want) > 1e-15 {
 			t.Fatalf("fresh utility[%d] = %g, want %g", q, got, want)
 		}
@@ -70,7 +70,7 @@ func TestUtilityEq20(t *testing.T) {
 	// After two selections, utility decays by η².
 	s.markSelected(0)
 	s.markSelected(0)
-	want := 0.9 * 0.9 / (s.TCalMaxOf(0) + s.TComOf(0))
+	want := 0.9 * 0.9 / (s.tcalMax[0] + s.tcom[0])
 	if got := s.Utility(0); math.Abs(got-want) > 1e-15 {
 		t.Fatalf("decayed utility = %g, want %g", got, want)
 	}
@@ -101,10 +101,10 @@ func TestSelectRoundPicksFastestFirst(t *testing.T) {
 	// smallest static delay.
 	best, second := -1, -1
 	for q := range devs {
-		if best == -1 || s.StaticDelay(q) < s.StaticDelay(best) {
+		if best == -1 || s.tcalMax[q]+s.tcom[q] < s.tcalMax[best]+s.tcom[best] {
 			second = best
 			best = q
-		} else if second == -1 || s.StaticDelay(q) < s.StaticDelay(second) {
+		} else if second == -1 || s.tcalMax[q]+s.tcom[q] < s.tcalMax[second]+s.tcom[second] {
 			second = q
 		}
 	}

@@ -63,11 +63,6 @@ func (d *Dataset) FlatX() *tensor.Tensor {
 	return d.X.Reshape(d.N(), d.SampleDim())
 }
 
-// newTensor4 wraps a flat pixel slice as the (N, C, H, W) image tensor.
-func newTensor4(data []float64, n, c, h, w int) *tensor.Tensor {
-	return tensor.FromSlice(data, n, c, h, w)
-}
-
 // LabelHistogram returns counts per class over numClasses classes.
 func (d *Dataset) LabelHistogram(numClasses int) []int {
 	h := make([]int, numClasses)

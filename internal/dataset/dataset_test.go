@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -146,7 +147,7 @@ func TestFlatXSharesStorage(t *testing.T) {
 		t.Fatalf("flat shape = %v", flat.Shape())
 	}
 	flat.Set(42, 0, 0)
-	if s.Train.X.At(0, 0, 0, 0) != 42 {
+	if s.Train.X.Data()[0] != 42 {
 		t.Fatal("FlatX must be a view")
 	}
 }
@@ -165,13 +166,13 @@ func TestPartitionIIDCoversAll(t *testing.T) {
 		t.Fatalf("assigned %d of %d samples", p.TotalSamples(), s.Train.N())
 	}
 	// Sizes differ by at most one.
-	minSz, maxSz := p.SizeOf(0), p.SizeOf(0)
+	minSz, maxSz := len(p.UserIndices[0]), len(p.UserIndices[0])
 	for q := 1; q < 7; q++ {
-		if p.SizeOf(q) < minSz {
-			minSz = p.SizeOf(q)
+		if len(p.UserIndices[q]) < minSz {
+			minSz = len(p.UserIndices[q])
 		}
-		if p.SizeOf(q) > maxSz {
-			maxSz = p.SizeOf(q)
+		if len(p.UserIndices[q]) > maxSz {
+			maxSz = len(p.UserIndices[q])
 		}
 	}
 	if maxSz-minSz > 1 {
@@ -218,8 +219,8 @@ func TestPartitionNonIIDPaperScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	for q := 0; q < 100; q++ {
-		if p.SizeOf(q) != 40 {
-			t.Fatalf("user %d size = %d, want 40", q, p.SizeOf(q))
+		if len(p.UserIndices[q]) != 40 {
+			t.Fatalf("user %d size = %d, want 40", q, len(p.UserIndices[q]))
 		}
 	}
 }
@@ -289,4 +290,34 @@ func TestMeanDistinctLabelsEmpty(t *testing.T) {
 	if MeanDistinctLabels(nil, 10) != 0 {
 		t.Fatal("empty user list must give 0")
 	}
+}
+
+// TotalSamples returns the number of assigned samples across all users.
+func (p *Partition) TotalSamples() int {
+	n := 0
+	for _, idx := range p.UserIndices {
+		n += len(idx)
+	}
+	return n
+}
+
+// Validate checks that indices are within [0, n), that no index is assigned
+// twice, and that every user owns at least one sample.
+func (p *Partition) Validate(n int) error {
+	seen := make([]bool, n)
+	for q, idxs := range p.UserIndices {
+		if len(idxs) == 0 {
+			return fmt.Errorf("dataset: user %d owns no samples", q)
+		}
+		for _, i := range idxs {
+			if i < 0 || i >= n {
+				return fmt.Errorf("dataset: user %d holds index %d outside [0,%d)", q, i, n)
+			}
+			if seen[i] {
+				return fmt.Errorf("dataset: index %d assigned to multiple users", i)
+			}
+			seen[i] = true
+		}
+	}
+	return nil
 }

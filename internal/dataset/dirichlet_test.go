@@ -41,7 +41,7 @@ func TestPartitionDirichletNoEmptyUsers(t *testing.T) {
 	// leave every user non-empty.
 	p := PartitionDirichlet(s.Train, 12, 4, 0.05, rand.New(rand.NewSource(4)))
 	for q := 0; q < 12; q++ {
-		if p.SizeOf(q) == 0 {
+		if len(p.UserIndices[q]) == 0 {
 			t.Fatalf("user %d empty", q)
 		}
 	}

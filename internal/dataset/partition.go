@@ -15,39 +15,6 @@ type Partition struct {
 // Users returns the number of users in the partition.
 func (p *Partition) Users() int { return len(p.UserIndices) }
 
-// SizeOf returns |D_q| for user q.
-func (p *Partition) SizeOf(q int) int { return len(p.UserIndices[q]) }
-
-// TotalSamples returns the number of assigned samples across all users.
-func (p *Partition) TotalSamples() int {
-	n := 0
-	for _, idx := range p.UserIndices {
-		n += len(idx)
-	}
-	return n
-}
-
-// Validate checks that indices are within [0, n), that no index is assigned
-// twice, and that every user owns at least one sample.
-func (p *Partition) Validate(n int) error {
-	seen := make([]bool, n)
-	for q, idxs := range p.UserIndices {
-		if len(idxs) == 0 {
-			return fmt.Errorf("dataset: user %d owns no samples", q)
-		}
-		for _, i := range idxs {
-			if i < 0 || i >= n {
-				return fmt.Errorf("dataset: user %d holds index %d outside [0,%d)", q, i, n)
-			}
-			if seen[i] {
-				return fmt.Errorf("dataset: index %d assigned to multiple users", i)
-			}
-			seen[i] = true
-		}
-	}
-	return nil
-}
-
 // PartitionIID shuffles sample indices and deals them evenly across users —
 // the paper's IID setting ("training samples are randomly shuffled and
 // evenly assigned to users"). Remainder samples go to the first users.

@@ -168,7 +168,7 @@ func TestServerExposesObservabilityEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.Metrics() == srv2.Metrics() {
+	if srv.metrics == srv2.metrics {
 		t.Fatal("servers unexpectedly share a metrics registry")
 	}
 }

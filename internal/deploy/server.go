@@ -209,9 +209,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
-// Metrics returns the registry backing the server's /metrics endpoint.
-func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
 // Close quiesces the server: the straggler-deadline timer stops, the WAL
 // file handle closes, and protocol handlers begin answering 503 so retrying
 // clients fail over (or reconnect to the next incarnation). Call it from

@@ -143,16 +143,6 @@ func (d *Device) ComputeEnergy(f float64) float64 {
 	return d.Kappa / 2 * d.TotalCycles() * f * f
 }
 
-// FreqForDelay returns the frequency that makes the local update take
-// exactly delay seconds (the inversion of Eq. (4) used by Algorithm 3,
-// line 9), before clamping.
-func (d *Device) FreqForDelay(delay float64) float64 {
-	if delay <= 0 {
-		panic(fmt.Sprintf("device %d: frequency for non-positive delay %g", d.ID, delay))
-	}
-	return d.TotalCycles() / delay
-}
-
 // CatalogConfig controls random generation of a heterogeneous device fleet.
 type CatalogConfig struct {
 	// Q is the number of devices (paper: 100).

@@ -43,15 +43,6 @@ func TestEnergyQuadraticInFrequency(t *testing.T) {
 	}
 }
 
-func TestFreqForDelayInvertsComputeDelay(t *testing.T) {
-	d := sample()
-	f := 0.8e9
-	delay := d.ComputeDelay(f)
-	if got := d.FreqForDelay(delay); math.Abs(got-f)/f > 1e-12 {
-		t.Fatalf("FreqForDelay = %g, want %g", got, f)
-	}
-}
-
 func TestClampFreq(t *testing.T) {
 	d := sample()
 	if got := d.ClampFreq(0.1e9); got != d.FMin {

@@ -81,11 +81,6 @@ func (f *Fleet) ComputeDelay(q int, freq float64) float64 {
 // ComputeDelayAtMax returns T_q^cal at FMax, the value Algorithm 2 ranks on.
 func (f *Fleet) ComputeDelayAtMax(q int) float64 { return f.ComputeDelay(q, f.FMax[q]) }
 
-// ComputeEnergy returns E_q^cal = (α/2)·π·|D_q|·f² (Eq. 5).
-func (f *Fleet) ComputeEnergy(q int, freq float64) float64 {
-	return f.Kappa[q] / 2 * f.TotalCycles(q) * freq * freq
-}
-
 // ClampFreq projects freq onto device q's [FMin, FMax].
 func (f *Fleet) ClampFreq(q int, freq float64) float64 {
 	if freq < f.FMin[q] {

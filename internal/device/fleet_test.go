@@ -88,9 +88,6 @@ func TestFleetOfMatchesDevices(t *testing.T) {
 		if f.ComputeDelayAtMax(q) != d.ComputeDelayAtMax() {
 			t.Fatalf("device %d: ComputeDelayAtMax diverges", q)
 		}
-		if f.ComputeEnergy(q, fr) != d.ComputeEnergy(fr) {
-			t.Fatalf("device %d: ComputeEnergy diverges", q)
-		}
 		if f.SnapFreq(q, fr*0.9) != d.SnapFreq(fr*0.9) {
 			t.Fatalf("device %d: SnapFreq diverges", q)
 		}

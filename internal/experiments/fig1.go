@@ -83,11 +83,3 @@ func (f *Fig1Demo) RenderGantt() (*report.Gantt, *report.Gantt) {
 	return mk("Fig. 1: traditional TDMA FL (max frequency)", f.MaxFreq),
 		mk("Fig. 1: HELCFL DVFS (Algorithm 3)", f.WithDVFS)
 }
-
-// slackCheck is referenced by tests to assert the demo's invariant.
-func (f *Fig1Demo) slackCheck() (float64, float64, error) {
-	if f.WithDVFS.Makespan > f.MaxFreq.Makespan+1e-9 {
-		return 0, 0, fmt.Errorf("DVFS lengthened the round: %g > %g", f.WithDVFS.Makespan, f.MaxFreq.Makespan)
-	}
-	return f.MaxFreq.TotalSlack, f.WithDVFS.TotalSlack, nil
-}

@@ -77,21 +77,6 @@ func fig3FromCurves(p Preset, s Setting, withCurve, withoutCurve metrics.Curve) 
 	return out
 }
 
-// RunFig3Env is the Fig. 3 comparison over a pre-built (possibly mutated)
-// environment — what a DVFS-levels cell runs after editing the fleet's
-// operating points in place.
-func RunFig3Env(env *Env) (*Fig3Result, error) {
-	withCurve, _, err := RunScheme(env, "HELCFL")
-	if err != nil {
-		return nil, fmt.Errorf("HELCFL: %w", err)
-	}
-	withoutCurve, _, err := RunScheme(env, "HELCFL-noDVFS")
-	if err != nil {
-		return nil, fmt.Errorf("HELCFL-noDVFS: %w", err)
-	}
-	return fig3FromCurves(env.Preset, env.Setting, withCurve, withoutCurve), nil
-}
-
 // Render produces the Fig. 3 bar chart and companion table.
 func (f *Fig3Result) Render() (*report.BarChart, *report.Table) {
 	bc := report.NewBarChart(fmt.Sprintf("Fig. 3 (%s): training energy to desired accuracy", f.Setting), " J")

@@ -111,11 +111,9 @@ type Config struct {
 	Seed int64
 }
 
-// Validate reports whether the configuration is runnable; fl.Run calls it
+// validate reports whether the configuration is runnable; NewEngine calls it
 // before touching any state, so a config that validates cleanly fails only
 // for runtime reasons (planner errors, dead fleets).
-func (c *Config) Validate() error { return c.validate() }
-
 func (c *Config) validate() error {
 	switch {
 	case len(c.Devices) == 0:
@@ -381,9 +379,6 @@ func (e *Engine) startRunSpan() {
 	e.runSp = e.cfg.Trace.Start(e.cfg.TraceParent, "fl.run")
 	e.runSp.SetStr("scheme", e.res.Scheme)
 }
-
-// Round returns the index of the next round the engine would execute.
-func (e *Engine) Round() int { return e.round }
 
 // Done reports that no further round will execute (budget exhausted or an
 // exit condition fired).

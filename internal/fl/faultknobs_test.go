@@ -32,14 +32,14 @@ func TestValidateFaultKnobBoundaries(t *testing.T) {
 			env := newTestEnv(t, 50, 4)
 			cfg := baseConfig(env, allUsersPlanner(env.devs))
 			tc.mutate(&cfg)
-			err := cfg.Validate()
+			err := cfg.validate()
 			switch {
 			case tc.wantErr == "" && err != nil:
-				t.Fatalf("Validate() = %v, want nil", err)
+				t.Fatalf("validate() = %v, want nil", err)
 			case tc.wantErr != "" && err == nil:
-				t.Fatal("Validate() = nil, want error")
+				t.Fatal("validate() = nil, want error")
 			case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
-				t.Fatalf("Validate() = %v, want mention of %q", err, tc.wantErr)
+				t.Fatalf("validate() = %v, want mention of %q", err, tc.wantErr)
 			}
 		})
 	}

@@ -182,8 +182,12 @@ func TestEngineResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resumed.Round() != split {
-				t.Fatalf("resumed at round %d, want %d", resumed.Round(), split)
+			back, err := resumed.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back.Round != split {
+				t.Fatalf("resumed at round %d, want %d", back.Round, split)
 			}
 			for {
 				ok, err := resumed.Step()

@@ -62,10 +62,6 @@ func NewLoader() *Loader {
 	}
 }
 
-// Fset returns the loader's shared file set; use it to resolve positions in
-// the packages it returns.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // LoadModule loads every package of the Go module rooted at root (the
 // directory containing go.mod), returning them sorted by import path.
 // Directories named testdata (and hidden/underscore directories) are

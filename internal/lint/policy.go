@@ -1,7 +1,5 @@
 package lint
 
-import "strings"
-
 // Class is a package's stance toward the determinism contract.
 type Class string
 
@@ -193,8 +191,3 @@ func IsGoroutineScoped(path string) bool { return GoroutineScopedPackages[path] 
 
 // IsWireCodecScoped reports whether the wirecodec analyzer applies to path.
 func IsWireCodecScoped(path string) bool { return WireCodecPackages[path] }
-
-// InModule reports whether path names this module or a package inside it.
-func InModule(path, module string) bool {
-	return path == module || strings.HasPrefix(path, module+"/")
-}

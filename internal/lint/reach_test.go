@@ -1,0 +1,419 @@
+package lint_test
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"path/filepath"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+
+	"helcfl/internal/lint"
+)
+
+// keep names the declarations that no product path reaches but that stay on
+// purpose, each with its reason. Rewriting a test is preferred to a new entry.
+// TestReachability fails on an entry that no longer exists or that something
+// outside the entry itself now reaches.
+var keep = map[string]string{
+	"fl.RestoreEngine":          "split-resume contract pinned by fl/resume_test.go; the planned trace replay is its product caller",
+	"fl.UnmarshalEngineState":   "split-resume contract pinned by fl/resume_test.go; the planned trace replay is its product caller",
+	"(*fl.Engine).Snapshot":     "split-resume contract pinned by fl/resume_test.go; the planned trace replay is its product caller",
+	"(*fl.EngineState).Marshal": "split-resume contract pinned by fl/resume_test.go; the planned trace replay is its product caller",
+	"tensor.SetWorkers":         "worker-count hook the kernel determinism tests sweep",
+}
+
+// testSupport are the packages whose every declaration is a root: they exist
+// to be imported by tests.
+var testSupport = map[string]bool{
+	"helcfl/internal/chaos":         true,
+	"helcfl/internal/leaktest":      true,
+	"helcfl/internal/lint/linttest": true,
+}
+
+// reachDecl is one package-level declaration: a function, a method, a type,
+// or one name of a var or const spec.
+type reachDecl struct {
+	key    string
+	pkg    *lint.Package
+	obj    types.Object
+	node   ast.Node
+	report bool // declared in the module, not in _bench
+	refs   []*reachDecl
+}
+
+// reachSpan is the source range of one top-level spec or function; a var
+// spec holds one declaration per name, plus its initialiser's root.
+type reachSpan struct {
+	pos, end token.Pos
+	decls    []*reachDecl
+}
+
+// reachGraph is the reference graph over every declaration of the module
+// and of _bench.
+type reachGraph struct {
+	fset   *token.FileSet
+	decls  []*reachDecl
+	byObj  map[types.Object]*reachDecl
+	spans  map[*token.File][]*reachSpan
+	inits  map[string][]*reachDecl // per package: init funcs and var initialisers
+	ifaces map[string]bool         // method names of every interface type in the program
+}
+
+// TestReachability fails for every non-test declaration that no product path
+// reaches. The roots are the main functions under cmd/, examples/ and _bench,
+// the exported API of the root helcfl facade, the test-support packages, the
+// init functions and package variable initialisers of every package a root
+// imports, and the keep table. A live declaration makes live whatever it
+// references; a live type makes live each of its methods whose name is a
+// method of some interface type in the loaded program, standard library
+// included, since such a call may be dispatched dynamically.
+func TestReachability(t *testing.T) {
+	root, err := lint.FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := lint.NewLoader()
+	if _, err := l.LoadModule(root); err != nil {
+		t.Fatalf("load module: %v", err)
+	}
+	pkgs, err := l.LoadModule(filepath.Join(root, "_bench"))
+	if err != nil {
+		t.Fatalf("load _bench: %v", err)
+	}
+	g, err := buildReachGraph(pkgs[0].Fset, pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var roots []*reachDecl
+	var rootPkgs []*types.Package
+	for _, pkg := range pkgs {
+		rel := strings.TrimPrefix(pkg.Path, "helcfl/")
+		isMain := pkg.Types.Name() == "main" &&
+			(strings.HasPrefix(rel, "cmd/") || strings.HasPrefix(rel, "examples/") || rel == "_bench" || strings.HasPrefix(rel, "_bench/"))
+		facade := pkg.Path == "helcfl"
+		support := testSupport[pkg.Path]
+		if isMain || facade || support {
+			rootPkgs = append(rootPkgs, pkg.Types)
+		}
+		for _, d := range g.decls {
+			if d.pkg != pkg {
+				continue
+			}
+			switch {
+			case isMain && d.obj.Name() == "main" && !isMethod(d.obj),
+				facade && d.obj.Exported(),
+				support:
+				roots = append(roots, d)
+			}
+		}
+	}
+	for _, p := range importClosure(rootPkgs) {
+		roots = append(roots, g.inits[p.Path()]...)
+	}
+
+	byKey := map[string]*reachDecl{}
+	for _, d := range g.decls {
+		if d.report {
+			byKey[d.key] = d
+		}
+	}
+	var kept []*reachDecl
+	for _, key := range sortedKeys(keep) {
+		d, ok := byKey[key]
+		if !ok {
+			t.Errorf("stale keep entry %s: no such declaration", key)
+			continue
+		}
+		kept = append(kept, d)
+	}
+	live := g.reach(roots)
+	for _, d := range kept {
+		if live[d] {
+			t.Errorf("stale keep entry %s: a product path reaches it", d.key)
+		}
+	}
+	live = g.reach(append(roots, kept...))
+
+	var dead []*reachDecl
+	for _, d := range g.decls {
+		if d.report && !live[d] && d.obj.Name() != "_" {
+			dead = append(dead, d)
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].key < dead[j].key })
+	lines := 0
+	for _, d := range dead {
+		start, end := g.fset.Position(d.node.Pos()), g.fset.Position(d.node.End())
+		n := end.Line - start.Line + 1
+		lines += n
+		file, _ := filepath.Rel(root, start.Filename)
+		t.Errorf("unreached: %s %s:%d (%d lines)", d.key, file, start.Line, n)
+	}
+	if len(dead) > 0 {
+		t.Errorf("%d unreached declarations, %d lines: delete them, move a test oracle into its _test.go file, or add a keep entry with its reason", len(dead), lines)
+	}
+}
+
+func buildReachGraph(fset *token.FileSet, pkgs []*lint.Package) (*reachGraph, error) {
+	g := &reachGraph{
+		fset:   fset,
+		byObj:  map[types.Object]*reachDecl{},
+		spans:  map[*token.File][]*reachSpan{},
+		inits:  map[string][]*reachDecl{},
+		ifaces: map[string]bool{"Error": true}, // the predeclared error interface
+	}
+	for _, pkg := range pkgs {
+		g.addPackage(pkg)
+	}
+	for _, spans := range g.spans {
+		sort.Slice(spans, func(i, j int) bool { return spans[i].pos < spans[j].pos })
+	}
+	for _, pkg := range pkgs {
+		g.addRefs(pkg)
+		collectIfaceNames(g.ifaces, pkg.Files)
+	}
+	return g, g.addStdIfaceNames(pkgs)
+}
+
+// addPackage registers the declarations of one package and, as per-package
+// roots, its init functions and the references of its var initialisers.
+func (g *reachGraph) addPackage(pkg *lint.Package) {
+	prefix := strings.TrimPrefix(strings.TrimPrefix(pkg.Path, "helcfl/internal/"), "helcfl/")
+	report := pkg.Path != "helcfl/_bench" && !strings.HasPrefix(pkg.Path, "helcfl/_bench/")
+	add := func(obj types.Object, node ast.Node, s *reachSpan) *reachDecl {
+		d := &reachDecl{key: declKey(prefix, obj), pkg: pkg, obj: obj, node: node, report: report}
+		g.decls = append(g.decls, d)
+		g.byObj[obj] = d
+		s.decls = append(s.decls, d)
+		return d
+	}
+	for _, f := range pkg.Files {
+		tf := g.fset.File(f.Pos())
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				s := &reachSpan{pos: decl.Pos(), end: decl.End()}
+				d := add(pkg.Info.Defs[decl.Name], decl, s)
+				if decl.Recv == nil && decl.Name.Name == "init" {
+					g.inits[pkg.Path] = append(g.inits[pkg.Path], d)
+				}
+				g.spans[tf] = append(g.spans[tf], s)
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					var node ast.Node = spec
+					if len(decl.Specs) == 1 {
+						node = decl
+					}
+					s := &reachSpan{pos: node.Pos(), end: node.End()}
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						add(pkg.Info.Defs[spec.Name], node, s)
+					case *ast.ValueSpec:
+						for _, name := range spec.Names {
+							add(pkg.Info.Defs[name], node, s)
+						}
+						if decl.Tok == token.VAR && len(spec.Values) > 0 {
+							// The initialiser runs whenever the package is
+							// imported: a nameless root that shares the
+							// spec's references.
+							init := &reachDecl{key: prefix + ".<var init>", pkg: pkg, node: node}
+							s.decls = append(s.decls, init)
+							g.inits[pkg.Path] = append(g.inits[pkg.Path], init)
+						}
+					default:
+						continue
+					}
+					g.spans[tf] = append(g.spans[tf], s)
+				}
+			}
+		}
+	}
+}
+
+// addRefs adds an edge from the declaration enclosing each identifier use to
+// the declaration of the object it denotes.
+func (g *reachGraph) addRefs(pkg *lint.Package) {
+	edge := func(at token.Pos, obj types.Object) {
+		to := g.declOf(obj)
+		if to == nil {
+			return
+		}
+		s := g.spanAt(at)
+		if s == nil {
+			return
+		}
+		for _, from := range s.decls {
+			from.refs = append(from.refs, to)
+		}
+	}
+	for id, obj := range pkg.Info.Uses {
+		edge(id.Pos(), obj)
+	}
+	for sel, s := range pkg.Info.Selections {
+		edge(sel.Sel.Pos(), s.Obj())
+	}
+}
+
+// declOf maps an object to the declaration that introduces it: itself for a
+// package-level name, the enclosing type for a field or interface method.
+func (g *reachGraph) declOf(obj types.Object) *reachDecl {
+	switch o := obj.(type) {
+	case *types.Func:
+		obj = o.Origin()
+	case *types.Var:
+		obj = o.Origin()
+	}
+	if d, ok := g.byObj[obj]; ok {
+		return d
+	}
+	if obj.Pkg() == nil || !obj.Pos().IsValid() {
+		return nil
+	}
+	if s := g.spanAt(obj.Pos()); s != nil && len(s.decls) == 1 {
+		if _, isType := s.decls[0].obj.(*types.TypeName); isType {
+			return s.decls[0]
+		}
+	}
+	return nil
+}
+
+func (g *reachGraph) spanAt(pos token.Pos) *reachSpan {
+	spans := g.spans[g.fset.File(pos)]
+	i := sort.Search(len(spans), func(i int) bool { return spans[i].end > pos })
+	if i < len(spans) && spans[i].pos <= pos {
+		return spans[i]
+	}
+	return nil
+}
+
+// reach returns the declarations live from roots.
+func (g *reachGraph) reach(roots []*reachDecl) map[*reachDecl]bool {
+	live := map[*reachDecl]bool{}
+	work := append([]*reachDecl(nil), roots...)
+	for len(work) > 0 {
+		d := work[len(work)-1]
+		work = work[:len(work)-1]
+		if live[d] {
+			continue
+		}
+		live[d] = true
+		work = append(work, d.refs...)
+		tn, ok := d.obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		if named, ok := tn.Type().(*types.Named); ok {
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); g.ifaces[m.Name()] {
+					if md, ok := g.byObj[m]; ok {
+						work = append(work, md)
+					}
+				}
+			}
+		}
+	}
+	return live
+}
+
+// addStdIfaceNames collects the interface method names of every standard
+// library package the loaded program imports, parsing their sources: the
+// type-checker's export data omits interfaces declared inside function
+// bodies (errors.Is's Is(error) bool, for one).
+func (g *reachGraph) addStdIfaceNames(pkgs []*lint.Package) error {
+	var tps []*types.Package
+	for _, pkg := range pkgs {
+		tps = append(tps, pkg.Types)
+	}
+	fset := token.NewFileSet()
+	src := filepath.Join(runtime.GOROOT(), "src")
+	for _, p := range importClosure(tps) {
+		if p.Path() == "helcfl" || strings.HasPrefix(p.Path(), "helcfl/") || p.Path() == "unsafe" {
+			continue
+		}
+		bp, err := build.ImportDir(filepath.Join(src, p.Path()), 0)
+		if err != nil {
+			return fmt.Errorf("std package %s: %w", p.Path(), err)
+		}
+		files := make([]*ast.File, 0, len(bp.GoFiles))
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			files = append(files, f)
+		}
+		collectIfaceNames(g.ifaces, files)
+	}
+	return nil
+}
+
+func collectIfaceNames(names map[string]bool, files []*ast.File) {
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				for _, m := range it.Methods.List {
+					for _, name := range m.Names {
+						names[name.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// importClosure returns pkgs and every package they import, transitively.
+func importClosure(pkgs []*types.Package) []*types.Package {
+	seen := map[*types.Package]bool{}
+	var out []*types.Package
+	var visit func(*types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		out = append(out, p)
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, p := range pkgs {
+		visit(p)
+	}
+	return out
+}
+
+func isMethod(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	return ok && fn.Type().(*types.Signature).Recv() != nil
+}
+
+// declKey names a declaration as "pkg.Name" or, for a method, "(*pkg.T).M".
+func declKey(prefix string, obj types.Object) string {
+	if !isMethod(obj) {
+		return prefix + "." + obj.Name()
+	}
+	recv := obj.Type().(*types.Signature).Recv().Type()
+	star := ""
+	if p, ok := recv.(*types.Pointer); ok {
+		star, recv = "*", p.Elem()
+	}
+	name := recv.(*types.Named).Obj().Name()
+	return "(" + star + prefix + "." + name + ")." + obj.Name()
+}
+
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}

@@ -101,15 +101,3 @@ func run(pkgs []*Package, analyzers []*Analyzer, stale bool) []Finding {
 	})
 	return out
 }
-
-// Unsuppressed filters findings to those no justified allow directive
-// covers — the set that fails the build.
-func Unsuppressed(findings []Finding) []Finding {
-	var out []Finding
-	for _, f := range findings {
-		if !f.Suppressed {
-			out = append(out, f)
-		}
-	}
-	return out
-}

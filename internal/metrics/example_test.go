@@ -22,13 +22,3 @@ func ExampleCurve_TimeToAccuracy() {
 	// 6.82min
 	// ✗
 }
-
-// The paper's speedup metric: (T_base/T_ours − 1) × 100.
-func ExampleSpeedup() {
-	ours := metrics.Curve{Points: []metrics.Point{{Time: 913, Accuracy: 0.6}}}
-	base := metrics.Curve{Points: []metrics.Point{{Time: 3424, Accuracy: 0.6}}}
-	pct, ok := metrics.Speedup(ours, base, 0.6)
-	fmt.Printf("%.2f%% %v\n", pct, ok)
-	// Output:
-	// 275.03% true
-}

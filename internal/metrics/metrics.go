@@ -102,35 +102,6 @@ func (c Curve) RoundsToAccuracy(target float64) (round int, ok bool) {
 	return -1, false
 }
 
-// Speedup returns the paper's speedup percentage of `ours` over `base` for
-// reaching the target accuracy: (T_base / T_ours − 1) × 100. The second
-// result is false when either scheme misses the target.
-func Speedup(ours, base Curve, target float64) (percent float64, ok bool) {
-	to, okO := ours.TimeToAccuracy(target)
-	tb, okB := base.TimeToAccuracy(target)
-	if !okO || !okB {
-		return 0, false
-	}
-	return (tb/to - 1) * 100, true
-}
-
-// AccuracyGain returns the percentage-point gap (×100) between the best
-// accuracies of two curves — the paper's "enhance X% accuracy" metric.
-func AccuracyGain(ours, base Curve) float64 {
-	return (ours.Best() - base.Best()) * 100
-}
-
-// EnergySaving returns the percentage of energy saved by `ours` relative to
-// `base` to reach the target accuracy: (1 − E_ours/E_base) × 100.
-func EnergySaving(ours, base Curve, target float64) (percent float64, ok bool) {
-	eo, okO := ours.EnergyToAccuracy(target)
-	eb, okB := base.EnergyToAccuracy(target)
-	if !okO || !okB || eb == 0 {
-		return 0, false
-	}
-	return (1 - eo/eb) * 100, true
-}
-
 // FormatDelay renders seconds the way Table I does (minutes with two
 // decimals), or the paper's ✗ when unreachable.
 func FormatDelay(seconds float64, ok bool) string {

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"testing"
 
 	"helcfl/internal/fl"
@@ -74,39 +73,6 @@ func TestEnergyAndRoundsToAccuracy(t *testing.T) {
 	}
 	if r, ok := c.RoundsToAccuracy(0.99); ok || r != -1 {
 		t.Fatal("unreachable rounds must report -1,false")
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	ours := mkCurve("ours", Point{Time: 50, Accuracy: 0.8})
-	base := mkCurve("base", Point{Time: 150, Accuracy: 0.8})
-	got, ok := Speedup(ours, base, 0.8)
-	if !ok || math.Abs(got-200) > 1e-9 {
-		t.Fatalf("Speedup = %g, %v; want 200%%", got, ok)
-	}
-	slow := mkCurve("slow", Point{Time: 1, Accuracy: 0.2})
-	if _, ok := Speedup(ours, slow, 0.8); ok {
-		t.Fatal("speedup vs scheme that misses target must be not-ok")
-	}
-}
-
-func TestAccuracyGain(t *testing.T) {
-	ours := mkCurve("o", Point{Accuracy: 0.85})
-	base := mkCurve("b", Point{Accuracy: 0.42})
-	if got := AccuracyGain(ours, base); math.Abs(got-43) > 1e-9 {
-		t.Fatalf("AccuracyGain = %g, want 43", got)
-	}
-}
-
-func TestEnergySaving(t *testing.T) {
-	ours := mkCurve("o", Point{Energy: 40, Accuracy: 0.6})
-	base := mkCurve("b", Point{Energy: 100, Accuracy: 0.6})
-	got, ok := EnergySaving(ours, base, 0.6)
-	if !ok || math.Abs(got-60) > 1e-9 {
-		t.Fatalf("EnergySaving = %g, %v; want 60%%", got, ok)
-	}
-	if _, ok := EnergySaving(ours, mkCurve("b"), 0.6); ok {
-		t.Fatal("saving vs empty base must be not-ok")
 	}
 }
 

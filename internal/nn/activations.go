@@ -1,12 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-
-	"helcfl/internal/tensor"
-)
+import "helcfl/internal/tensor"
 
 // ReLU is the rectified-linear activation max(0, x).
 type ReLU struct {
@@ -66,193 +60,3 @@ func (r *ReLU) Grads() []*tensor.Tensor { return nil }
 
 // Clone implements Layer.
 func (r *ReLU) Clone() Layer { return &ReLU{} }
-
-// LeakyReLU is max(x, slope·x) with a small positive slope for x < 0.
-type LeakyReLU struct {
-	Slope float64
-	x     *tensor.Tensor
-}
-
-// NewLeakyReLU returns a LeakyReLU with the given negative-side slope.
-func NewLeakyReLU(slope float64) *LeakyReLU { return &LeakyReLU{Slope: slope} }
-
-// Name implements Layer.
-func (l *LeakyReLU) Name() string { return fmt.Sprintf("LeakyReLU(%g)", l.Slope) }
-
-// Forward implements Layer.
-func (l *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.x = x
-	return x.Apply(func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return l.Slope * v
-	})
-}
-
-// Backward implements Layer.
-func (l *LeakyReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if l.x == nil {
-		panic("nn: LeakyReLU backward before forward")
-	}
-	out := dout.Clone()
-	xd := l.x.Data()
-	od := out.Data()
-	for i := range od {
-		if xd[i] <= 0 {
-			od[i] *= l.Slope
-		}
-	}
-	return out
-}
-
-// Params implements Layer.
-func (l *LeakyReLU) Params() []*tensor.Tensor { return nil }
-
-// Grads implements Layer.
-func (l *LeakyReLU) Grads() []*tensor.Tensor { return nil }
-
-// Clone implements Layer.
-func (l *LeakyReLU) Clone() Layer { return &LeakyReLU{Slope: l.Slope} }
-
-// Sigmoid is the logistic activation 1/(1+e^{-x}).
-type Sigmoid struct {
-	out *tensor.Tensor
-}
-
-// NewSigmoid returns a Sigmoid layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
-// Name implements Layer.
-func (s *Sigmoid) Name() string { return "Sigmoid" }
-
-// Forward implements Layer.
-func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	s.out = x.Apply(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
-	return s.out
-}
-
-// Backward implements Layer.
-func (s *Sigmoid) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if s.out == nil {
-		panic("nn: Sigmoid backward before forward")
-	}
-	out := dout.Clone()
-	od := out.Data()
-	yd := s.out.Data()
-	for i := range od {
-		od[i] *= yd[i] * (1 - yd[i])
-	}
-	return out
-}
-
-// Params implements Layer.
-func (s *Sigmoid) Params() []*tensor.Tensor { return nil }
-
-// Grads implements Layer.
-func (s *Sigmoid) Grads() []*tensor.Tensor { return nil }
-
-// Clone implements Layer.
-func (s *Sigmoid) Clone() Layer { return &Sigmoid{} }
-
-// Tanh is the hyperbolic-tangent activation.
-type Tanh struct {
-	out *tensor.Tensor
-}
-
-// NewTanh returns a Tanh layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Name implements Layer.
-func (t *Tanh) Name() string { return "Tanh" }
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	t.out = x.Apply(math.Tanh)
-	return t.out
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if t.out == nil {
-		panic("nn: Tanh backward before forward")
-	}
-	out := dout.Clone()
-	od := out.Data()
-	yd := t.out.Data()
-	for i := range od {
-		od[i] *= 1 - yd[i]*yd[i]
-	}
-	return out
-}
-
-// Params implements Layer.
-func (t *Tanh) Params() []*tensor.Tensor { return nil }
-
-// Grads implements Layer.
-func (t *Tanh) Grads() []*tensor.Tensor { return nil }
-
-// Clone implements Layer.
-func (t *Tanh) Clone() Layer { return &Tanh{} }
-
-// Dropout zeroes each element with probability P at train time and rescales
-// survivors by 1/(1-P) (inverted dropout). It is the identity at inference.
-// The paper's experiments do not use dropout; the layer exists for library
-// completeness and is deterministic given its RNG.
-type Dropout struct {
-	P    float64
-	rng  *rand.Rand
-	mask []float64
-}
-
-// NewDropout returns a Dropout layer with drop probability p in [0, 1).
-func NewDropout(p float64, rng *rand.Rand) *Dropout {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("nn: dropout probability %g outside [0,1)", p))
-	}
-	return &Dropout{P: p, rng: rng}
-}
-
-// Name implements Layer.
-func (d *Dropout) Name() string { return fmt.Sprintf("Dropout(%g)", d.P) }
-
-// Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || d.P == 0 {
-		d.mask = nil
-		return x.Clone()
-	}
-	out := x.Clone()
-	data := out.Data()
-	d.mask = make([]float64, len(data))
-	keep := 1 - d.P
-	for i := range data {
-		if d.rng.Float64() < keep {
-			d.mask[i] = 1 / keep
-		}
-		data[i] *= d.mask[i]
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (d *Dropout) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if d.mask == nil {
-		return dout.Clone()
-	}
-	out := dout.Clone()
-	data := out.Data()
-	for i := range data {
-		data[i] *= d.mask[i]
-	}
-	return out
-}
-
-// Params implements Layer.
-func (d *Dropout) Params() []*tensor.Tensor { return nil }
-
-// Grads implements Layer.
-func (d *Dropout) Grads() []*tensor.Tensor { return nil }
-
-// Clone implements Layer.
-func (d *Dropout) Clone() Layer { return &Dropout{P: d.P, rng: d.rng} }

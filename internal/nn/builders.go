@@ -3,8 +3,6 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-
-	"helcfl/internal/tensor"
 )
 
 // ModelSpec names a network architecture so that every FL participant can
@@ -79,9 +77,4 @@ func NewSqueezeNetMini(inC, classes int, rng *rand.Rand) *Sequential {
 		NewConv2D(32, classes, 1, 1, 1, 0, rng), // classifier conv
 		NewGlobalAvgPool(),
 	)
-}
-
-// Predict runs the model in inference mode and returns logits.
-func Predict(m *Sequential, x *tensor.Tensor) *tensor.Tensor {
-	return m.Forward(x, false)
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -32,28 +33,8 @@ func layerCases() []layerCase {
 			input: func(rng *rand.Rand) *tensor.Tensor { return tensor.New(2, 7).FillNormal(rng, 0, 1) },
 		},
 		{
-			name:  "LeakyReLU",
-			make:  func(rng *rand.Rand) Layer { return NewLeakyReLU(0.1) },
-			input: func(rng *rand.Rand) *tensor.Tensor { return tensor.New(2, 7).FillNormal(rng, 0, 1) },
-		},
-		{
-			name:  "Sigmoid",
-			make:  func(rng *rand.Rand) Layer { return NewSigmoid() },
-			input: func(rng *rand.Rand) *tensor.Tensor { return tensor.New(2, 5).FillNormal(rng, 0, 1) },
-		},
-		{
-			name:  "Tanh",
-			make:  func(rng *rand.Rand) Layer { return NewTanh() },
-			input: func(rng *rand.Rand) *tensor.Tensor { return tensor.New(2, 5).FillNormal(rng, 0, 1) },
-		},
-		{
 			name:  "MaxPool2D",
 			make:  func(rng *rand.Rand) Layer { return NewMaxPool2D(2, 2) },
-			input: func(rng *rand.Rand) *tensor.Tensor { return tensor.New(1, 2, 4, 4).FillNormal(rng, 0, 1) },
-		},
-		{
-			name:  "AvgPool2D",
-			make:  func(rng *rand.Rand) Layer { return NewAvgPool2D(2, 2) },
 			input: func(rng *rand.Rand) *tensor.Tensor { return tensor.New(1, 2, 4, 4).FillNormal(rng, 0, 1) },
 		},
 		{
@@ -70,16 +51,6 @@ func layerCases() []layerCase {
 			name:  "Fire",
 			make:  func(rng *rand.Rand) Layer { return NewFire(2, 2, 3, 3, rng) },
 			input: func(rng *rand.Rand) *tensor.Tensor { return tensor.New(1, 2, 4, 4).FillNormal(rng, 0, 1) },
-		},
-		{
-			name:  "LayerNorm",
-			make:  func(rng *rand.Rand) Layer { return NewLayerNorm(6) },
-			input: func(rng *rand.Rand) *tensor.Tensor { return tensor.New(3, 6).FillNormal(rng, 0, 1) },
-		},
-		{
-			name:  "BatchNorm1D",
-			make:  func(rng *rand.Rand) Layer { return NewBatchNorm1D(6) },
-			input: func(rng *rand.Rand) *tensor.Tensor { return tensor.New(4, 6).FillNormal(rng, 0, 1) },
 		},
 	}
 }
@@ -116,7 +87,7 @@ func TestLayerContract(t *testing.T) {
 			}
 
 			// Backward returns an input-shaped gradient.
-			dout := y1.Clone().ApplyInPlace(func(float64) float64 { return 1 })
+			dout := fill(y1.Clone(), 1)
 			dx := l.Backward(dout)
 			if !dx.SameShape(x) {
 				t.Fatalf("backward shape %v, want input shape %v", dx.Shape(), x.Shape())
@@ -134,7 +105,7 @@ func TestLayerContract(t *testing.T) {
 				}
 			}
 			if len(params) > 0 {
-				params[0].Fill(123)
+				fill(params[0], 123)
 				if cp[0].Equal(params[0]) {
 					t.Fatal("clone shares parameter storage")
 				}
@@ -160,20 +131,24 @@ func TestLayerGradAccumulation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			x := tc.input(rng)
 			y := l.Forward(x, true)
-			dout := y.Clone().ApplyInPlace(func(float64) float64 { return 0.5 })
+			dout := fill(y.Clone(), 0.5)
 			l.Backward(dout)
 			once := cloneTensors(l.Grads())
 			l.Forward(x, true)
 			l.Backward(dout)
 			for i, g := range l.Grads() {
-				if !g.AllClose(once[i].Scale(2), 1e-9) {
-					t.Fatalf("grad %d did not accumulate to 2x", i)
+				for j, v := range g.Data() {
+					if math.Abs(v-2*once[i].Data()[j]) > 1e-9 {
+						t.Fatalf("grad %d did not accumulate to 2x", i)
+					}
 				}
 			}
 			zeroGrads(l)
 			for i, g := range l.Grads() {
-				if g.Norm2() != 0 {
-					t.Fatalf("grad %d not cleared", i)
+				for _, v := range g.Data() {
+					if v != 0 {
+						t.Fatalf("grad %d not cleared", i)
+					}
 				}
 			}
 		})
@@ -201,4 +176,28 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 			}
 		})
 	}
+}
+
+// zeroGrads clears a layer's accumulated gradients.
+func zeroGrads(l Layer) {
+	for _, g := range l.Grads() {
+		g.Zero()
+	}
+}
+
+// cloneTensors deep-copies a slice of tensors.
+func cloneTensors(ts []*tensor.Tensor) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, len(ts))
+	for i, t := range ts {
+		out[i] = t.Clone()
+	}
+	return out
+}
+
+// fill sets every element of t to v and returns t.
+func fill(t *tensor.Tensor, v float64) *tensor.Tensor {
+	for i := range t.Data() {
+		t.Data()[i] = v
+	}
+	return t
 }

@@ -8,27 +8,29 @@ import (
 	"helcfl/internal/tensor"
 )
 
-// A complete training step: forward, loss, backward, SGD — the primitive
-// every FL client executes (Eq. 3 of the paper).
+// A complete training step: forward, loss, backward, and the gradient-descent
+// update θ ← θ − τ·∇L of Eq. 3 — the primitive every FL client executes.
 func ExampleSequential() {
 	rng := rand.New(rand.NewSource(1))
 	model := nn.NewMLP(4, []int{8}, 2, rng)
 	loss := nn.NewSoftmaxCrossEntropy()
-	opt := nn.NewSGD(0.1)
 
 	x := tensor.New(16, 4).FillNormal(rng, 0, 1)
 	labels := make([]int, 16)
 	for i := range labels {
-		if x.At(i, 0) > 0 {
+		if x.Data()[i*4] > 0 {
 			labels[i] = 1
 		}
 	}
+	params, grads := model.Params(), model.Grads()
 	first := loss.Forward(model.Forward(x, true), labels)
 	for step := 0; step < 100; step++ {
 		model.ZeroGrads()
 		loss.Forward(model.Forward(x, true), labels)
 		model.Backward(loss.Backward())
-		opt.Step(model.Params(), model.Grads())
+		for i, g := range grads {
+			params[i].AXPY(-0.1, g)
+		}
 	}
 	last := loss.Forward(model.Forward(x, false), labels)
 	fmt.Println(last < first)

@@ -1,7 +1,8 @@
 // Package nn is a from-scratch neural-network substrate: layers with explicit
-// forward/backward passes, losses, an SGD optimizer, model builders (MLP,
-// logistic regression, and a SqueezeNet-style Fire-module CNN), and parameter
-// (de)serialization.
+// forward/backward passes, the softmax cross-entropy loss, model builders
+// (MLP, logistic regression, and a SqueezeNet-style Fire-module CNN), and
+// parameter (de)serialization. The gradient-descent update itself (Eq. 3)
+// lives in fl.LocalUpdate.
 //
 // It exists because the HELCFL paper trains SqueezeNet on user devices; no
 // mature Go deep-learning stack is available offline, so the training engine
@@ -22,8 +23,9 @@ import "helcfl/internal/tensor"
 type Layer interface {
 	// Name identifies the layer kind for diagnostics.
 	Name() string
-	// Forward runs the layer on a batch. train toggles train-time behaviour
-	// (e.g. dropout); inference passes false.
+	// Forward runs the layer on a batch. train marks a pass that a Backward
+	// follows; no layer here reads it, as none behaves differently at
+	// inference.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward propagates the output gradient to the input and accumulates
 	// parameter gradients.
@@ -35,20 +37,4 @@ type Layer interface {
 	Grads() []*tensor.Tensor
 	// Clone returns a deep copy with independent parameters and gradients.
 	Clone() Layer
-}
-
-// zeroGrads clears a layer's accumulated gradients.
-func zeroGrads(l Layer) {
-	for _, g := range l.Grads() {
-		g.Zero()
-	}
-}
-
-// cloneTensors deep-copies a slice of tensors.
-func cloneTensors(ts []*tensor.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(ts))
-	for i, t := range ts {
-		out[i] = t.Clone()
-	}
-	return out
 }

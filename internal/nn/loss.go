@@ -85,38 +85,6 @@ func (s *SoftmaxCrossEntropy) Backward() *tensor.Tensor {
 	return s.dlogits
 }
 
-// Probs returns the softmax probabilities from the last Forward call.
-func (s *SoftmaxCrossEntropy) Probs() *tensor.Tensor { return s.probs }
-
-// MSE is the mean-squared-error loss over all elements.
-type MSE struct {
-	diff *tensor.Tensor
-}
-
-// NewMSE returns the loss.
-func NewMSE() *MSE { return &MSE{} }
-
-// Forward computes mean((pred - target)²).
-func (m *MSE) Forward(pred, target *tensor.Tensor) float64 {
-	if !pred.SameShape(target) {
-		panic(fmt.Sprintf("nn: MSE shape mismatch %v vs %v", pred.Shape(), target.Shape()))
-	}
-	m.diff = pred.Sub(target)
-	s := 0.0
-	for _, v := range m.diff.Data() {
-		s += v * v
-	}
-	return s / float64(pred.Size())
-}
-
-// Backward returns d(loss)/d(pred) for the last Forward call.
-func (m *MSE) Backward() *tensor.Tensor {
-	if m.diff == nil {
-		panic("nn: MSE backward before forward")
-	}
-	return m.diff.Scale(2 / float64(m.diff.Size()))
-}
-
 // Accuracy returns the fraction of rows of logits (B, K) whose argmax equals
 // the label.
 func Accuracy(logits *tensor.Tensor, labels []int) float64 {

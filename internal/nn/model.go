@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"strings"
-
 	"helcfl/internal/tensor"
 )
 
@@ -122,16 +120,6 @@ func (m *Sequential) NumParams() int {
 		n += p.Size()
 	}
 	return n
-}
-
-// Summary renders a one-line-per-layer description.
-func (m *Sequential) Summary() string {
-	var b strings.Builder
-	for _, l := range m.layers {
-		b.WriteString(l.Name())
-		b.WriteString("\n")
-	}
-	return b.String()
 }
 
 // GetFlatParams copies all parameters into one flat vector, in Params order.

@@ -16,56 +16,9 @@ func TestReLUForward(t *testing.T) {
 	if !y.Equal(want) {
 		t.Fatalf("ReLU = %v, want %v", y, want)
 	}
-	if x.At(0, 0) != -1 {
+	if x.Data()[0] != -1 {
 		t.Fatal("ReLU must not mutate its input")
 	}
-}
-
-func TestSigmoidRange(t *testing.T) {
-	s := NewSigmoid()
-	x := tensor.New(1, 100).FillNormal(rand.New(rand.NewSource(1)), 0, 5)
-	y := s.Forward(x, true)
-	for _, v := range y.Data() {
-		if v <= 0 || v >= 1 {
-			t.Fatalf("sigmoid output %g outside (0,1)", v)
-		}
-	}
-	if got := s.Forward(tensor.FromSlice([]float64{0}, 1, 1), true).At(0, 0); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("sigmoid(0) = %g, want 0.5", got)
-	}
-}
-
-func TestDropoutTrainVsEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	d := NewDropout(0.5, rng)
-	x := tensor.Ones(1, 1000)
-	eval := d.Forward(x, false)
-	if !eval.Equal(x) {
-		t.Fatal("dropout must be identity at inference")
-	}
-	train := d.Forward(x, true)
-	zeros := 0
-	for _, v := range train.Data() {
-		switch v {
-		case 0:
-			zeros++
-		case 2: // survivors rescaled by 1/(1-0.5)
-		default:
-			t.Fatalf("dropout output %g, want 0 or 2", v)
-		}
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Fatalf("dropout zeroed %d of 1000, want ≈500", zeros)
-	}
-}
-
-func TestDropoutBadProbabilityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for p=1")
-		}
-	}()
-	NewDropout(1.0, rand.New(rand.NewSource(1)))
 }
 
 func TestMaxPoolForwardKnown(t *testing.T) {
@@ -93,7 +46,7 @@ func TestGlobalAvgPoolForward(t *testing.T) {
 	if y.Dim(0) != 1 || y.Dim(1) != 2 {
 		t.Fatalf("shape = %v", y.Shape())
 	}
-	if y.At(0, 0) != 2.5 || y.At(0, 1) != 10 {
+	if y.Data()[0] != 2.5 || y.Data()[1] != 10 {
 		t.Fatalf("GlobalAvgPool = %v", y)
 	}
 }
@@ -136,11 +89,11 @@ func TestSoftmaxCrossEntropyKnown(t *testing.T) {
 		t.Fatalf("uniform CE = %g, want ln4 = %g", got, math.Log(4))
 	}
 	// Probabilities must sum to 1 per row.
-	probs := loss.Probs()
+	probs := loss.probs
 	for i := 0; i < 2; i++ {
 		s := 0.0
 		for j := 0; j < 4; j++ {
-			s += probs.At(i, j)
+			s += probs.Data()[i*4+j]
 		}
 		if math.Abs(s-1) > 1e-12 {
 			t.Fatalf("probs row %d sums to %g", i, s)
@@ -157,7 +110,7 @@ func TestSoftmaxCrossEntropyGradientSumsToZeroPerRow(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s := 0.0
 		for j := 0; j < 5; j++ {
-			s += d.At(i, j)
+			s += d.Data()[i*5+j]
 		}
 		if math.Abs(s) > 1e-12 {
 			t.Fatalf("gradient row %d sums to %g, want 0", i, s)
@@ -177,20 +130,6 @@ func TestSoftmaxCrossEntropyNumericalStability(t *testing.T) {
 	}
 }
 
-func TestMSE(t *testing.T) {
-	loss := NewMSE()
-	pred := tensor.FromSlice([]float64{1, 2}, 2)
-	target := tensor.FromSlice([]float64{0, 4}, 2)
-	if got := loss.Forward(pred, target); got != 2.5 {
-		t.Fatalf("MSE = %g, want 2.5", got)
-	}
-	d := loss.Backward()
-	want := tensor.FromSlice([]float64{1, -2}, 2)
-	if !d.Equal(want) {
-		t.Fatalf("MSE grad = %v, want %v", d, want)
-	}
-}
-
 func TestAccuracy(t *testing.T) {
 	logits := tensor.FromSlice([]float64{
 		1, 3, 2,
@@ -204,47 +143,11 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-func TestSGDPlainStep(t *testing.T) {
-	p := tensor.FromSlice([]float64{1, 2}, 2)
-	g := tensor.FromSlice([]float64{10, -10}, 2)
-	NewSGD(0.1).Step([]*tensor.Tensor{p}, []*tensor.Tensor{g})
-	want := tensor.FromSlice([]float64{0, 3}, 2)
-	if !p.Equal(want) {
-		t.Fatalf("SGD step = %v, want %v", p, want)
-	}
-}
-
-func TestSGDMomentumAccumulates(t *testing.T) {
-	p := tensor.FromSlice([]float64{0}, 1)
-	g := tensor.FromSlice([]float64{1}, 1)
-	opt := NewSGDMomentum(1, 0.5)
-	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g}) // v=-1, p=-1
-	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g}) // v=-1.5, p=-2.5
-	if got := p.At(0); got != -2.5 {
-		t.Fatalf("momentum position = %g, want -2.5", got)
-	}
-	opt.Reset()
-	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g}) // fresh v=-1
-	if got := p.At(0); got != -3.5 {
-		t.Fatalf("after reset position = %g, want -3.5", got)
-	}
-}
-
-func TestSGDWeightDecayShrinksParams(t *testing.T) {
-	p := tensor.FromSlice([]float64{10}, 1)
-	g := tensor.New(1)
-	opt := &SGD{LR: 0.1, WeightDecay: 0.5}
-	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g})
-	if got := p.At(0); math.Abs(got-9.5) > 1e-12 {
-		t.Fatalf("decayed param = %g, want 9.5", got)
-	}
-}
-
 func TestSequentialCloneIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := NewMLP(4, []int{5}, 3, rng)
 	c := m.Clone()
-	c.Params()[0].Fill(0)
+	fill(c.Params()[0], 0)
 	if m.Params()[0].Sum() == 0 {
 		t.Fatal("clone params must be independent")
 	}
@@ -262,7 +165,7 @@ func TestFlatParamsRoundTrip(t *testing.T) {
 		flat[i] += 1
 	}
 	c.SetFlatParams(flat)
-	diff := c.Params()[0].At(0, 0) - m.Params()[0].At(0, 0)
+	diff := c.Params()[0].Data()[0] - m.Params()[0].Data()[0]
 	if math.Abs(diff-1) > 1e-12 {
 		t.Fatalf("flat round-trip offset = %g, want 1", diff)
 	}
@@ -288,7 +191,7 @@ func TestParamBytesRoundTrip(t *testing.T) {
 	}
 	c := m.Clone()
 	for _, p := range c.Params() {
-		p.Fill(0)
+		fill(p, 0)
 	}
 	if err := LoadParamBytes(c, payload); err != nil {
 		t.Fatal(err)
@@ -343,7 +246,7 @@ func TestModelSpecBuilders(t *testing.T) {
 		} else {
 			x = tensor.New(2, spec.InC, spec.H, spec.W).FillNormal(rng, 0, 1)
 		}
-		y := Predict(m, x)
+		y := m.Forward(x, false)
 		if y.Dim(0) != 2 || y.Dim(1) != spec.Classes {
 			t.Fatalf("%s: output shape %v", spec.Kind, y.Shape())
 		}
@@ -375,31 +278,30 @@ func TestTrainingConvergesOnSeparableData(t *testing.T) {
 	}
 	m := NewLogistic(2, 2, rng)
 	loss := NewSoftmaxCrossEntropy()
-	opt := NewSGD(0.5)
+	params, grads := m.Params(), m.Grads()
 	first := loss.Forward(m.Forward(x, true), labels)
 	for it := 0; it < 200; it++ {
 		m.ZeroGrads()
 		loss.Forward(m.Forward(x, true), labels)
 		m.Backward(loss.Backward())
-		opt.Step(m.Params(), m.Grads())
+		for i, g := range grads {
+			params[i].AXPY(-0.5, g) // Eq. (3)
+		}
 	}
 	last := loss.Forward(m.Forward(x, false), labels)
 	if last >= first {
 		t.Fatalf("loss did not decrease: %g → %g", first, last)
 	}
-	if acc := Accuracy(Predict(m, x), labels); acc != 1 {
+	if acc := Accuracy(m.Forward(x, false), labels); acc != 1 {
 		t.Fatalf("training accuracy = %g, want 1", acc)
 	}
 }
 
-func TestSequentialSummaryAndNumParams(t *testing.T) {
+func TestSequentialNumParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	m := NewMLP(4, []int{3}, 2, rng)
 	if m.NumParams() != 4*3+3+3*2+2 {
 		t.Fatalf("NumParams = %d", m.NumParams())
-	}
-	if m.Summary() == "" {
-		t.Fatal("Summary must describe layers")
 	}
 }
 

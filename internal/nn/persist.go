@@ -56,9 +56,31 @@ func LoadModel(path string) (ModelSpec, *Sequential, error) {
 	if err := json.Unmarshal(raw[8:8+hlen], &spec); err != nil {
 		return ModelSpec{}, nil, fmt.Errorf("nn: decode spec: %w", err)
 	}
+	if err := checkSpec(spec); err != nil {
+		return ModelSpec{}, nil, err
+	}
 	m := spec.Build(newZeroRand())
 	if err := LoadParamBytes(m, raw[8+hlen:]); err != nil {
 		return ModelSpec{}, nil, err
 	}
 	return spec, m, nil
+}
+
+// checkSpec rejects a decoded header that Build would panic on: an unknown
+// kind or a non-positive dimension.
+func checkSpec(s ModelSpec) error {
+	switch s.Kind {
+	case "mlp", "logistic", "squeezenet-mini":
+	default:
+		return fmt.Errorf("nn: unknown model kind %q", s.Kind)
+	}
+	if s.InC <= 0 || s.H <= 0 || s.W <= 0 || s.Classes <= 0 {
+		return fmt.Errorf("nn: model geometry %dx%dx%d with %d classes is not positive", s.InC, s.H, s.W, s.Classes)
+	}
+	for _, h := range s.Hidden {
+		if h <= 0 {
+			return fmt.Errorf("nn: non-positive hidden width %d", h)
+		}
+	}
+	return nil
 }

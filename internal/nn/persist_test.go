@@ -70,4 +70,19 @@ func TestLoadModelRejectsCorruptFiles(t *testing.T) {
 	if _, _, err := LoadModel(path); err == nil {
 		t.Fatal("truncated header must error")
 	}
+	// Headers that decode but that Build would panic on.
+	for _, bad := range []ModelSpec{
+		{Kind: "resnet", InC: 1, H: 2, W: 2, Classes: 2},
+		{Kind: "mlp", InC: 1, H: 2, W: 2, Classes: 2, Hidden: []int{-3}},
+		{Kind: "logistic", InC: 1, H: 2, W: 2, Classes: 0},
+		{Kind: "logistic", InC: 0, H: 2, W: 2, Classes: 2},
+		{Kind: "squeezenet-mini", InC: 3, H: -8, W: 8, Classes: 10},
+	} {
+		if err := SaveModel(path, bad, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := LoadModel(path); err == nil {
+			t.Fatalf("header %+v must error", bad)
+		}
+	}
 }

@@ -103,101 +103,6 @@ func (m *MaxPool2D) Grads() []*tensor.Tensor { return nil }
 // Clone implements Layer.
 func (m *MaxPool2D) Clone() Layer { return &MaxPool2D{K: m.K, Stride: m.Stride} }
 
-// AvgPool2D is a 2-D average pooling layer over (B, C, H, W) batches.
-type AvgPool2D struct {
-	K, Stride int
-
-	inShape    []int
-	outH, outW int
-}
-
-// NewAvgPool2D returns an average-pool layer with a k×k window and stride.
-func NewAvgPool2D(k, stride int) *AvgPool2D {
-	if k <= 0 || stride <= 0 {
-		panic("nn: AvgPool2D kernel and stride must be positive")
-	}
-	return &AvgPool2D{K: k, Stride: stride}
-}
-
-// Name implements Layer.
-func (a *AvgPool2D) Name() string { return fmt.Sprintf("AvgPool2D(%dx%d, s%d)", a.K, a.K, a.Stride) }
-
-// Forward implements Layer.
-func (a *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("nn: AvgPool2D forward shape %v, want rank 4", x.Shape()))
-	}
-	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh := tensor.ConvOutSize(h, a.K, a.Stride, 0)
-	ow := tensor.ConvOutSize(w, a.K, a.Stride, 0)
-	a.inShape = []int{b, c, h, w}
-	a.outH, a.outW = oh, ow
-	out := tensor.New(b, c, oh, ow)
-	xd, od := x.Data(), out.Data()
-	inv := 1.0 / float64(a.K*a.K)
-	oi := 0
-	for bi := 0; bi < b; bi++ {
-		for ci := 0; ci < c; ci++ {
-			plane := (bi*c + ci) * h * w
-			for i := 0; i < oh; i++ {
-				for j := 0; j < ow; j++ {
-					s := 0.0
-					for ki := 0; ki < a.K; ki++ {
-						ii := i*a.Stride + ki
-						for kj := 0; kj < a.K; kj++ {
-							jj := j*a.Stride + kj
-							s += xd[plane+ii*w+jj]
-						}
-					}
-					od[oi] = s * inv
-					oi++
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (a *AvgPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if a.inShape == nil {
-		panic("nn: AvgPool2D backward before forward")
-	}
-	b, c, h, w := a.inShape[0], a.inShape[1], a.inShape[2], a.inShape[3]
-	dx := tensor.New(a.inShape...)
-	dd, dxd := dout.Data(), dx.Data()
-	inv := 1.0 / float64(a.K*a.K)
-	oi := 0
-	for bi := 0; bi < b; bi++ {
-		for ci := 0; ci < c; ci++ {
-			plane := (bi*c + ci) * h * w
-			for i := 0; i < a.outH; i++ {
-				for j := 0; j < a.outW; j++ {
-					g := dd[oi] * inv
-					oi++
-					for ki := 0; ki < a.K; ki++ {
-						ii := i*a.Stride + ki
-						for kj := 0; kj < a.K; kj++ {
-							jj := j*a.Stride + kj
-							dxd[plane+ii*w+jj] += g
-						}
-					}
-				}
-			}
-		}
-	}
-	return dx
-}
-
-// Params implements Layer.
-func (a *AvgPool2D) Params() []*tensor.Tensor { return nil }
-
-// Grads implements Layer.
-func (a *AvgPool2D) Grads() []*tensor.Tensor { return nil }
-
-// Clone implements Layer.
-func (a *AvgPool2D) Clone() Layer { return &AvgPool2D{K: a.K, Stride: a.Stride} }
-
 // GlobalAvgPool reduces (B, C, H, W) to (B, C) by spatial averaging, the
 // SqueezeNet classifier head.
 type GlobalAvgPool struct {
@@ -265,45 +170,3 @@ func (g *GlobalAvgPool) Grads() []*tensor.Tensor { return nil }
 
 // Clone implements Layer.
 func (g *GlobalAvgPool) Clone() Layer { return &GlobalAvgPool{} }
-
-// Flatten reshapes (B, ...) to (B, features).
-type Flatten struct {
-	inShape []int
-
-	// Scratch reused across steps (see scratch.go).
-	out, dx *tensor.Tensor
-}
-
-// NewFlatten returns a Flatten layer.
-func NewFlatten() *Flatten { return &Flatten{} }
-
-// Name implements Layer.
-func (f *Flatten) Name() string { return "Flatten" }
-
-// Forward implements Layer.
-func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.inShape = append(f.inShape[:0], x.Shape()...)
-	b := x.Dim(0)
-	f.out = ensure2(f.out, b, x.Size()/b)
-	copy(f.out.Data(), x.Data())
-	return f.out
-}
-
-// Backward implements Layer.
-func (f *Flatten) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if f.inShape == nil {
-		panic("nn: Flatten backward before forward")
-	}
-	f.dx = ensureShape(f.dx, f.inShape)
-	copy(f.dx.Data(), dout.Data())
-	return f.dx
-}
-
-// Params implements Layer.
-func (f *Flatten) Params() []*tensor.Tensor { return nil }
-
-// Grads implements Layer.
-func (f *Flatten) Grads() []*tensor.Tensor { return nil }
-
-// Clone implements Layer.
-func (f *Flatten) Clone() Layer { return &Flatten{} }

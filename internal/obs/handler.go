@@ -13,10 +13,6 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// Handler serves the default registry — the endpoint the CLIs mount on
-// /metrics.
-func Handler() http.Handler { return Default().Handler() }
-
 // HealthzHandler answers 200 "ok" — a liveness probe target.
 func HealthzHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {

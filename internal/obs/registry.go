@@ -110,15 +110,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Mean returns Sum/Count, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // Snapshot is a point-in-time histogram copy for reporting.
 type Snapshot struct {
 	// Bounds are the bucket upper bounds; Counts[i] is the per-bucket
@@ -142,39 +133,6 @@ func (h *Histogram) Snapshot() Snapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) by linear interpolation
-// within the containing bucket, the standard Prometheus histogram_quantile
-// scheme. Returns 0 with no observations; observations in the +Inf bucket
-// clamp to the highest finite bound.
-func (s Snapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	cum := uint64(0)
-	for i, c := range s.Counts {
-		cum += c
-		if float64(cum) >= rank && c > 0 {
-			if i >= len(s.Bounds) {
-				return s.Bounds[len(s.Bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = s.Bounds[i-1]
-			}
-			within := rank - float64(cum-c)
-			return lo + (s.Bounds[i]-lo)*within/float64(c)
-		}
-	}
-	return s.Bounds[len(s.Bounds)-1]
 }
 
 // Span times an operation into a histogram of seconds.
@@ -246,7 +204,7 @@ type family struct {
 	hist    *Histogram
 
 	mu       sync.Mutex
-	children map[string]interface{} // label value → *Counter / *Gauge
+	children map[string]*Counter // label value → child counter
 }
 
 // Registry holds named metrics and renders them in Prometheus text format.
@@ -282,7 +240,7 @@ func (r *Registry) register(name, help string, kind metricKind, label string) *f
 	}
 	f := &family{name: name, help: help, kind: kind, label: label}
 	if label != "" {
-		f.children = map[string]interface{}{}
+		f.children = map[string]*Counter{}
 	}
 	r.families[name] = f
 	return f
@@ -339,34 +297,11 @@ func (v *CounterVec) With(value string) *Counter {
 	v.f.mu.Lock()
 	defer v.f.mu.Unlock()
 	if c, ok := v.f.children[value]; ok {
-		return c.(*Counter)
+		return c
 	}
 	c := &Counter{}
 	v.f.children[value] = c
 	return c
-}
-
-// GaugeVec is a gauge family keyed by one label.
-type GaugeVec struct{ f *family }
-
-// GaugeVec returns the named labelled gauge family.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	if label == "" {
-		panic("obs: gauge vec needs a label name")
-	}
-	return &GaugeVec{f: r.register(name, help, kindGauge, label)}
-}
-
-// With returns the child gauge for a label value, creating it on first use.
-func (v *GaugeVec) With(value string) *Gauge {
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	if g, ok := v.f.children[value]; ok {
-		return g.(*Gauge)
-	}
-	g := &Gauge{}
-	v.f.children[value] = g
-	return g
 }
 
 // WritePrometheus renders every registered metric in Prometheus text
@@ -407,14 +342,7 @@ func (f *family) write(sb *strings.Builder) {
 		}
 		sort.Strings(values)
 		for _, v := range values {
-			var x float64
-			switch c := f.children[v].(type) {
-			case *Counter:
-				x = c.Value()
-			case *Gauge:
-				x = c.Value()
-			}
-			fmt.Fprintf(sb, "%s{%s=%q} %s\n", f.name, f.label, v, fmtFloat(x))
+			fmt.Fprintf(sb, "%s{%s=%q} %s\n", f.name, f.label, v, fmtFloat(f.children[v].Value()))
 		}
 		f.mu.Unlock()
 	case f.kind == kindHistogram:

@@ -48,7 +48,7 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("x", "")
 }
 
-func TestHistogramBucketsAndQuantile(t *testing.T) {
+func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h_seconds", "", []float64{1, 2, 4})
 	for _, v := range []float64{0.5, 1.5, 1.5, 3, 100} {
@@ -60,26 +60,12 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	if math.Abs(h.Sum()-106.5) > 1e-12 {
 		t.Fatalf("sum = %g", h.Sum())
 	}
-	if math.Abs(h.Mean()-21.3) > 1e-12 {
-		t.Fatalf("mean = %g", h.Mean())
-	}
 	s := h.Snapshot()
 	want := []uint64{1, 2, 1, 1} // ≤1, ≤2, ≤4, +Inf
 	for i, w := range want {
 		if s.Counts[i] != w {
 			t.Fatalf("bucket %d = %d, want %d", i, s.Counts[i], w)
 		}
-	}
-	// Median falls in the (1,2] bucket.
-	if q := s.Quantile(0.5); q <= 1 || q > 2 {
-		t.Fatalf("p50 = %g, want in (1,2]", q)
-	}
-	// Extreme quantile lands in +Inf and clamps to the top finite bound.
-	if q := s.Quantile(1); q != 4 {
-		t.Fatalf("p100 = %g, want 4", q)
-	}
-	if q := (Snapshot{}).Quantile(0.5); q != 0 {
-		t.Fatalf("empty quantile = %g", q)
 	}
 }
 
@@ -127,7 +113,6 @@ func TestPrometheusExposition(t *testing.T) {
 	r.Gauge("app_round", "").Set(2)
 	r.CounterVec("app_energy_joules_total", "Energy by kind.", "kind").With("compute").Add(1.5)
 	r.CounterVec("app_energy_joules_total", "Energy by kind.", "kind").With("upload").Add(0.5)
-	r.GaugeVec("app_phase", "", "phase").With("train").Set(1)
 	h := r.Histogram("app_delay_seconds", "", []float64{1, 2})
 	h.Observe(0.5)
 	h.Observe(5)
@@ -145,7 +130,6 @@ func TestPrometheusExposition(t *testing.T) {
 		"# TYPE app_energy_joules_total counter",
 		`app_energy_joules_total{kind="compute"} 1.5`,
 		`app_energy_joules_total{kind="upload"} 0.5`,
-		`app_phase{phase="train"} 1`,
 		"# TYPE app_delay_seconds histogram",
 		`app_delay_seconds_bucket{le="1"} 1`,
 		`app_delay_seconds_bucket{le="2"} 1`,

@@ -79,10 +79,6 @@ func NewMetricsSink(r *Registry) *MetricsSink {
 	}
 }
 
-// RoundDelay exposes the round-delay histogram for snapshotting (benchmark
-// reporting).
-func (m *MetricsSink) RoundDelay() *Histogram { return m.roundDelay }
-
 // OnRunStart implements EventSink.
 func (m *MetricsSink) OnRunStart(ev RunStartEvent) { m.runs.Inc() }
 

@@ -62,8 +62,8 @@ func TestMetricsSinkRecordsEngineEvents(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	if m.RoundDelay().Count() != 1 {
-		t.Fatalf("round delay observations = %d", m.RoundDelay().Count())
+	if m.roundDelay.Count() != 1 {
+		t.Fatalf("round delay observations = %d", m.roundDelay.Count())
 	}
 }
 

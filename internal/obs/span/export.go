@@ -1,9 +1,7 @@
 package span
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -56,77 +54,6 @@ func (c *Collector) Snapshot() []Rec {
 	out := make([]Rec, len(c.recs))
 	copy(out, c.recs)
 	return out
-}
-
-// ProfileEntry aggregates every span sharing one name.
-type ProfileEntry struct {
-	Name    string `json:"name"`
-	Count   int    `json:"count"`
-	TotalNs int64  `json:"total_ns"`
-	MinNs   int64  `json:"min_ns"`
-	MaxNs   int64  `json:"max_ns"`
-}
-
-// Profile is the aggregated per-phase exporter: it folds spans into one
-// entry per name. Safe for concurrent export.
-type Profile struct {
-	mu      sync.Mutex
-	names   []string // insertion order, sorted on snapshot
-	entries map[string]*ProfileEntry
-}
-
-// NewProfile returns an empty profile.
-func NewProfile() *Profile {
-	return &Profile{entries: make(map[string]*ProfileEntry)}
-}
-
-// ExportSpan implements Exporter.
-func (p *Profile) ExportSpan(rec Rec) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e := p.entries[rec.Name]
-	if e == nil {
-		e = &ProfileEntry{Name: rec.Name, MinNs: rec.DurNs, MaxNs: rec.DurNs}
-		p.entries[rec.Name] = e
-		p.names = append(p.names, rec.Name)
-	}
-	e.Count++
-	e.TotalNs += rec.DurNs
-	if rec.DurNs < e.MinNs {
-		e.MinNs = rec.DurNs
-	}
-	if rec.DurNs > e.MaxNs {
-		e.MaxNs = rec.DurNs
-	}
-}
-
-// Snapshot returns the entries sorted by name.
-func (p *Profile) Snapshot() []ProfileEntry {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	names := make([]string, len(p.names))
-	copy(names, p.names)
-	sort.Strings(names)
-	out := make([]ProfileEntry, len(names))
-	for i, n := range names {
-		out[i] = *p.entries[n]
-	}
-	return out
-}
-
-// String renders the profile as an aligned table.
-func (p *Profile) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-24s %8s %12s %12s %12s %12s\n", "phase", "count", "total-s", "mean-s", "min-s", "max-s")
-	for _, e := range p.Snapshot() {
-		mean := 0.0
-		if e.Count > 0 {
-			mean = secs(e.TotalNs) / float64(e.Count)
-		}
-		fmt.Fprintf(&sb, "%-24s %8d %12.6f %12.6f %12.6f %12.6f\n",
-			e.Name, e.Count, secs(e.TotalNs), mean, secs(e.MinNs), secs(e.MaxNs))
-	}
-	return sb.String()
 }
 
 func secs(ns int64) float64 { return float64(ns) / 1e9 }

@@ -236,27 +236,6 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-func TestProfileAggregates(t *testing.T) {
-	p := NewProfile()
-	r := NewRecorder(1, Options{Exporter: p})
-	for i := 0; i < 3; i++ {
-		sp := r.Start(Ref{}, "b.phase")
-		sp.End()
-	}
-	sp := r.Start(Ref{}, "a.phase")
-	sp.End()
-	snap := p.Snapshot()
-	if len(snap) != 2 || snap[0].Name != "a.phase" || snap[1].Name != "b.phase" {
-		t.Fatalf("snapshot: %+v", snap)
-	}
-	if snap[1].Count != 3 {
-		t.Fatalf("b.phase count %d", snap[1].Count)
-	}
-	if !strings.Contains(p.String(), "b.phase") {
-		t.Fatal("String() missing phase")
-	}
-}
-
 func TestDurationStats(t *testing.T) {
 	recs := make([]Rec, 0, 20)
 	for i := 1; i <= 20; i++ {
@@ -308,10 +287,10 @@ func TestExportersDropNils(t *testing.T) {
 	if Exporters(nil, c) != Exporter(c) {
 		t.Fatal("single exporter not unwrapped")
 	}
-	p := NewProfile()
-	multi := Exporters(c, p)
+	c2 := &Collector{}
+	multi := Exporters(c, c2)
 	multi.ExportSpan(Rec{Name: "m", DurNs: 1})
-	if len(c.Snapshot()) != 1 || len(p.Snapshot()) != 1 {
+	if len(c.Snapshot()) != 1 || len(c2.Snapshot()) != 1 {
 		t.Fatal("multi exporter did not fan out")
 	}
 }

@@ -66,12 +66,6 @@ func Transient(err error) error {
 	return &transientError{err: err}
 }
 
-// IsTransient reports whether err carries the Transient marker.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
-
 // ExhaustedError reports that every attempt failed transiently. Unwrap
 // exposes the final attempt's cause.
 type ExhaustedError struct {

@@ -101,13 +101,18 @@ func TestTransientNilStaysNil(t *testing.T) {
 	}
 }
 
-func TestIsTransientSeesThroughWrapping(t *testing.T) {
-	err := fmt.Errorf("wrapped: %w", Transient(errors.New("cause")))
-	if !IsTransient(err) {
-		t.Fatal("wrapped transient not detected")
-	}
-	if IsTransient(errors.New("plain")) {
-		t.Fatal("plain error misclassified as transient")
+func TestDoSeesTransientThroughWrapping(t *testing.T) {
+	p := Policy{MaxRetries: 1, Base: time.Microsecond}
+	calls := 0
+	err := p.Do(context.Background(), func(context.Context, int) error {
+		calls++
+		if calls == 1 {
+			return fmt.Errorf("wrapped: %w", Transient(errors.New("cause")))
+		}
+		return nil
+	})
+	if err != nil || calls != 2 {
+		t.Fatalf("wrapped transient: err %v after %d calls, want a retry that succeeds", err, calls)
 	}
 }
 

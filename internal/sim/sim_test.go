@@ -47,7 +47,7 @@ func TestSimulateRoundSingleUser(t *testing.T) {
 	if u.Wait != 0 {
 		t.Fatal("single user has no slack")
 	}
-	wantE := devs[0].ComputeEnergy(devs[0].FMax) + ch.UploadEnergy(testModelBits, devs[0].TxPower, devs[0].ChannelGain)
+	wantE := devs[0].ComputeEnergy(devs[0].FMax) + uploadEnergy(ch, testModelBits, devs[0].TxPower, devs[0].ChannelGain)
 	if math.Abs(res.TotalEnergy-wantE) > 1e-12 {
 		t.Fatalf("TotalEnergy = %g, want %g", res.TotalEnergy, wantE)
 	}
@@ -164,4 +164,10 @@ func TestTimelineSlackMatchesFig1Scenario(t *testing.T) {
 	if math.Abs(second.Wait-wantWait) > 1e-9 {
 		t.Fatalf("wait = %g, want %g", second.Wait, wantWait)
 	}
+}
+
+// uploadEnergy is the Eq. (8) oracle E_q^com = p·T_q^com that the
+// simulator's inline TxPower × UploadDelay is checked against.
+func uploadEnergy(ch wireless.Channel, modelBits, txPower, gain float64) float64 {
+	return txPower * ch.UploadDelay(modelBits, txPower, gain)
 }

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary describes a sample of float64 observations.
@@ -49,45 +48,6 @@ func Summarize(xs []float64) Summary {
 // String renders "mean ± std [min, max] (n=N)".
 func (s Summary) String() string {
 	return fmt.Sprintf("%.4g ± %.2g [%.4g, %.4g] (n=%d)", s.Mean, s.Std, s.Min, s.Max, s.N)
-}
-
-// Median returns the sample median (mean of middle pair for even sizes).
-// It panics on an empty sample.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: median of empty sample")
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	mid := len(c) / 2
-	if len(c)%2 == 1 {
-		return c[mid]
-	}
-	return (c[mid-1] + c[mid]) / 2
-}
-
-// Percentile returns the p-quantile (p in [0, 1]) with linear
-// interpolation. It panics on an empty sample or p outside [0, 1].
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: percentile of empty sample")
-	}
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("stats: percentile %g outside [0,1]", p))
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if len(c) == 1 {
-		return c[0]
-	}
-	pos := p * float64(len(c)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return c[lo]
-	}
-	frac := pos - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
 }
 
 // JainIndex returns Jain's fairness index (Σx)² / (n·Σx²) of a

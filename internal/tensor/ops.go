@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Add returns t + u elementwise.
 func (t *Tensor) Add(u *Tensor) *Tensor {
@@ -34,42 +31,6 @@ func (t *Tensor) Sub(u *Tensor) *Tensor {
 	return out
 }
 
-// Mul returns the elementwise (Hadamard) product t ⊙ u.
-func (t *Tensor) Mul(u *Tensor) *Tensor {
-	t.checkSameShape("Mul", u)
-	out := t.Clone()
-	for i, v := range u.data {
-		out.data[i] *= v
-	}
-	return out
-}
-
-// MulInPlace sets t ⊙= u elementwise and returns t.
-func (t *Tensor) MulInPlace(u *Tensor) *Tensor {
-	t.checkSameShape("MulInPlace", u)
-	for i, v := range u.data {
-		t.data[i] *= v
-	}
-	return t
-}
-
-// Scale returns c·t.
-func (t *Tensor) Scale(c float64) *Tensor {
-	out := t.Clone()
-	for i := range out.data {
-		out.data[i] *= c
-	}
-	return out
-}
-
-// ScaleInPlace sets t *= c and returns t.
-func (t *Tensor) ScaleInPlace(c float64) *Tensor {
-	for i := range t.data {
-		t.data[i] *= c
-	}
-	return t
-}
-
 // AXPY sets t += a·u (the BLAS axpy update) and returns t.
 func (t *Tensor) AXPY(a float64, u *Tensor) *Tensor {
 	t.checkSameShape("AXPY", u)
@@ -88,14 +49,6 @@ func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 	return out
 }
 
-// ApplyInPlace applies f to every element in place and returns t.
-func (t *Tensor) ApplyInPlace(f func(float64) float64) *Tensor {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-	return t
-}
-
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {
 	s := 0.0
@@ -103,115 +56,6 @@ func (t *Tensor) Sum() float64 {
 		s += v
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean of all elements. It panics on an empty
-// tensor.
-func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
-		panic("tensor: Mean of empty tensor")
-	}
-	return t.Sum() / float64(len(t.data))
-}
-
-// Max returns the largest element. It panics on an empty tensor.
-func (t *Tensor) Max() float64 {
-	if len(t.data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the smallest element. It panics on an empty tensor.
-func (t *Tensor) Min() float64 {
-	if len(t.data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// ArgMax returns the flat index of the first occurrence of the largest
-// element. It panics on an empty tensor.
-func (t *Tensor) ArgMax() int {
-	if len(t.data) == 0 {
-		panic("tensor: ArgMax of empty tensor")
-	}
-	best, arg := t.data[0], 0
-	for i, v := range t.data[1:] {
-		if v > best {
-			best, arg = v, i+1
-		}
-	}
-	return arg
-}
-
-// Dot returns the inner product of t and u viewed as flat vectors.
-func (t *Tensor) Dot(u *Tensor) float64 {
-	if len(t.data) != len(u.data) {
-		panic(fmt.Sprintf("tensor: Dot size mismatch %d vs %d", len(t.data), len(u.data)))
-	}
-	s := 0.0
-	for i, v := range t.data {
-		s += v * u.data[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean (Frobenius) norm.
-func (t *Tensor) Norm2() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// RowSums treats t as a (rows, cols) matrix and returns a length-rows
-// tensor of per-row sums.
-func (t *Tensor) RowSums() *Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: RowSums needs rank 2, got shape %v", t.shape))
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	out := New(rows)
-	for r := 0; r < rows; r++ {
-		s := 0.0
-		row := t.data[r*cols : (r+1)*cols]
-		for _, v := range row {
-			s += v
-		}
-		out.data[r] = s
-	}
-	return out
-}
-
-// ColSums treats t as a (rows, cols) matrix and returns a length-cols
-// tensor of per-column sums.
-func (t *Tensor) ColSums() *Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: ColSums needs rank 2, got shape %v", t.shape))
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	out := New(cols)
-	for r := 0; r < rows; r++ {
-		row := t.data[r*cols : (r+1)*cols]
-		for c, v := range row {
-			out.data[c] += v
-		}
-	}
-	return out
 }
 
 // AddColSumsInto treats t as a (rows, cols) matrix and adds its per-column

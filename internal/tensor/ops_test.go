@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func TestAddSubMul(t *testing.T) {
+func TestAddSub(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float64{4, 3, 2, 1}, 2, 2)
 	if got := a.Add(b); !got.Equal(Full(5, 2, 2)) {
@@ -16,13 +16,9 @@ func TestAddSubMul(t *testing.T) {
 	if got := a.Sub(a); !got.Equal(New(2, 2)) {
 		t.Fatalf("Sub self = %v", got)
 	}
-	want := FromSlice([]float64{4, 6, 6, 4}, 2, 2)
-	if got := a.Mul(b); !got.Equal(want) {
-		t.Fatalf("Mul = %v, want %v", got, want)
-	}
 	// Originals untouched.
 	if a.At(0, 0) != 1 || b.At(0, 0) != 4 {
-		t.Fatal("Add/Sub/Mul must not mutate operands")
+		t.Fatal("Add/Sub must not mutate operands")
 	}
 }
 
@@ -34,14 +30,6 @@ func TestInPlaceVariantsMutateReceiver(t *testing.T) {
 	}
 	if a.At(0) != 11 || a.At(1) != 22 {
 		t.Fatalf("AddInPlace result = %v", a)
-	}
-	a.MulInPlace(FromSlice([]float64{2, 0.5}, 2))
-	if a.At(0) != 22 || a.At(1) != 11 {
-		t.Fatalf("MulInPlace result = %v", a)
-	}
-	a.ScaleInPlace(2)
-	if a.At(0) != 44 {
-		t.Fatalf("ScaleInPlace result = %v", a)
 	}
 }
 
@@ -70,56 +58,12 @@ func TestApply(t *testing.T) {
 	if y.At(0) != 1 || x.At(0) != -1 {
 		t.Fatal("Apply must not mutate the receiver")
 	}
-	x.ApplyInPlace(func(v float64) float64 { return v * v })
-	if x.At(0) != 1 || x.At(1) != 16 {
-		t.Fatalf("ApplyInPlace = %v", x)
-	}
 }
 
 func TestReductions(t *testing.T) {
 	x := FromSlice([]float64{3, -1, 4, 1}, 4)
 	if x.Sum() != 7 {
 		t.Fatalf("Sum = %g", x.Sum())
-	}
-	if x.Mean() != 1.75 {
-		t.Fatalf("Mean = %g", x.Mean())
-	}
-	if x.Max() != 4 || x.Min() != -1 {
-		t.Fatalf("Max/Min = %g/%g", x.Max(), x.Min())
-	}
-	if x.ArgMax() != 2 {
-		t.Fatalf("ArgMax = %d", x.ArgMax())
-	}
-}
-
-func TestArgMaxFirstOccurrence(t *testing.T) {
-	x := FromSlice([]float64{5, 2, 5}, 3)
-	if x.ArgMax() != 0 {
-		t.Fatalf("ArgMax tie must return first index, got %d", x.ArgMax())
-	}
-}
-
-func TestDotAndNorm(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 2}, 3)
-	b := FromSlice([]float64{2, 0, 1}, 3)
-	if a.Dot(b) != 4 {
-		t.Fatalf("Dot = %g", a.Dot(b))
-	}
-	if a.Norm2() != 3 {
-		t.Fatalf("Norm2 = %g, want 3", a.Norm2())
-	}
-}
-
-func TestRowColSums(t *testing.T) {
-	m := FromSlice([]float64{
-		1, 2, 3,
-		4, 5, 6,
-	}, 2, 3)
-	if got := m.RowSums(); !got.Equal(FromSlice([]float64{6, 15}, 2)) {
-		t.Fatalf("RowSums = %v", got)
-	}
-	if got := m.ColSums(); !got.Equal(FromSlice([]float64{5, 7, 9}, 3)) {
-		t.Fatalf("ColSums = %v", got)
 	}
 }
 
@@ -132,47 +76,18 @@ func TestAddRowVector(t *testing.T) {
 	}
 }
 
-// Property: Add is commutative and associative within FP tolerance, and
-// Scale distributes over Add.
+// Property: Add is commutative, and subtracting an addend recovers the other
+// within FP tolerance.
 func TestAddPropertiesQuick(t *testing.T) {
-	f := func(seed int64, c float64) bool {
-		if math.IsNaN(c) || math.IsInf(c, 0) || math.Abs(c) > 1e6 {
-			c = 1.5
-		}
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := New(3, 4).FillUniform(rng, -10, 10)
 		b := New(3, 4).FillUniform(rng, -10, 10)
-		comm := a.Add(b).AllClose(b.Add(a), 1e-12)
-		dist := a.Add(b).Scale(c).AllClose(a.Scale(c).Add(b.Scale(c)), 1e-6)
-		return comm && dist
+		comm := a.Add(b).Equal(b.Add(a))
+		inv := a.Add(b).Sub(b).AllClose(a, 1e-12)
+		return comm && inv
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// Property: Dot is symmetric and Norm2² equals self-dot.
-func TestDotPropertiesQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := New(16).FillNormal(rng, 0, 1)
-		b := New(16).FillNormal(rng, 0, 1)
-		sym := math.Abs(a.Dot(b)-b.Dot(a)) < 1e-12
-		n := a.Norm2()
-		normOK := math.Abs(n*n-a.Dot(a)) < 1e-9
-		return sym && normOK
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMeanEmptyPanics(t *testing.T) {
-	x := &Tensor{}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for Mean of empty tensor")
-		}
-	}()
-	x.Mean()
 }

@@ -53,24 +53,6 @@ func WorkersFor(n, flops int) int {
 	return w
 }
 
-// ParallelFor runs fn over [0, n) split into at most Workers() contiguous
-// disjoint shards, blocking until all complete. fn must only write state
-// owned by its index range. With one worker (or n ≤ 1) it calls fn inline
-// and allocates nothing; callers gate their own size thresholds.
-func ParallelFor(n int, fn func(lo, hi int)) {
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	Shard(n, w, fn)
-}
-
 // Shard fans [0, n) out over w goroutines in ceil(n/w)-sized ranges and
 // blocks until all complete. fn must only write state owned by its index
 // range. Callers that need an allocation-free serial path branch on

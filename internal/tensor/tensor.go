@@ -54,18 +54,6 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
 }
 
-// Full returns a tensor with every element set to v.
-func Full(v float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = v
-	}
-	return t
-}
-
-// Ones returns a tensor of ones.
-func Ones(shape ...int) *Tensor { return Full(1, shape...) }
-
 // Shape returns the tensor's dimensions. The returned slice must not be
 // modified.
 func (t *Tensor) Shape() []int { return t.shape }
@@ -164,9 +152,6 @@ func (t *Tensor) offset(idx ...int) int {
 	return off
 }
 
-// At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float64 { return t.data[t.offset(idx...)] }
-
 // Set stores v at the given multi-index.
 func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx...)] = v }
 
@@ -196,35 +181,10 @@ func (t *Tensor) Equal(u *Tensor) bool {
 	return true
 }
 
-// AllClose reports whether t and u have the same shape and every pair of
-// elements differs by at most tol in absolute value.
-func (t *Tensor) AllClose(u *Tensor, tol float64) bool {
-	if !t.SameShape(u) {
-		return false
-	}
-	for i := range t.data {
-		d := t.data[i] - u.data[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // Zero sets every element to 0 in place.
 func (t *Tensor) Zero() {
 	for i := range t.data {
 		t.data[i] = 0
-	}
-}
-
-// Fill sets every element to v in place.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
 	}
 }
 

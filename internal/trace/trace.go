@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"helcfl/internal/fl"
 )
 
 // Record is the JSONL schema of one training round. It flattens
@@ -35,39 +33,6 @@ type Record struct {
 
 // SchemaVersion is bumped on breaking changes to Record.
 const SchemaVersion = 1
-
-// FromRoundRecord converts an engine record.
-func FromRoundRecord(scheme string, r fl.RoundRecord) Record {
-	return Record{
-		Scheme:        scheme,
-		Round:         r.Round,
-		Selected:      r.Selected,
-		DelaySec:      r.Delay,
-		EnergyJ:       r.Energy,
-		ComputeJ:      r.ComputeEnergy,
-		UploadJ:       r.UploadEnergy,
-		SlackSec:      r.Slack,
-		CumTimeSec:    r.CumTime,
-		CumEnergyJ:    r.CumEnergy,
-		TrainLoss:     r.TrainLoss,
-		Evaluated:     r.Evaluated,
-		TestLoss:      r.TestLoss,
-		TestAccuracy:  r.TestAccuracy,
-		SchemaVersion: SchemaVersion,
-	}
-}
-
-// Write emits one JSONL line per record.
-func Write(w io.Writer, scheme string, recs []fl.RoundRecord) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, r := range recs {
-		if err := enc.Encode(FromRoundRecord(scheme, r)); err != nil {
-			return fmt.Errorf("trace: encode round %d: %w", r.Round, err)
-		}
-	}
-	return bw.Flush()
-}
 
 // Read parses a JSONL stream back into records. Unknown fields are
 // ignored; a version above SchemaVersion is rejected.

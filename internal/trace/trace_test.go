@@ -1,7 +1,11 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -199,4 +203,38 @@ func TestRoundTripFromEngine(t *testing.T) {
 	if parsed[1].CumEnergyJ != 22 {
 		t.Fatalf("cumulative energy = %g", parsed[1].CumEnergyJ)
 	}
+}
+
+// FromRoundRecord converts an engine record: the post-hoc oracle the
+// streaming Sink is pinned to.
+func FromRoundRecord(scheme string, r fl.RoundRecord) Record {
+	return Record{
+		Scheme:        scheme,
+		Round:         r.Round,
+		Selected:      r.Selected,
+		DelaySec:      r.Delay,
+		EnergyJ:       r.Energy,
+		ComputeJ:      r.ComputeEnergy,
+		UploadJ:       r.UploadEnergy,
+		SlackSec:      r.Slack,
+		CumTimeSec:    r.CumTime,
+		CumEnergyJ:    r.CumEnergy,
+		TrainLoss:     r.TrainLoss,
+		Evaluated:     r.Evaluated,
+		TestLoss:      r.TestLoss,
+		TestAccuracy:  r.TestAccuracy,
+		SchemaVersion: SchemaVersion,
+	}
+}
+
+// Write emits one JSONL line per record.
+func Write(w io.Writer, scheme string, recs []fl.RoundRecord) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for _, r := range recs {
+		if err := enc.Encode(FromRoundRecord(scheme, r)); err != nil {
+			return fmt.Errorf("trace: encode round %d: %w", r.Round, err)
+		}
+	}
+	return bw.Flush()
 }

@@ -6,11 +6,11 @@ import (
 	"math/rand"
 )
 
-// GainProcess produces the per-round channel gain of each user. The base
-// system uses the static gains measured in the FLCC's initialization phase
-// (the paper's assumption); BlockFading models the realistic case where the
-// channel drifts between rounds while the scheduler still plans on the
-// stale initialization-phase measurements.
+// GainProcess produces the per-round channel gain of each user. Without one
+// the system uses the static gains measured in the FLCC's initialization
+// phase (the paper's assumption); BlockFading models the realistic case
+// where the channel drifts between rounds while the scheduler still plans on
+// the stale initialization-phase measurements.
 type GainProcess interface {
 	// Name identifies the process in reports.
 	Name() string
@@ -18,15 +18,6 @@ type GainProcess interface {
 	// static (initialization-phase) gain.
 	Gain(round, user int, static float64) float64
 }
-
-// StaticGains is the identity process: the channel never changes.
-type StaticGains struct{}
-
-// Name implements GainProcess.
-func (StaticGains) Name() string { return "static" }
-
-// Gain implements GainProcess.
-func (StaticGains) Gain(round, user int, static float64) float64 { return static }
 
 // BlockFading applies an independent log-normal multiplicative factor per
 // (round, user) block: h(t) = h₀ · exp(σ·Z − σ²/2), Z ~ N(0,1), so the

@@ -6,12 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestStaticGainsIdentity(t *testing.T) {
-	if (StaticGains{}).Gain(5, 7, 1.25) != 1.25 {
-		t.Fatal("static gains must pass through")
-	}
-}
-
 func TestBlockFadingDeterministic(t *testing.T) {
 	f := NewBlockFading(0.5, 42)
 	a := f.Gain(3, 9, 1.0)

@@ -35,14 +35,6 @@ func (c Channel) UploadDelayInto(dst []float64, modelBits float64, txPower, gain
 	}
 }
 
-// UploadEnergyInto fills dst[i] = E_i^com = p_i·T_i^com (Eq. 8).
-func (c Channel) UploadEnergyInto(dst []float64, modelBits float64, txPower, gain []float64) {
-	c.UploadDelayInto(dst, modelBits, txPower, gain)
-	for i := range dst {
-		dst[i] *= txPower[i]
-	}
-}
-
 func checkSoALens(d, p, g int) {
 	if d != p || d != g {
 		panic(fmt.Sprintf("wireless: ragged SoA kernel inputs (dst %d, txPower %d, gain %d)", d, p, g))

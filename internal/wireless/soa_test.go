@@ -21,19 +21,14 @@ func TestSoAKernelsMatchScalar(t *testing.T) {
 		}
 		rate := make([]float64, n)
 		delay := make([]float64, n)
-		energy := make([]float64, n)
 		ch.UploadRateInto(rate, p, g)
 		ch.UploadDelayInto(delay, bits, p, g)
-		ch.UploadEnergyInto(energy, bits, p, g)
 		for i := range p {
 			if rate[i] != ch.UploadRate(p[i], g[i]) {
 				t.Fatalf("rate[%d] = %v, scalar = %v", i, rate[i], ch.UploadRate(p[i], g[i]))
 			}
 			if delay[i] != ch.UploadDelay(bits, p[i], g[i]) {
 				t.Fatalf("delay[%d] = %v, scalar = %v", i, delay[i], ch.UploadDelay(bits, p[i], g[i]))
-			}
-			if energy[i] != ch.UploadEnergy(bits, p[i], g[i]) {
-				t.Fatalf("energy[%d] = %v, scalar = %v", i, energy[i], ch.UploadEnergy(bits, p[i], g[i]))
 			}
 		}
 	}

@@ -58,11 +58,6 @@ func (c Channel) UploadDelay(modelBits, txPower, gain float64) float64 {
 	return modelBits / c.UploadRate(txPower, gain)
 }
 
-// UploadEnergy returns E_q^com = p·T_q^com (Eq. 8).
-func (c Channel) UploadEnergy(modelBits, txPower, gain float64) float64 {
-	return txPower * c.UploadDelay(modelBits, txPower, gain)
-}
-
 // UploadRequest describes one user's pending upload in a round.
 type UploadRequest struct {
 	// User identifies the device.

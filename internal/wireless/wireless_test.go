@@ -24,16 +24,13 @@ func TestUploadRateMonotoneInGain(t *testing.T) {
 	}
 }
 
-func TestUploadDelayAndEnergyEq7Eq8(t *testing.T) {
+func TestUploadDelayEq7(t *testing.T) {
 	c := Channel{BandwidthHz: 1e6, NoisePower: 0.1}
 	r := c.UploadRate(0.2, 1.0)
 	bits := 8e6
 	wantDelay := bits / r
 	if got := c.UploadDelay(bits, 0.2, 1.0); math.Abs(got-wantDelay) > 1e-9 {
 		t.Fatalf("UploadDelay = %g, want %g", got, wantDelay)
-	}
-	if got := c.UploadEnergy(bits, 0.2, 1.0); math.Abs(got-0.2*wantDelay) > 1e-9 {
-		t.Fatalf("UploadEnergy = %g, want %g", got, 0.2*wantDelay)
 	}
 }
 
