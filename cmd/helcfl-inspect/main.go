@@ -1,6 +1,9 @@
 // Command helcfl-inspect summarizes JSONL training traces produced by
 // `helcfl trace -out <dir>` (or any writer of internal/trace records):
 // per-scheme cost totals, round-delay statistics, and the accuracy curve.
+// It exits nonzero when trace.Validate rejects the records (NaN or Inf
+// fields, non-positive costs, rounds out of order, cumulative totals that
+// decrease):
 //
 //	helcfl-inspect trace1.jsonl [trace2.jsonl ...]
 //	helcfl trace -preset tiny | helcfl-inspect -
@@ -58,7 +61,7 @@ func run(args []string) error {
 		return fmt.Errorf("no records found")
 	}
 	if err := trace.Validate(recs); err != nil {
-		fmt.Fprintln(os.Stderr, "warning:", err)
+		return err
 	}
 	fmt.Println(trace.RenderSummaries(trace.Summarize(recs)))
 	chart := trace.AccuracyChart(recs)

@@ -17,8 +17,8 @@ func TestInspectRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := trace.NewSink(f)
-	sink.OnRunStart(obs.RunStartEvent{Scheme: "HELCFL"})
-	sink.OnRoundEnd(obs.RoundEndEvent{Round: 0, DelaySec: 1, EnergyJ: 2, ComputeJ: 1.5, CumTimeSec: 1, CumEnergyJ: 2,
+	sink.OnEvent(obs.RunStartEvent{Scheme: "HELCFL"})
+	sink.OnEvent(obs.RoundEndEvent{Round: 0, DelaySec: 1, EnergyJ: 2, ComputeJ: 1.5, CumTimeSec: 1, CumEnergyJ: 2,
 		Evaluated: true, TestAccuracy: 0.5})
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
@@ -40,5 +40,20 @@ func TestInspectRun(t *testing.T) {
 	}
 	if err := run([]string{empty}); err == nil {
 		t.Fatal("empty trace must error")
+	}
+	invalid := filepath.Join(dir, "invalid.jsonl")
+	f, err = os.Create(invalid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink = trace.NewSink(f)
+	sink.OnEvent(obs.RunStartEvent{Scheme: "HELCFL"})
+	sink.OnEvent(obs.RoundEndEvent{Round: 0, DelaySec: 0, EnergyJ: 2, CumEnergyJ: 2})
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := run([]string{invalid}); err == nil {
+		t.Fatal("a trace that fails trace.Validate must error")
 	}
 }

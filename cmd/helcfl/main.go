@@ -360,33 +360,31 @@ func serveObservability(addr string) (*obs.Registry, error) {
 // progressSink prints one line per finished round — the -v flag on the
 // bespoke single-run commands (trace, train).
 type progressSink struct {
-	obs.NopSink
 	w       io.Writer
 	scheme  string
 	lastAcc float64
 	hasAcc  bool
 }
 
-func (p *progressSink) OnRunStart(ev obs.RunStartEvent) {
-	p.scheme, p.lastAcc, p.hasAcc = ev.Scheme, 0, false
-	fmt.Fprintf(p.w, "%s: starting, %d users, %d round budget\n", ev.Scheme, ev.Users, ev.MaxRounds)
-}
-
-func (p *progressSink) OnRoundEnd(ev obs.RoundEndEvent) {
-	if ev.Evaluated {
-		p.lastAcc, p.hasAcc = ev.TestAccuracy, true
+func (p *progressSink) OnEvent(e obs.Event) {
+	switch ev := e.(type) {
+	case obs.RunStartEvent:
+		p.scheme, p.lastAcc, p.hasAcc = ev.Scheme, 0, false
+		fmt.Fprintf(p.w, "%s: starting, %d users, %d round budget\n", ev.Scheme, ev.Users, ev.MaxRounds)
+	case obs.RoundEndEvent:
+		if ev.Evaluated {
+			p.lastAcc, p.hasAcc = ev.TestAccuracy, true
+		}
+		acc := "--"
+		if p.hasAcc {
+			acc = fmt.Sprintf("%.2f%%", p.lastAcc*100)
+		}
+		fmt.Fprintf(p.w, "%s round %d: %d selected, delay %.2fs, cum energy %.1fJ, test acc %s\n",
+			p.scheme, ev.Round, len(ev.Selected), ev.DelaySec, ev.CumEnergyJ, acc)
+	case obs.RunEndEvent:
+		fmt.Fprintf(p.w, "%s: done after %d rounds, %.1fs simulated, %.1fJ, best acc %.2f%%\n",
+			ev.Scheme, ev.Rounds, ev.TotalTimeSec, ev.TotalEnergyJ, ev.BestAccuracy*100)
 	}
-	acc := "--"
-	if p.hasAcc {
-		acc = fmt.Sprintf("%.2f%%", p.lastAcc*100)
-	}
-	fmt.Fprintf(p.w, "%s round %d: %d selected, delay %.2fs, cum energy %.1fJ, test acc %s\n",
-		p.scheme, ev.Round, len(ev.Selected), ev.DelaySec, ev.CumEnergyJ, acc)
-}
-
-func (p *progressSink) OnRunEnd(ev obs.RunEndEvent) {
-	fmt.Fprintf(p.w, "%s: done after %d rounds, %.1fs simulated, %.1fJ, best acc %.2f%%\n",
-		ev.Scheme, ev.Rounds, ev.TotalTimeSec, ev.TotalEnergyJ, ev.BestAccuracy*100)
 }
 
 func runTrace(p experiments.Preset, seed int64, scheme, settingName, outDir string, rec *span.Recorder) error {

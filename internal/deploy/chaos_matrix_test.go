@@ -169,15 +169,16 @@ func TestChaosRetriesExhaustedKillsClient(t *testing.T) {
 // dropoutRecorder captures server-side dropout events (called under the
 // server lock; guarded anyway for the post-run read).
 type dropoutRecorder struct {
-	obs.NopSink
 	mu     sync.Mutex
 	events []obs.DropoutEvent
 }
 
-func (r *dropoutRecorder) OnDropout(ev obs.DropoutEvent) {
-	r.mu.Lock()
-	r.events = append(r.events, ev)
-	r.mu.Unlock()
+func (r *dropoutRecorder) OnEvent(e obs.Event) {
+	if ev, ok := e.(obs.DropoutEvent); ok {
+		r.mu.Lock()
+		r.events = append(r.events, ev)
+		r.mu.Unlock()
+	}
 }
 
 func (r *dropoutRecorder) all() []obs.DropoutEvent {

@@ -38,6 +38,9 @@ type confEnv struct {
 	userData      []*dataset.Dataset
 	test          *dataset.Dataset
 	modelBits     float64
+	// edges > 1 plans on HELCFL's edge tier (You et al.): E shard
+	// schedulers and a two-level Eq. (18).
+	edges int
 }
 
 func newConfEnv(t *testing.T, users, rounds int) *confEnv {
@@ -91,9 +94,11 @@ func (e *confEnv) engineDevices() []*device.Device {
 }
 
 func (e *confEnv) newPlanner(devs []*device.Device) (fl.Planner, error) {
-	return selection.NewHELCFL(devs, wireless.DefaultChannel(), e.modelBits, core.Params{
-		Eta: 0.7, Fraction: e.fraction, StepsPerRound: 1, Clamp: true,
-	})
+	params := core.Params{Eta: 0.7, Fraction: e.fraction, StepsPerRound: 1, Clamp: true}
+	if e.edges > 1 {
+		return selection.NewHierHELCFL(devs, e.edges, wireless.DefaultChannel(), e.modelBits, params)
+	}
+	return selection.NewHELCFL(devs, wireless.DefaultChannel(), e.modelBits, params)
 }
 
 // recordingPlanner captures every PlanRound decision.
@@ -105,6 +110,11 @@ type recordingPlanner struct {
 }
 
 func (r *recordingPlanner) Name() string { return r.inner.Name() }
+
+// NumEdges and EdgeOf forward the inner planner's edge tier, so both the
+// engine and the server aggregate over it.
+func (r *recordingPlanner) NumEdges() int    { return fl.TopologyOf(r.inner).NumEdges() }
+func (r *recordingPlanner) EdgeOf(q int) int { return fl.TopologyOf(r.inner).EdgeOf(q) }
 
 func (r *recordingPlanner) PlanRound(j int) ([]int, []float64) {
 	sel, freqs := r.inner.PlanRound(j)
@@ -279,8 +289,20 @@ func intsEqual(a, b []int) bool {
 // multi-round campaign over loopback HTTP with a fault-free transport
 // reproduces the in-process engine's global-model trajectory exactly.
 func TestConformanceSimMatchesDeploy(t *testing.T) {
-	env := newConfEnv(t, 5, 4)
+	checkSimMatchesDeploy(t, newConfEnv(t, 5, 4))
+}
 
+// TestConformanceHierSimMatchesDeploy runs the same check on a three-edge
+// tier: the server must aggregate through the planner's EdgeTopology as
+// the engine does, not with flat FedAvg.
+func TestConformanceHierSimMatchesDeploy(t *testing.T) {
+	env := newConfEnv(t, 6, 4)
+	env.edges = 3
+	checkSimMatchesDeploy(t, env)
+}
+
+func checkSimMatchesDeploy(t *testing.T, env *confEnv) {
+	t.Helper()
 	dep := env.runDeploy(t, deployOpts{})
 	for q, err := range dep.clientErrs {
 		if err != nil {

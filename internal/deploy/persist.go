@@ -127,7 +127,7 @@ func (s *Server) restoreLocked(payload []byte) error {
 		s.devices[q] = &d
 		s.registered[q] = true
 	}
-	planner, err := s.cfg.NewPlanner(s.devices)
+	planner, err := s.newPlanner()
 	if err != nil {
 		return fmt.Errorf("deploy: rebuild planner: %w", err)
 	}

@@ -93,8 +93,7 @@ type StatusResponse struct {
 	Rounds     int   `json:"rounds"`
 	Registered int   `json:"registered"`
 	// Uploads counts models received so far in the current round.
-	Uploads   int     `json:"uploads"`
-	BytesUp   int64   `json:"bytes_up"`
-	BytesDown int64   `json:"bytes_down"`
-	TrainLoss float64 `json:"train_loss"`
+	Uploads   int   `json:"uploads"`
+	BytesUp   int64 `json:"bytes_up"`
+	BytesDown int64 `json:"bytes_down"`
 }

@@ -470,16 +470,18 @@ func TestRecoveryGracefulHandoff(t *testing.T) {
 
 // TestUploadValidation drives the server's payload screening by hand:
 // malformed framing is a 400, a wrong parameter count or non-finite
-// parameters are 422s, all are counted, and a subsequent valid upload from
-// the same user is still accepted.
+// parameters are 422s, all are counted as rejections but not as dropouts,
+// and a subsequent valid upload from the same user is still accepted.
 func TestUploadValidation(t *testing.T) {
 	env := newConfEnv(t, 3, 1)
+	dropouts := &dropoutRecorder{}
 	srv, err := NewServer(ServerConfig{
 		Spec:          env.spec,
 		Seed:          env.seed,
 		ExpectedUsers: env.users,
 		Rounds:        env.rounds,
 		NewPlanner:    env.newPlanner,
+		Sink:          dropouts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -564,5 +566,10 @@ func TestUploadValidation(t *testing.T) {
 	}
 	if got := srv.mUploads.Value(); got != 1 {
 		t.Fatalf("accepted-uploads counter %v, want 1", got)
+	}
+	// A rejected upload that is retried is no dropout; only a round close
+	// reports the users still missing.
+	if got := dropouts.all(); len(got) != 0 {
+		t.Fatalf("rejections emitted dropout events %v", got)
 	}
 }

@@ -9,12 +9,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"helcfl/internal/chaos"
+	"helcfl/internal/core"
 	"helcfl/internal/device"
 	"helcfl/internal/fl"
+	"helcfl/internal/selection"
+	"helcfl/internal/wireless"
 )
 
 // Satellite: client lifecycle robustness — context propagation, typed
@@ -254,5 +258,67 @@ func TestUploadDedupWithinRound(t *testing.T) {
 	}
 	if st := status(); st.Phase != PhaseDone {
 		t.Fatalf("phase = %s after final upload, want done", st.Phase)
+	}
+}
+
+// TestServerRefusesLossFeedbackPlanner: uploads carry no training loss, so
+// a planner that needs it (fl.Observer) would plan on no feedback and
+// diverge from the engine. The server refuses it, naming it, both when
+// training starts and when a checkpoint is restored.
+func TestServerRefusesLossFeedbackPlanner(t *testing.T) {
+	env := newConfEnv(t, 2, 1)
+	lossAware := func(devs []*device.Device) (fl.Planner, error) {
+		return selection.NewHELCFLLossAware(devs, wireless.DefaultChannel(), env.modelBits,
+			core.Params{Eta: 0.7, Fraction: env.fraction, StepsPerRound: 1, Clamp: true}, 0.5)
+	}
+	dir := t.TempDir()
+	newServer := func(newPlanner func([]*device.Device) (fl.Planner, error)) (*Server, error) {
+		return NewServer(ServerConfig{
+			Spec: env.spec, Seed: env.seed, ExpectedUsers: env.users, Rounds: env.rounds,
+			CheckpointDir: dir, Resume: true, NewPlanner: newPlanner,
+		})
+	}
+	// registerAll returns the status and body of the registration that
+	// completes the fleet.
+	registerAll := func(srv *Server) (int, string) {
+		t.Helper()
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		var code int
+		var msg []byte
+		for q := 0; q < env.users; q++ {
+			body, _ := json.Marshal(env.clientInfo(q))
+			resp, err := http.Post(ts.URL+"/register", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			code = resp.StatusCode
+		}
+		return code, string(msg)
+	}
+
+	srv, err := newServer(lossAware)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, msg := registerAll(srv)
+	srv.Close()
+	if code != http.StatusInternalServerError || !strings.Contains(msg, `"HELCFL-lossaware"`) {
+		t.Fatalf("start with a loss-feedback planner: status %d %q, want 500 naming the planner", code, msg)
+	}
+
+	// A round-0 snapshot written under flat HELCFL must not resume under it.
+	srv, err = newServer(env.newPlanner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := registerAll(srv); code != http.StatusOK {
+		t.Fatalf("start with HELCFL: status %d %q", code, msg)
+	}
+	srv.Close()
+	if _, err := newServer(lossAware); err == nil || !strings.Contains(err.Error(), `"HELCFL-lossaware"`) {
+		t.Fatalf("restore with a loss-feedback planner: err %v, want one naming the planner", err)
 	}
 }

@@ -131,7 +131,6 @@ type Server struct {
 	roundTimer *time.Timer
 	bytesUp    int64
 	bytesDown  int64
-	lastLoss   float64
 	wal        *checkpoint.WAL // nil when CheckpointDir is unset
 }
 
@@ -302,9 +301,24 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, RegisterResponse{Registered: len(s.registered), Expected: s.cfg.ExpectedUsers})
 }
 
+// newPlanner builds the planner over the registered fleet. The server runs
+// Algorithm 1 as the engine does, edge tier included, except that uploads
+// carry no training loss: a planner that needs loss feedback (fl.Observer)
+// would silently plan on none, so it is refused.
+func (s *Server) newPlanner() (fl.Planner, error) {
+	planner, err := s.cfg.NewPlanner(s.devices)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := planner.(fl.Observer); ok {
+		return nil, fmt.Errorf("deploy: planner %q needs per-round loss feedback, which uploads do not carry", planner.Name())
+	}
+	return planner, nil
+}
+
 // startTrainingLocked builds the planner and plans round 0. Caller holds mu.
 func (s *Server) startTrainingLocked() error {
-	planner, err := s.cfg.NewPlanner(s.devices)
+	planner, err := s.newPlanner()
 	if err != nil {
 		return err
 	}
@@ -313,7 +327,7 @@ func (s *Server) startTrainingLocked() error {
 	s.phase = PhaseTraining
 	s.round = 0
 	if s.cfg.Sink != nil {
-		s.cfg.Sink.OnRunStart(obs.RunStartEvent{
+		s.cfg.Sink.OnEvent(obs.RunStartEvent{
 			Scheme:    planner.Name(),
 			Users:     s.cfg.ExpectedUsers,
 			MaxRounds: s.cfg.Rounds,
@@ -339,8 +353,8 @@ func (s *Server) planRoundLocked() error {
 	s.uploads = map[int][]float64{}
 	s.payload = nn.ParamBytes(s.global)
 	if s.cfg.Sink != nil {
-		s.cfg.Sink.OnRoundStart(obs.RoundStartEvent{Round: s.round})
-		s.cfg.Sink.OnSelection(obs.SelectionEvent{Round: s.round, Selected: sel, Freqs: freqs})
+		s.cfg.Sink.OnEvent(obs.RoundStartEvent{Round: s.round})
+		s.cfg.Sink.OnEvent(obs.SelectionEvent{Round: s.round, Selected: sel, Freqs: freqs})
 	}
 	// Durable round boundary: the snapshot captures the post-PlanRound
 	// planner state together with the planned cohort, so a restart never
@@ -530,27 +544,27 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// rejectUploadLocked answers an invalid upload: the error status, the
-// rejection counter, and a dropout event (the user was selected but its
-// contribution is discarded). Caller holds mu.
+// rejectUploadLocked answers an invalid upload with the error status and
+// the rejection counter. It is no dropout: the user may retry, and a user
+// still missing when the round closes is reported then. Caller holds mu.
 func (s *Server) rejectUploadLocked(w http.ResponseWriter, code, user int, format string, args ...interface{}) {
 	s.mRejected.Inc()
-	if s.cfg.Sink != nil {
-		s.cfg.Sink.OnDropout(obs.DropoutEvent{Round: s.round, User: user})
-	}
 	s.logf("upload rejected: user=%d round=%d: %s", user, s.round, fmt.Sprintf(format, args...))
 	httpError(w, code, format, args...)
 }
 
-// aggregateLocked runs FedAvg over the round's uploads — walked in planner
-// selection order so the floating-point reduction is bit-for-bit
-// reproducible and matches the in-process engine — and advances the round.
-// Selected users without an upload (possible only when the straggler
-// deadline closed the round) are reported as dropouts. Caller holds mu.
+// aggregateLocked runs FedAvg over the round's uploads through the
+// planner's edge tier — walked in planner selection order so the
+// floating-point reduction is bit-for-bit reproducible and matches the
+// in-process engine — and advances the round. Selected users without an
+// upload (possible only when the straggler deadline closed the round) are
+// reported as dropouts. Caller holds mu.
 func (s *Server) aggregateLocked() {
 	s.stopTimerLocked()
+	topo := fl.TopologyOf(s.planner)
 	uploads := make([][]float64, 0, len(s.uploads))
 	weights := make([]int, 0, len(s.uploads))
+	edges := make([]int, 0, len(s.uploads))
 	uploaded := make([]int, 0, len(s.uploads))
 	var missing []int
 	for _, user := range s.selOrder {
@@ -561,11 +575,13 @@ func (s *Server) aggregateLocked() {
 		}
 		uploads = append(uploads, flat)
 		weights = append(weights, s.devices[user].NumSamples)
+		edges = append(edges, topo.EdgeOf(user))
 		uploaded = append(uploaded, user)
 	}
 	partial := len(missing) > 0
 	avg := make([]float64, s.global.NumParams())
-	fl.FedAvgInto(avg, uploads, weights)
+	var hier fl.HierScratch
+	fl.FedAvgHierInto(avg, &hier, uploads, weights, edges, topo.NumEdges())
 	s.global.SetFlatParams(avg)
 	s.mAggs.Inc()
 	if partial {
@@ -575,10 +591,10 @@ func (s *Server) aggregateLocked() {
 	closed := s.round
 	if s.cfg.Sink != nil {
 		for _, user := range missing {
-			s.cfg.Sink.OnDropout(obs.DropoutEvent{Round: closed, User: user})
+			s.cfg.Sink.OnEvent(obs.DropoutEvent{Round: closed, User: user})
 		}
-		s.cfg.Sink.OnAggregate(obs.AggregateEvent{Round: closed, Uploads: len(uploads), Failed: len(missing)})
-		s.cfg.Sink.OnRoundEnd(obs.RoundEndEvent{Round: closed, Selected: s.selOrder, Failed: len(missing)})
+		s.cfg.Sink.OnEvent(obs.AggregateEvent{Round: closed, Uploads: len(uploads), Failed: len(missing)})
+		s.cfg.Sink.OnEvent(obs.RoundEndEvent{Round: closed, Selected: s.selOrder, Failed: len(missing)})
 	}
 	if s.cfg.RoundHook != nil {
 		s.cfg.RoundHook(RoundSummary{
@@ -623,6 +639,5 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Uploads:    len(s.uploads),
 		BytesUp:    s.bytesUp,
 		BytesDown:  s.bytesDown,
-		TrainLoss:  s.lastLoss,
 	})
 }

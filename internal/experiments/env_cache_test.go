@@ -27,7 +27,7 @@ func TestCachedEnvIdentityAndKeying(t *testing.T) {
 		t.Fatal("same key returned distinct environments")
 	}
 	withSink := p
-	withSink.Sink = obs.NopSink{}
+	withSink.Sink = obs.MultiSink{} // a non-nil sink that ignores every event
 	c, err := CachedEnv(withSink, IID, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -231,7 +231,7 @@ type Engine struct {
 
 	round    int  // next round to execute
 	stopped  bool // an exit condition fired
-	finished bool // OnRunEnd emitted
+	finished bool // RunEnd emitted
 
 	runSp span.Span // open "fl.run" span; zero when Config.Trace is nil
 
@@ -335,10 +335,6 @@ func newEngineState(cfg Config) (*Engine, error) {
 	if evalEvery <= 0 {
 		evalEvery = 1
 	}
-	var topo EdgeTopology = flcc{}
-	if t, ok := cfg.Planner.(EdgeTopology); ok && t.NumEdges() > 0 {
-		topo = t
-	}
 	return &Engine{
 		cfg:       cfg,
 		rng:       rng,
@@ -357,13 +353,13 @@ func newEngineState(cfg Config) (*Engine, error) {
 		},
 		bestLoss: math.Inf(1),
 		spentJ:   make([]float64, len(cfg.Devices)),
-		topo:     topo,
+		topo:     TopologyOf(cfg.Planner),
 	}, nil
 }
 
 func (e *Engine) emitRunStart() {
 	if e.cfg.Sink != nil {
-		e.cfg.Sink.OnRunStart(obs.RunStartEvent{
+		e.cfg.Sink.OnEvent(obs.RunStartEvent{
 			Scheme:    e.res.Scheme,
 			Users:     len(e.cfg.Devices),
 			MaxRounds: e.cfg.MaxRounds,
@@ -406,7 +402,7 @@ func (e *Engine) Step() (bool, error) {
 	cfg := &e.cfg
 	j := e.round
 	if cfg.Sink != nil {
-		cfg.Sink.OnRoundStart(obs.RoundStartEvent{Round: j})
+		cfg.Sink.OnEvent(obs.RoundStartEvent{Round: j})
 	}
 	// Phase spans: "fl.round" brackets the round; plan / train / upload /
 	// aggregate children carry the measured-vs-modeled decomposition. All
@@ -461,7 +457,7 @@ func (e *Engine) Step() (bool, error) {
 				}
 			}
 		}
-		cfg.Sink.OnSelection(ev)
+		cfg.Sink.OnEvent(ev)
 	}
 	e.selDevs = e.selDevs[:0]
 	for _, q := range selected {
@@ -531,7 +527,7 @@ func (e *Engine) Step() (bool, error) {
 		// The realized frequency outcome and per-user spans. round.Users
 		// is in TDMA transmission order with User = device ID (== fleet
 		// index, the same identification the battery accounting uses).
-		cfg.Sink.OnFrequency(obs.FrequencyEvent{
+		cfg.Sink.OnEvent(obs.FrequencyEvent{
 			Round: j, Users: selected, Freqs: freqs, SlackSec: round.TotalSlack,
 		})
 		siOf := make(map[int]int, len(selected))
@@ -543,12 +539,12 @@ func (e *Engine) Step() (bool, error) {
 			if !ok {
 				continue
 			}
-			cfg.Sink.OnLocalUpdate(obs.LocalUpdateEvent{
+			cfg.Sink.OnEvent(obs.LocalUpdateEvent{
 				Round: j, User: u.User,
 				FreqHz: u.Freq, SimSec: u.ComputeDelay, EnergyJ: u.ComputeEnergy,
 				WallSec: wallSec[si], Loss: lossesByUser[si],
 			})
-			cfg.Sink.OnUpload(obs.UploadEvent{
+			cfg.Sink.OnEvent(obs.UploadEvent{
 				Round: j, User: u.User,
 				SimSec: u.UploadDelay, EnergyJ: u.UploadEnergy,
 				StartSec: u.UploadStart, EndSec: u.UploadEnd, WaitSec: u.Wait,
@@ -572,7 +568,7 @@ func (e *Engine) Step() (bool, error) {
 			// the round simulation.
 			failed++
 			if cfg.Sink != nil {
-				cfg.Sink.OnDropout(obs.DropoutEvent{Round: j, User: q})
+				cfg.Sink.OnEvent(obs.DropoutEvent{Round: j, User: q})
 			}
 			continue
 		}
@@ -621,7 +617,7 @@ func (e *Engine) Step() (bool, error) {
 		FedAvgHierInto(e.avgBuf, &e.hierScratch, uploads, weights, upEdges, e.topo.NumEdges())
 		e.global.SetFlatParams(e.avgBuf)
 		if cfg.Sink != nil {
-			cfg.Sink.OnAggregate(obs.AggregateEvent{
+			cfg.Sink.OnEvent(obs.AggregateEvent{
 				Round: j, Uploads: len(uploads), Failed: failed,
 				TrainLoss: lossSum / float64(len(selected)),
 			})
@@ -641,7 +637,7 @@ func (e *Engine) Step() (bool, error) {
 			wasAlive := e.alive(u.User)
 			e.spentJ[u.User] += u.ComputeEnergy + u.UploadEnergy
 			if cfg.Sink != nil && wasAlive && !e.alive(u.User) {
-				cfg.Sink.OnBattery(obs.BatteryEvent{Round: j, User: u.User, SpentJ: e.spentJ[u.User]})
+				cfg.Sink.OnEvent(obs.BatteryEvent{Round: j, User: u.User, SpentJ: e.spentJ[u.User]})
 			}
 		}
 		aliveCount = 0
@@ -695,7 +691,7 @@ func (e *Engine) Step() (bool, error) {
 		}
 	}
 	if cfg.Sink != nil {
-		cfg.Sink.OnRoundEnd(obs.RoundEndEvent{
+		cfg.Sink.OnEvent(obs.RoundEndEvent{
 			Round: rec.Round, Selected: rec.Selected,
 			Failed: rec.Failed, Alive: rec.AliveDevices,
 			DelaySec: rec.Delay, EnergyJ: rec.Energy,
@@ -736,7 +732,7 @@ func (e *Engine) Result() *Result {
 		e.Close()
 		e.runSp.End()
 		if e.cfg.Sink != nil {
-			e.cfg.Sink.OnRunEnd(obs.RunEndEvent{
+			e.cfg.Sink.OnEvent(obs.RunEndEvent{
 				Scheme: e.res.Scheme, Rounds: len(e.res.Records),
 				TotalTimeSec: e.res.TotalTime, TotalEnergyJ: e.res.TotalEnergy,
 				FinalAccuracy: e.res.FinalAccuracy, BestAccuracy: e.res.BestAccuracy,

@@ -138,7 +138,7 @@ func TestDropoutNearOneStillRuns(t *testing.T) {
 }
 
 // TestBatteryDeadUsersNeverReselected pins the battery invariant through the
-// event stream: once OnBattery reports user q shut down, q never appears in
+// event stream: once a BatteryEvent reports user q shut down, q never appears in
 // a later round's (post-filter) selection — and therefore never in the
 // aggregation weights — and partial cohorts still aggregate consistently.
 func TestBatteryDeadUsersNeverReselected(t *testing.T) {

@@ -73,6 +73,16 @@ type flcc struct{}
 func (flcc) NumEdges() int  { return 1 }
 func (flcc) EdgeOf(int) int { return 0 }
 
+// TopologyOf returns the aggregation tier p's rounds run on: its
+// EdgeTopology, or the single-edge FLCC for a planner without one. The
+// engine and the deploy server both aggregate through it.
+func TopologyOf(p Planner) EdgeTopology {
+	if t, ok := p.(EdgeTopology); ok && t.NumEdges() > 0 {
+		return t
+	}
+	return flcc{}
+}
+
 // StatefulPlanner is an optional Planner extension for checkpoint/resume:
 // planners whose decisions depend on cross-round mutable state (the HELCFL
 // α_q decay counters, loss-feedback memory) expose it as an opaque blob so

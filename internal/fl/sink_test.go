@@ -9,7 +9,6 @@ import (
 
 // recordingSink captures the full event stream for assertions.
 type recordingSink struct {
-	obs.NopSink
 	runStarts  []obs.RunStartEvent
 	roundStart int
 	selections []obs.SelectionEvent
@@ -23,23 +22,32 @@ type recordingSink struct {
 	runEnds    []obs.RunEndEvent
 }
 
-func (r *recordingSink) OnRunStart(ev obs.RunStartEvent) { r.runStarts = append(r.runStarts, ev) }
-func (r *recordingSink) OnRoundStart(obs.RoundStartEvent) {
-	r.roundStart++
+func (r *recordingSink) OnEvent(e obs.Event) {
+	switch ev := e.(type) {
+	case obs.RunStartEvent:
+		r.runStarts = append(r.runStarts, ev)
+	case obs.RoundStartEvent:
+		r.roundStart++
+	case obs.SelectionEvent:
+		r.selections = append(r.selections, ev)
+	case obs.FrequencyEvent:
+		r.freqs = append(r.freqs, ev)
+	case obs.LocalUpdateEvent:
+		r.locals = append(r.locals, ev)
+	case obs.UploadEvent:
+		r.uploads = append(r.uploads, ev)
+	case obs.DropoutEvent:
+		r.dropouts = append(r.dropouts, ev)
+	case obs.BatteryEvent:
+		r.batteries = append(r.batteries, ev)
+	case obs.AggregateEvent:
+		r.aggregates = append(r.aggregates, ev)
+	case obs.RoundEndEvent:
+		r.roundEnds = append(r.roundEnds, ev)
+	case obs.RunEndEvent:
+		r.runEnds = append(r.runEnds, ev)
+	}
 }
-func (r *recordingSink) OnSelection(ev obs.SelectionEvent) { r.selections = append(r.selections, ev) }
-func (r *recordingSink) OnFrequency(ev obs.FrequencyEvent) { r.freqs = append(r.freqs, ev) }
-func (r *recordingSink) OnLocalUpdate(ev obs.LocalUpdateEvent) {
-	r.locals = append(r.locals, ev)
-}
-func (r *recordingSink) OnUpload(ev obs.UploadEvent)   { r.uploads = append(r.uploads, ev) }
-func (r *recordingSink) OnDropout(ev obs.DropoutEvent) { r.dropouts = append(r.dropouts, ev) }
-func (r *recordingSink) OnBattery(ev obs.BatteryEvent) { r.batteries = append(r.batteries, ev) }
-func (r *recordingSink) OnAggregate(ev obs.AggregateEvent) {
-	r.aggregates = append(r.aggregates, ev)
-}
-func (r *recordingSink) OnRoundEnd(ev obs.RoundEndEvent) { r.roundEnds = append(r.roundEnds, ev) }
-func (r *recordingSink) OnRunEnd(ev obs.RunEndEvent)     { r.runEnds = append(r.runEnds, ev) }
 
 func TestSinkReceivesConsistentEventStream(t *testing.T) {
 	env := newTestEnv(t, 21, 6)

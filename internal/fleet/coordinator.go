@@ -242,9 +242,6 @@ func (c *Coordinator) Handler() http.Handler {
 	return deploy.Middleware(mux, c.cfg.Log, reqs, panics, c.cfg.Trace)
 }
 
-// Done is closed when every cell has completed.
-func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
-
 // Wait blocks until the sweep completes or ctx is canceled, then returns
 // the merged fixed-index results — the same slice shape, in the same
 // order, as grid.Runner.Run over the same cells. Cells that failed
@@ -278,9 +275,6 @@ func (c *Coordinator) Remaining() int {
 	defer c.mu.Unlock()
 	return c.remaining
 }
-
-// Info returns the plan identity served to workers.
-func (c *Coordinator) Info() PlanInfo { return c.cfg.Info }
 
 // Close releases the journal. The coordinator must not serve afterwards.
 func (c *Coordinator) Close() error {

@@ -430,7 +430,7 @@ func TestCoordinatorMetrics(t *testing.T) {
 	post(t, srv.URL, PathComplete, completeBody(t, cells, second, "w1"), nil) // duplicate
 	third := lease(t, srv.URL, "w0")
 	post(t, srv.URL, PathComplete, completeBody(t, cells, third, "w0"), nil)
-	<-c.Done()
+	<-c.doneCh
 
 	text := scrape(t, reg)
 	for metric, want := range map[string]string{

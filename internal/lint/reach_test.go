@@ -57,12 +57,28 @@ type reachSpan struct {
 // reachGraph is the reference graph over every declaration of the module
 // and of _bench.
 type reachGraph struct {
-	fset   *token.FileSet
-	decls  []*reachDecl
-	byObj  map[types.Object]*reachDecl
-	spans  map[*token.File][]*reachSpan
-	inits  map[string][]*reachDecl // per package: init funcs and var initialisers
-	ifaces map[string]bool         // method names of every interface type in the program
+	fset  *token.FileSet
+	decls []*reachDecl
+	byObj map[types.Object]*reachDecl
+	spans map[*token.File][]*reachSpan
+	inits map[string][]*reachDecl // per package: init funcs and var initialisers
+	// ifaces lists, by method name, every type-checked interface of the
+	// program: each interface type of the module and _bench, each
+	// package-level named interface of the standard library, and error.
+	// byName holds the method names of the other standard-library
+	// interfaces, declared inside function bodies or unnamed in a
+	// signature, which only the sources show.
+	ifaces map[string][]reachIface
+	byName map[string]bool
+	seen   map[*types.Interface]bool
+}
+
+// reachIface is one type-checked interface.
+type reachIface struct {
+	it *types.Interface
+	// generic marks an interface declared with type parameters, on which
+	// types.Implements is unspecified: it matches by method names.
+	generic bool
 }
 
 // TestReachability fails for every non-test declaration that no product path
@@ -70,9 +86,10 @@ type reachGraph struct {
 // the exported API of the root helcfl facade, the test-support packages, the
 // init functions and package variable initialisers of every package a root
 // imports, and the keep table. A live declaration makes live whatever it
-// references; a live type makes live each of its methods whose name is a
-// method of some interface type in the loaded program, standard library
-// included, since such a call may be dispatched dynamically.
+// references. A live type T makes live each method, promoted ones
+// included, that a call through an interface may dispatch to: one of an
+// interface that *T implements (types.Implements), or one whose name is a
+// method of a standard-library interface only the sources show.
 func TestReachability(t *testing.T) {
 	root, err := lint.FindModuleRoot(".")
 	if err != nil {
@@ -167,8 +184,11 @@ func buildReachGraph(fset *token.FileSet, pkgs []*lint.Package) (*reachGraph, er
 		byObj:  map[types.Object]*reachDecl{},
 		spans:  map[*token.File][]*reachSpan{},
 		inits:  map[string][]*reachDecl{},
-		ifaces: map[string]bool{"Error": true}, // the predeclared error interface
+		ifaces: map[string][]reachIface{},
+		byName: map[string]bool{},
+		seen:   map[*types.Interface]bool{},
 	}
+	g.addIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface), false)
 	for _, pkg := range pkgs {
 		g.addPackage(pkg)
 	}
@@ -177,9 +197,48 @@ func buildReachGraph(fset *token.FileSet, pkgs []*lint.Package) (*reachGraph, er
 	}
 	for _, pkg := range pkgs {
 		g.addRefs(pkg)
-		collectIfaceNames(g.ifaces, pkg.Files)
+		for _, tv := range pkg.Info.Types {
+			if it, ok := tv.Type.Underlying().(*types.Interface); ok && tv.IsType() {
+				g.addIface(it, false)
+			}
+		}
 	}
-	return g, g.addStdIfaceNames(pkgs)
+	return g, g.addStdIfaces(pkgs)
+}
+
+func (g *reachGraph) addIface(it *types.Interface, generic bool) {
+	if g.seen[it] {
+		return
+	}
+	g.seen[it] = true
+	for i := 0; i < it.NumMethods(); i++ {
+		name := it.Method(i).Name()
+		g.ifaces[name] = append(g.ifaces[name], reachIface{it, generic})
+	}
+}
+
+// dispatched reports whether a call through an interface may reach the
+// method name of typ.
+func (g *reachGraph) dispatched(typ types.Type, name string) bool {
+	if g.byName[name] {
+		return true
+	}
+	for _, ri := range g.ifaces[name] {
+		if ri.generic && hasMethodNames(typ, ri.it) || !ri.generic && types.Implements(typ, ri.it) {
+			return true
+		}
+	}
+	return false
+}
+
+func hasMethodNames(typ types.Type, it *types.Interface) bool {
+	for i := 0; i < it.NumMethods(); i++ {
+		m := it.Method(i)
+		if obj, _, _ := types.LookupFieldOrMethod(typ, false, m.Pkg(), m.Name()); obj == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // addPackage registers the declarations of one package and, as per-package
@@ -309,24 +368,33 @@ func (g *reachGraph) reach(roots []*reachDecl) map[*reachDecl]bool {
 		if !ok || tn.IsAlias() {
 			continue
 		}
-		if named, ok := tn.Type().(*types.Named); ok {
-			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); g.ifaces[m.Name()] {
-					if md, ok := g.byObj[m]; ok {
-						work = append(work, md)
-					}
-				}
+		named, ok := tn.Type().(*types.Named)
+		if !ok || types.IsInterface(named) {
+			continue
+		}
+		// *T's method set holds T's methods and the promoted ones, and *T
+		// implements every interface T does.
+		ptr := types.NewPointer(named)
+		ms := types.NewMethodSet(ptr)
+		for i := 0; i < ms.Len(); i++ {
+			m := ms.At(i).Obj().(*types.Func).Origin()
+			md, ok := g.byObj[m]
+			if !ok || live[md] {
+				continue
+			}
+			if g.dispatched(ptr, m.Name()) {
+				work = append(work, md)
 			}
 		}
 	}
 	return live
 }
 
-// addStdIfaceNames collects the interface method names of every standard
-// library package the loaded program imports, parsing their sources: the
-// type-checker's export data omits interfaces declared inside function
-// bodies (errors.Is's Is(error) bool, for one).
-func (g *reachGraph) addStdIfaceNames(pkgs []*lint.Package) error {
+// addStdIfaces collects the interfaces of every standard library package
+// the loaded program imports: the package-level named ones from the
+// type-checker, and by name the rest from their sources, which the
+// package scope omits (errors.Is's Is(error) bool, for one).
+func (g *reachGraph) addStdIfaces(pkgs []*lint.Package) error {
 	var tps []*types.Package
 	for _, pkg := range pkgs {
 		tps = append(tps, pkg.Types)
@@ -336,6 +404,18 @@ func (g *reachGraph) addStdIfaceNames(pkgs []*lint.Package) error {
 	for _, p := range importClosure(tps) {
 		if p.Path() == "helcfl" || strings.HasPrefix(p.Path(), "helcfl/") || p.Path() == "unsafe" {
 			continue
+		}
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			it, ok := tn.Type().Underlying().(*types.Interface)
+			if !ok {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			g.addIface(it, ok && named.TypeParams().Len() > 0)
 		}
 		bp, err := build.ImportDir(filepath.Join(src, p.Path()), 0)
 		if err != nil {
@@ -349,15 +429,27 @@ func (g *reachGraph) addStdIfaceNames(pkgs []*lint.Package) error {
 			}
 			files = append(files, f)
 		}
-		collectIfaceNames(g.ifaces, files)
+		collectIfaceNames(g.byName, files)
 	}
 	return nil
 }
 
+// collectIfaceNames adds the method names of every interface type in files
+// but the package-level named ones.
 func collectIfaceNames(names map[string]bool, files []*ast.File) {
 	for _, f := range files {
+		named := map[ast.Expr]bool{}
+		for _, decl := range f.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok {
+				for _, spec := range gd.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						named[ts.Type] = true
+					}
+				}
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if it, ok := n.(*ast.InterfaceType); ok {
+			if it, ok := n.(*ast.InterfaceType); ok && !named[it] {
 				for _, m := range it.Methods.List {
 					for _, name := range m.Names {
 						names[name.Name] = true

@@ -74,18 +74,6 @@ func (c *Confusion) Recall(class int) float64 {
 	return float64(row[class]) / float64(sum)
 }
 
-// Precision returns per-class precision (diagonal over column sum).
-func (c *Confusion) Precision(class int) float64 {
-	sum := 0
-	for i := range c.Counts {
-		sum += c.Counts[i][class]
-	}
-	if sum == 0 {
-		return 0
-	}
-	return float64(c.Counts[class][class]) / float64(sum)
-}
-
 // String renders the matrix with per-class recall.
 func (c *Confusion) String() string {
 	var b strings.Builder

@@ -148,7 +148,7 @@ func TestSequentialCloneIndependence(t *testing.T) {
 	m := NewMLP(4, []int{5}, 3, rng)
 	c := m.Clone()
 	fill(c.Params()[0], 0)
-	if m.Params()[0].Sum() == 0 {
+	if m.Params()[0].Equal(c.Params()[0]) {
 		t.Fatal("clone params must be independent")
 	}
 	if m.NumParams() != c.NumParams() {

@@ -126,59 +126,47 @@ type RunEndEvent struct {
 	StoppedByDeadline, ReachedTarget, Converged, HaltedByDeadFleet bool
 }
 
-// EventSink receives engine events. Implementations must be safe for use
-// from a single engine goroutine; the engine never calls a sink
-// concurrently with itself. Embed NopSink to implement a subset.
-type EventSink interface {
-	OnRunStart(RunStartEvent)
-	OnRoundStart(RoundStartEvent)
-	OnSelection(SelectionEvent)
-	OnFrequency(FrequencyEvent)
-	OnLocalUpdate(LocalUpdateEvent)
-	OnUpload(UploadEvent)
-	OnDropout(DropoutEvent)
-	OnBattery(BatteryEvent)
-	OnAggregate(AggregateEvent)
-	OnRoundEnd(RoundEndEvent)
-	OnRunEnd(RunEndEvent)
-}
+// Event is one engine event. Kind names it as the flight dump writes it.
+type Event interface{ Kind() string }
 
-// NopSink is an EventSink that ignores everything; embed it to implement
-// only the events you care about.
-type NopSink struct{}
+// Kind implements Event.
+func (RunStartEvent) Kind() string { return "RunStart" }
 
-// OnRunStart implements EventSink.
-func (NopSink) OnRunStart(RunStartEvent) {}
+// Kind implements Event.
+func (RoundStartEvent) Kind() string { return "RoundStart" }
 
-// OnRoundStart implements EventSink.
-func (NopSink) OnRoundStart(RoundStartEvent) {}
+// Kind implements Event.
+func (SelectionEvent) Kind() string { return "Selection" }
 
-// OnSelection implements EventSink.
-func (NopSink) OnSelection(SelectionEvent) {}
+// Kind implements Event.
+func (FrequencyEvent) Kind() string { return "Frequency" }
 
-// OnFrequency implements EventSink.
-func (NopSink) OnFrequency(FrequencyEvent) {}
+// Kind implements Event.
+func (LocalUpdateEvent) Kind() string { return "LocalUpdate" }
 
-// OnLocalUpdate implements EventSink.
-func (NopSink) OnLocalUpdate(LocalUpdateEvent) {}
+// Kind implements Event.
+func (UploadEvent) Kind() string { return "Upload" }
 
-// OnUpload implements EventSink.
-func (NopSink) OnUpload(UploadEvent) {}
+// Kind implements Event.
+func (DropoutEvent) Kind() string { return "Dropout" }
 
-// OnDropout implements EventSink.
-func (NopSink) OnDropout(DropoutEvent) {}
+// Kind implements Event.
+func (BatteryEvent) Kind() string { return "Battery" }
 
-// OnBattery implements EventSink.
-func (NopSink) OnBattery(BatteryEvent) {}
+// Kind implements Event.
+func (AggregateEvent) Kind() string { return "Aggregate" }
 
-// OnAggregate implements EventSink.
-func (NopSink) OnAggregate(AggregateEvent) {}
+// Kind implements Event.
+func (RoundEndEvent) Kind() string { return "RoundEnd" }
 
-// OnRoundEnd implements EventSink.
-func (NopSink) OnRoundEnd(RoundEndEvent) {}
+// Kind implements Event.
+func (RunEndEvent) Kind() string { return "RunEnd" }
 
-// OnRunEnd implements EventSink.
-func (NopSink) OnRunEnd(RunEndEvent) {}
+// EventSink receives engine events, one of the *Event structs above per
+// call. Implementations switch on the kinds they use and ignore the rest.
+// They must be safe for use from a single engine goroutine; the engine
+// never calls a sink concurrently with itself.
+type EventSink interface{ OnEvent(Event) }
 
 // MultiSink fans every event out to each sink in order.
 type MultiSink []EventSink
@@ -201,79 +189,9 @@ func Multi(sinks ...EventSink) EventSink {
 	return kept
 }
 
-// OnRunStart implements EventSink.
-func (m MultiSink) OnRunStart(ev RunStartEvent) {
+// OnEvent implements EventSink.
+func (m MultiSink) OnEvent(ev Event) {
 	for _, s := range m {
-		s.OnRunStart(ev)
-	}
-}
-
-// OnRoundStart implements EventSink.
-func (m MultiSink) OnRoundStart(ev RoundStartEvent) {
-	for _, s := range m {
-		s.OnRoundStart(ev)
-	}
-}
-
-// OnSelection implements EventSink.
-func (m MultiSink) OnSelection(ev SelectionEvent) {
-	for _, s := range m {
-		s.OnSelection(ev)
-	}
-}
-
-// OnFrequency implements EventSink.
-func (m MultiSink) OnFrequency(ev FrequencyEvent) {
-	for _, s := range m {
-		s.OnFrequency(ev)
-	}
-}
-
-// OnLocalUpdate implements EventSink.
-func (m MultiSink) OnLocalUpdate(ev LocalUpdateEvent) {
-	for _, s := range m {
-		s.OnLocalUpdate(ev)
-	}
-}
-
-// OnUpload implements EventSink.
-func (m MultiSink) OnUpload(ev UploadEvent) {
-	for _, s := range m {
-		s.OnUpload(ev)
-	}
-}
-
-// OnDropout implements EventSink.
-func (m MultiSink) OnDropout(ev DropoutEvent) {
-	for _, s := range m {
-		s.OnDropout(ev)
-	}
-}
-
-// OnBattery implements EventSink.
-func (m MultiSink) OnBattery(ev BatteryEvent) {
-	for _, s := range m {
-		s.OnBattery(ev)
-	}
-}
-
-// OnAggregate implements EventSink.
-func (m MultiSink) OnAggregate(ev AggregateEvent) {
-	for _, s := range m {
-		s.OnAggregate(ev)
-	}
-}
-
-// OnRoundEnd implements EventSink.
-func (m MultiSink) OnRoundEnd(ev RoundEndEvent) {
-	for _, s := range m {
-		s.OnRoundEnd(ev)
-	}
-}
-
-// OnRunEnd implements EventSink.
-func (m MultiSink) OnRunEnd(ev RunEndEvent) {
-	for _, s := range m {
-		s.OnRunEnd(ev)
+		s.OnEvent(ev)
 	}
 }

@@ -216,35 +216,5 @@ func (e *eventRing) snapshot() []event {
 	return out
 }
 
-// OnRunStart implements obs.EventSink.
-func (e *eventRing) OnRunStart(ev obs.RunStartEvent) { e.push("RunStart", ev) }
-
-// OnRoundStart implements obs.EventSink.
-func (e *eventRing) OnRoundStart(ev obs.RoundStartEvent) { e.push("RoundStart", ev) }
-
-// OnSelection implements obs.EventSink.
-func (e *eventRing) OnSelection(ev obs.SelectionEvent) { e.push("Selection", ev) }
-
-// OnFrequency implements obs.EventSink.
-func (e *eventRing) OnFrequency(ev obs.FrequencyEvent) { e.push("Frequency", ev) }
-
-// OnLocalUpdate implements obs.EventSink.
-func (e *eventRing) OnLocalUpdate(ev obs.LocalUpdateEvent) { e.push("LocalUpdate", ev) }
-
-// OnUpload implements obs.EventSink.
-func (e *eventRing) OnUpload(ev obs.UploadEvent) { e.push("Upload", ev) }
-
-// OnDropout implements obs.EventSink.
-func (e *eventRing) OnDropout(ev obs.DropoutEvent) { e.push("Dropout", ev) }
-
-// OnBattery implements obs.EventSink.
-func (e *eventRing) OnBattery(ev obs.BatteryEvent) { e.push("Battery", ev) }
-
-// OnAggregate implements obs.EventSink.
-func (e *eventRing) OnAggregate(ev obs.AggregateEvent) { e.push("Aggregate", ev) }
-
-// OnRoundEnd implements obs.EventSink.
-func (e *eventRing) OnRoundEnd(ev obs.RoundEndEvent) { e.push("RoundEnd", ev) }
-
-// OnRunEnd implements obs.EventSink.
-func (e *eventRing) OnRunEnd(ev obs.RunEndEvent) { e.push("RunEnd", ev) }
+// OnEvent implements obs.EventSink.
+func (e *eventRing) OnEvent(ev obs.Event) { e.push(ev.Kind(), ev) }

@@ -18,9 +18,9 @@ func fillRecorder(t *testing.T) *Recorder {
 	sp.End()
 	fr := New(rec, 4)
 	sink := fr.Sink()
-	sink.OnRunStart(obs.RunStartEvent{Scheme: "HELCFL", Users: 8})
+	sink.OnEvent(obs.RunStartEvent{Scheme: "HELCFL", Users: 8})
 	for i := 0; i < 6; i++ { // overflow the 4-slot event ring
-		sink.OnRoundEnd(obs.RoundEndEvent{Round: i})
+		sink.OnEvent(obs.RoundEndEvent{Round: i})
 	}
 	return fr
 }
@@ -84,7 +84,7 @@ func TestHandlerServesDump(t *testing.T) {
 
 func TestNilSpanRecorderDumpsEventsOnly(t *testing.T) {
 	fr := New(nil, 4)
-	fr.Sink().OnRoundStart(obs.RoundStartEvent{Round: 0})
+	fr.Sink().OnEvent(obs.RoundStartEvent{Round: 0})
 	var sb strings.Builder
 	if err := fr.WriteDump(&sb); err != nil {
 		t.Fatal(err)

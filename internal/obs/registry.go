@@ -49,9 +49,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add moves the value by v (which may be negative).
-func (g *Gauge) Add(v float64) { addFloat(&g.bits, v) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

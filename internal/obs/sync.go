@@ -20,79 +20,9 @@ type syncSink struct {
 	sink EventSink
 }
 
-// OnRunStart implements EventSink.
-func (s *syncSink) OnRunStart(ev RunStartEvent) {
+// OnEvent implements EventSink.
+func (s *syncSink) OnEvent(ev Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sink.OnRunStart(ev)
-}
-
-// OnRoundStart implements EventSink.
-func (s *syncSink) OnRoundStart(ev RoundStartEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sink.OnRoundStart(ev)
-}
-
-// OnSelection implements EventSink.
-func (s *syncSink) OnSelection(ev SelectionEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sink.OnSelection(ev)
-}
-
-// OnFrequency implements EventSink.
-func (s *syncSink) OnFrequency(ev FrequencyEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sink.OnFrequency(ev)
-}
-
-// OnLocalUpdate implements EventSink.
-func (s *syncSink) OnLocalUpdate(ev LocalUpdateEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sink.OnLocalUpdate(ev)
-}
-
-// OnUpload implements EventSink.
-func (s *syncSink) OnUpload(ev UploadEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sink.OnUpload(ev)
-}
-
-// OnDropout implements EventSink.
-func (s *syncSink) OnDropout(ev DropoutEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sink.OnDropout(ev)
-}
-
-// OnBattery implements EventSink.
-func (s *syncSink) OnBattery(ev BatteryEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sink.OnBattery(ev)
-}
-
-// OnAggregate implements EventSink.
-func (s *syncSink) OnAggregate(ev AggregateEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sink.OnAggregate(ev)
-}
-
-// OnRoundEnd implements EventSink.
-func (s *syncSink) OnRoundEnd(ev RoundEndEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sink.OnRoundEnd(ev)
-}
-
-// OnRunEnd implements EventSink.
-func (s *syncSink) OnRunEnd(ev RunEndEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sink.OnRunEnd(ev)
+	s.sink.OnEvent(ev)
 }

@@ -8,13 +8,18 @@ import (
 // countingSink is deliberately not safe for concurrent use: plain int
 // increments that the race detector flags when called from two goroutines.
 type countingSink struct {
-	NopSink
 	rounds int
 	runs   int
 }
 
-func (c *countingSink) OnRoundEnd(RoundEndEvent) { c.rounds++ }
-func (c *countingSink) OnRunEnd(RunEndEvent)     { c.runs++ }
+func (c *countingSink) OnEvent(ev Event) {
+	switch ev.(type) {
+	case RoundEndEvent:
+		c.rounds++
+	case RunEndEvent:
+		c.runs++
+	}
+}
 
 func TestSynchronizedNil(t *testing.T) {
 	if Synchronized(nil) != nil {
@@ -32,9 +37,9 @@ func TestSynchronizedSerializesConcurrentEngines(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				s.OnRoundEnd(RoundEndEvent{Round: r})
+				s.OnEvent(RoundEndEvent{Round: r})
 			}
-			s.OnRunEnd(RunEndEvent{})
+			s.OnEvent(RunEndEvent{})
 		}()
 	}
 	wg.Wait()

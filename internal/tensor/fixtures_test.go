@@ -45,6 +45,15 @@ func (t *Tensor) Fill(v float64) {
 	}
 }
 
+// Sum returns the sum of all elements.
+func (t *Tensor) Sum() float64 {
+	s := 0.0
+	for _, v := range t.data {
+		s += v
+	}
+	return s
+}
+
 // Mean returns the arithmetic mean of all elements. It panics on an empty
 // tensor.
 func (t *Tensor) Mean() float64 {

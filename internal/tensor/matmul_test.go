@@ -119,8 +119,8 @@ func TestMatMulLinearityQuick(t *testing.T) {
 		a1 := New(3, 3).FillNormal(rng, 0, 1)
 		a2 := New(3, 3).FillNormal(rng, 0, 1)
 		b := New(3, 3).FillNormal(rng, 0, 1)
-		lhs := matMul(a1.Add(a2), b)
-		rhs := matMul(a1, b).Add(matMul(a2, b))
+		lhs := matMul(a1.Clone().AddInPlace(a2), b)
+		rhs := matMul(a1, b).AddInPlace(matMul(a2, b))
 		return lhs.AllClose(rhs, 1e-10)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

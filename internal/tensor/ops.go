@@ -2,16 +2,6 @@ package tensor
 
 import "fmt"
 
-// Add returns t + u elementwise.
-func (t *Tensor) Add(u *Tensor) *Tensor {
-	t.checkSameShape("Add", u)
-	out := t.Clone()
-	for i, v := range u.data {
-		out.data[i] += v
-	}
-	return out
-}
-
 // AddInPlace sets t += u elementwise and returns t.
 func (t *Tensor) AddInPlace(u *Tensor) *Tensor {
 	t.checkSameShape("AddInPlace", u)
@@ -21,16 +11,6 @@ func (t *Tensor) AddInPlace(u *Tensor) *Tensor {
 	return t
 }
 
-// Sub returns t - u elementwise.
-func (t *Tensor) Sub(u *Tensor) *Tensor {
-	t.checkSameShape("Sub", u)
-	out := t.Clone()
-	for i, v := range u.data {
-		out.data[i] -= v
-	}
-	return out
-}
-
 // AXPY sets t += a·u (the BLAS axpy update) and returns t.
 func (t *Tensor) AXPY(a float64, u *Tensor) *Tensor {
 	t.checkSameShape("AXPY", u)
@@ -38,24 +18,6 @@ func (t *Tensor) AXPY(a float64, u *Tensor) *Tensor {
 		t.data[i] += a * v
 	}
 	return t
-}
-
-// Apply returns a new tensor with f applied to every element.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	out := t.Clone()
-	for i, v := range out.data {
-		out.data[i] = f(v)
-	}
-	return out
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v
-	}
-	return s
 }
 
 // AddColSumsInto treats t as a (rows, cols) matrix and adds its per-column

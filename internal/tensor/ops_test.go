@@ -1,26 +1,10 @@
 package tensor
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestAddSub(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	b := FromSlice([]float64{4, 3, 2, 1}, 2, 2)
-	if got := a.Add(b); !got.Equal(Full(5, 2, 2)) {
-		t.Fatalf("Add = %v", got)
-	}
-	if got := a.Sub(a); !got.Equal(New(2, 2)) {
-		t.Fatalf("Sub self = %v", got)
-	}
-	// Originals untouched.
-	if a.At(0, 0) != 1 || b.At(0, 0) != 4 {
-		t.Fatal("Add/Sub must not mutate operands")
-	}
-}
 
 func TestInPlaceVariantsMutateReceiver(t *testing.T) {
 	a := FromSlice([]float64{1, 2}, 2)
@@ -39,7 +23,7 @@ func TestShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on shape mismatch")
 		}
 	}()
-	New(2, 2).Add(New(4))
+	New(2, 2).AddInPlace(New(4))
 }
 
 func TestAXPY(t *testing.T) {
@@ -49,14 +33,6 @@ func TestAXPY(t *testing.T) {
 	want := FromSlice([]float64{3, 5, 7}, 3)
 	if !y.Equal(want) {
 		t.Fatalf("AXPY = %v, want %v", y, want)
-	}
-}
-
-func TestApply(t *testing.T) {
-	x := FromSlice([]float64{-1, 4}, 2)
-	y := x.Apply(math.Abs)
-	if y.At(0) != 1 || x.At(0) != -1 {
-		t.Fatal("Apply must not mutate the receiver")
 	}
 }
 
@@ -76,15 +52,15 @@ func TestAddRowVector(t *testing.T) {
 	}
 }
 
-// Property: Add is commutative, and subtracting an addend recovers the other
-// within FP tolerance.
+// Property: AddInPlace is commutative, and an AXPY by -1 of an addend
+// recovers the other within FP tolerance.
 func TestAddPropertiesQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := New(3, 4).FillUniform(rng, -10, 10)
 		b := New(3, 4).FillUniform(rng, -10, 10)
-		comm := a.Add(b).Equal(b.Add(a))
-		inv := a.Add(b).Sub(b).AllClose(a, 1e-12)
+		comm := a.Clone().AddInPlace(b).Equal(b.Clone().AddInPlace(a))
+		inv := a.Clone().AddInPlace(b).AXPY(-1, b).AllClose(a, 1e-12)
 		return comm && inv
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

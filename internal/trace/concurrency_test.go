@@ -28,7 +28,6 @@ import (
 
 // orderRecorder flattens the event stream into (kind, round) steps.
 type orderRecorder struct {
-	obs.NopSink
 	steps []orderStep
 }
 
@@ -37,26 +36,23 @@ type orderStep struct {
 	round int
 }
 
-func (r *orderRecorder) OnRoundStart(ev obs.RoundStartEvent) {
-	r.steps = append(r.steps, orderStep{"start", ev.Round})
-}
-func (r *orderRecorder) OnSelection(ev obs.SelectionEvent) {
-	r.steps = append(r.steps, orderStep{"selection", ev.Round})
-}
-func (r *orderRecorder) OnFrequency(ev obs.FrequencyEvent) {
-	r.steps = append(r.steps, orderStep{"frequency", ev.Round})
-}
-func (r *orderRecorder) OnLocalUpdate(ev obs.LocalUpdateEvent) {
-	r.steps = append(r.steps, orderStep{"local", ev.Round})
-}
-func (r *orderRecorder) OnUpload(ev obs.UploadEvent) {
-	r.steps = append(r.steps, orderStep{"upload", ev.Round})
-}
-func (r *orderRecorder) OnAggregate(ev obs.AggregateEvent) {
-	r.steps = append(r.steps, orderStep{"aggregate", ev.Round})
-}
-func (r *orderRecorder) OnRoundEnd(ev obs.RoundEndEvent) {
-	r.steps = append(r.steps, orderStep{"end", ev.Round})
+func (r *orderRecorder) OnEvent(e obs.Event) {
+	switch ev := e.(type) {
+	case obs.RoundStartEvent:
+		r.steps = append(r.steps, orderStep{"start", ev.Round})
+	case obs.SelectionEvent:
+		r.steps = append(r.steps, orderStep{"selection", ev.Round})
+	case obs.FrequencyEvent:
+		r.steps = append(r.steps, orderStep{"frequency", ev.Round})
+	case obs.LocalUpdateEvent:
+		r.steps = append(r.steps, orderStep{"local", ev.Round})
+	case obs.UploadEvent:
+		r.steps = append(r.steps, orderStep{"upload", ev.Round})
+	case obs.AggregateEvent:
+		r.steps = append(r.steps, orderStep{"aggregate", ev.Round})
+	case obs.RoundEndEvent:
+		r.steps = append(r.steps, orderStep{"end", ev.Round})
+	}
 }
 
 // phaseRank is the required within-round ordering of event kinds.

@@ -14,7 +14,6 @@ import (
 // post-hoc dump of fl.Result: lines appear as rounds finish, so a killed
 // run still leaves a valid prefix on disk.
 type Sink struct {
-	obs.NopSink
 	bw     *bufio.Writer
 	enc    *json.Encoder
 	scheme string
@@ -28,34 +27,37 @@ func NewSink(w io.Writer) *Sink {
 	return &Sink{bw: bw, enc: json.NewEncoder(bw)}
 }
 
-// OnRunStart captures the scheme name stamped on every line.
-func (s *Sink) OnRunStart(ev obs.RunStartEvent) { s.scheme = ev.Scheme }
-
-// OnRoundEnd encodes the round as a trace line. Encode errors are sticky
-// and reported by Flush; the engine's hot path never sees them.
-func (s *Sink) OnRoundEnd(ev obs.RoundEndEvent) {
-	if s.err != nil {
-		return
-	}
-	rec := Record{
-		Scheme:        s.scheme,
-		Round:         ev.Round,
-		Selected:      ev.Selected,
-		DelaySec:      ev.DelaySec,
-		EnergyJ:       ev.EnergyJ,
-		ComputeJ:      ev.ComputeJ,
-		UploadJ:       ev.UploadJ,
-		SlackSec:      ev.SlackSec,
-		CumTimeSec:    ev.CumTimeSec,
-		CumEnergyJ:    ev.CumEnergyJ,
-		TrainLoss:     ev.TrainLoss,
-		Evaluated:     ev.Evaluated,
-		TestLoss:      ev.TestLoss,
-		TestAccuracy:  ev.TestAccuracy,
-		SchemaVersion: SchemaVersion,
-	}
-	if err := s.enc.Encode(rec); err != nil {
-		s.err = fmt.Errorf("trace: encode round %d: %w", ev.Round, err)
+// OnEvent captures the scheme name stamped on every line from RunStart
+// and encodes each RoundEnd as a trace line. Encode errors are sticky and
+// reported by Flush; the engine's hot path never sees them.
+func (s *Sink) OnEvent(e obs.Event) {
+	switch ev := e.(type) {
+	case obs.RunStartEvent:
+		s.scheme = ev.Scheme
+	case obs.RoundEndEvent:
+		if s.err != nil {
+			return
+		}
+		rec := Record{
+			Scheme:        s.scheme,
+			Round:         ev.Round,
+			Selected:      ev.Selected,
+			DelaySec:      ev.DelaySec,
+			EnergyJ:       ev.EnergyJ,
+			ComputeJ:      ev.ComputeJ,
+			UploadJ:       ev.UploadJ,
+			SlackSec:      ev.SlackSec,
+			CumTimeSec:    ev.CumTimeSec,
+			CumEnergyJ:    ev.CumEnergyJ,
+			TrainLoss:     ev.TrainLoss,
+			Evaluated:     ev.Evaluated,
+			TestLoss:      ev.TestLoss,
+			TestAccuracy:  ev.TestAccuracy,
+			SchemaVersion: SchemaVersion,
+		}
+		if err := s.enc.Encode(rec); err != nil {
+			s.err = fmt.Errorf("trace: encode round %d: %w", ev.Round, err)
+		}
 	}
 }
 

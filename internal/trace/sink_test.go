@@ -10,14 +10,14 @@ import (
 func TestSinkStreamsRoundsAsRecords(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewSink(&buf)
-	s.OnRunStart(obs.RunStartEvent{Scheme: "HELCFL", Users: 10, MaxRounds: 2})
-	s.OnRoundEnd(obs.RoundEndEvent{
+	s.OnEvent(obs.RunStartEvent{Scheme: "HELCFL", Users: 10, MaxRounds: 2})
+	s.OnEvent(obs.RoundEndEvent{
 		Round: 0, Selected: []int{1, 3}, DelaySec: 2.5, EnergyJ: 10,
 		ComputeJ: 8, UploadJ: 2, SlackSec: 0.5, CumTimeSec: 2.5,
 		CumEnergyJ: 10, TrainLoss: 1.2, Evaluated: true, TestLoss: 1.1,
 		TestAccuracy: 0.4,
 	})
-	s.OnRoundEnd(obs.RoundEndEvent{
+	s.OnEvent(obs.RoundEndEvent{
 		Round: 1, Selected: []int{0}, DelaySec: 3, EnergyJ: 12,
 		ComputeJ: 9, UploadJ: 3, SlackSec: 0.2, CumTimeSec: 5.5,
 		CumEnergyJ: 22, TrainLoss: 0.9,
@@ -58,9 +58,9 @@ func TestSinkMatchesPostHocWrite(t *testing.T) {
 
 	var stream bytes.Buffer
 	s := NewSink(&stream)
-	s.OnRunStart(obs.RunStartEvent{Scheme: "HELCFL"})
+	s.OnEvent(obs.RunStartEvent{Scheme: "HELCFL"})
 	for _, r := range engineRecs {
-		s.OnRoundEnd(obs.RoundEndEvent{
+		s.OnEvent(obs.RoundEndEvent{
 			Round: r.Round, Selected: r.Selected, DelaySec: r.Delay,
 			EnergyJ: r.Energy, ComputeJ: r.ComputeEnergy, UploadJ: r.UploadEnergy,
 			SlackSec: r.Slack, CumTimeSec: r.CumTime, CumEnergyJ: r.CumEnergy,

@@ -19,7 +19,6 @@ type Summary struct {
 	Slack        stats.Summary
 	BestAccuracy float64
 	FinalLoss    float64
-	LostUploads  int
 }
 
 // Summarize groups records by scheme and aggregates each group. Schemes
