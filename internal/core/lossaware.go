@@ -81,14 +81,16 @@ func (l *LossAwareScheduler) lossBonus(q int, mean float64, ok bool) float64 {
 	return 1 + l.Lambda*l.lastLoss[q]/mean
 }
 
-// SelectRound is Algorithm 2 over the augmented utility: it fills the
-// scheduler's utility vector with u_q·(1 + λ·L̂_q) and runs the shared
-// top-N heap, returning a freshly allocated index slice.
+// SelectRound is Algorithm 2 over the augmented utility: the bonus moves
+// every key each round, so it re-keys all Q users with u_q·(1 + λ·L̂_q)
+// through the shared selection kernel, returning a freshly allocated index
+// slice.
 func (l *LossAwareScheduler) SelectRound() []int {
 	mean, ok := l.meanLoss()
-	util := l.utilityBuf()
-	for q := range util {
-		util[q] = l.Scheduler.Utility(q) * l.lossBonus(q, mean, ok)
+	l.sizeOrder()
+	for q := range l.lastUtil {
+		l.lastUtil[q] = l.Scheduler.Utility(q) * l.lossBonus(q, mean, ok)
 	}
-	return l.selectTop(make([]int, 0, l.cohortSize()))
+	l.ordered = false // keyed by the bonus, not by Eq. (20) alone
+	return l.selectKeyed(make([]int, 0, l.NumSelect()), l.NumUsers())
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"helcfl/internal/device"
@@ -30,7 +32,7 @@ func (l *LossAwareScheduler) lossBonusNaive(q int) float64 {
 	return 1 + l.Lambda*l.lastLoss[q]/mean
 }
 
-// SelectRoundNaive is the pre-heap reference: the literal O(Q·N) repeated
+// SelectRoundNaive is the reference selection: the literal O(Q·N) repeated
 // argmax of Algorithm 2 over the loss-augmented utility, ties broken by
 // index. TestLossAwareSelectMatchesNaive runs it against SelectRound.
 func (l *LossAwareScheduler) SelectRoundNaive() []int {
@@ -190,11 +192,14 @@ func TestLossAwareNegativeLambdaRejected(t *testing.T) {
 }
 
 // TestLossAwareSelectMatchesNaive pins the loss-aware selection — the
-// shared top-N heap over the bonus-scaled utility — to the naive repeated
-// argmax: across random and tie-heavy fleets, λ ∈ {0, 0.5, 2} and ten
-// rounds of loss feedback drawn from a small value set (so bonuses tie
-// too), both must select the same users in the same order and leave the
-// same decay counters and bitwise-identical utility vectors.
+// shared selection kernel re-keying all Q users by the bonus-scaled
+// utility — to the naive repeated argmax: across random and tie-heavy
+// fleets, λ ∈ {0, 0.5, 2}, N = 1 to N = Q and 50 rounds of loss feedback
+// drawn from a small value set (so bonuses tie too), both must select the
+// same users in the same order and leave bit-identical α, utility vectors
+// and ExportState. Every tenth round runs the embedded Eq. (20) selection
+// instead, on an order the loss-aware rounds keyed by another utility,
+// and at round 25 both twins import a state from a third scheduler.
 func TestLossAwareSelectMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ch := wireless.DefaultChannel()
@@ -213,33 +218,48 @@ func TestLossAwareSelectMatchesNaive(t *testing.T) {
 		}
 		return la
 	}
+	draw := func(n int) []float64 {
+		losses := make([]float64, n)
+		for i := range losses {
+			losses[i] = []float64{0.25, 0.5, 1, 3}[rng.Intn(4)]
+		}
+		return losses
+	}
 	for fi, f := range fleets {
-		for _, lambda := range []float64{0, 0.5, 2} {
+		for li, lambda := range []float64{0, 0.5, 2} {
 			p := DefaultParams()
-			p.Fraction = []float64{0.05, 0.1, 0.33, 1.0}[rng.Intn(4)]
-			heap, naive := newLA(f, p, lambda), newLA(f, p, lambda)
-			for round := 0; round < 10; round++ {
-				got, want := heap.SelectRound(), naive.SelectRoundNaive()
-				if len(got) != len(want) {
-					t.Fatalf("fleet %d λ=%g round %d: heap selected %d users, naive %d", fi, lambda, round, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("fleet %d λ=%g round %d: selection[%d] = %d (heap) vs %d (naive)", fi, lambda, round, i, got[i], want[i])
+			p.Fraction = []float64{0.001, 0.1, 0.33, 1.0}[(3*fi+li)%4]
+			fast, naive, donor := newLA(f, p, lambda), newLA(f, p, lambda), newLA(f, p, lambda)
+			for round := 0; round < 5+fi; round++ {
+				sel := donor.SelectRound()
+				donor.ObserveRound(round, sel, draw(len(sel)))
+			}
+			for round := 0; round < 50; round++ {
+				what := fmt.Sprintf("fleet %d λ=%g C=%g round %d", fi, lambda, p.Fraction, round)
+				if round == 25 {
+					st := donor.ExportState()
+					if err := fast.ImportState(st); err != nil {
+						t.Fatal(err)
+					}
+					if err := naive.ImportState(st); err != nil {
+						t.Fatal(err)
 					}
 				}
-				gu, wu := heap.LastUtilities(), naive.LastUtilities()
-				ga, wa := heap.Appearances(), naive.Appearances()
-				for q := range gu {
-					if math.Float64bits(gu[q]) != math.Float64bits(wu[q]) || ga[q] != wa[q] {
-						t.Fatalf("fleet %d λ=%g round %d user %d: (util %v, α %d) vs naive (%v, %d)", fi, lambda, round, q, gu[q], ga[q], wu[q], wa[q])
-					}
+				var got, want []int
+				if round%10 == 9 {
+					got, want = fast.Scheduler.SelectRound(), naive.Scheduler.SelectRoundNaive()
+				} else {
+					got, want = fast.SelectRound(), naive.SelectRoundNaive()
 				}
-				losses := make([]float64, len(got))
-				for i := range losses {
-					losses[i] = []float64{0.25, 0.5, 1, 3}[rng.Intn(4)]
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s:\nkeyed: %v\nnaive: %v", what, got, want)
 				}
-				heap.ObserveRound(round, got, losses)
+				if keys := fast.LastHeapPushes(); keys != f.Len() {
+					t.Fatalf("%s: %d keys updated, want all %d", what, keys, f.Len())
+				}
+				requireSameState(t, what, fast.Scheduler, naive.Scheduler)
+				losses := draw(len(got))
+				fast.ObserveRound(round, got, losses)
 				naive.ObserveRound(round, want, losses)
 			}
 		}

@@ -4,11 +4,13 @@
 // DVFS-enabled operating-frequency determination of Algorithm 3.
 //
 // The scheduler's state is structure-of-arrays (device.Fleet plus parallel
-// delay/decay columns). Its selection loop is a streaming top-N min-heap of
-// (utility, index) entries sifted by one concrete sift-down, and Algorithm
-// 3 orders the cohort with one slices sort over (delay, index) keys — no
-// interface dispatch, no allocation once warm — so a single round plan
-// scales to Q=10⁶ users in well under a second (see docs/SCALE.md); the
+// delay/decay columns). Algorithm 2 keeps the whole fleet sorted by its
+// selection key and, each round, re-keys only the previous cohort — the
+// only users whose Eq. (20) utility moved — and merges them back, so a
+// round costs O(N log Q) comparisons rather than a sweep of all Q
+// utilities. Algorithm 3 orders the cohort with one slices sort over
+// (delay, index) keys — no interface dispatch, no allocation once warm —
+// so a single round plan scales to Q=10⁶ users (see docs/SCALE.md); the
 // naive references (SelectRoundNaive in the package's tests, the AoS
 // FrequencyPlan) pin the fast paths bit-identical to the paper's literal
 // algorithms.
@@ -17,7 +19,9 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
+	"sort"
 
 	"helcfl/internal/device"
 	"helcfl/internal/obs/span"
@@ -28,8 +32,8 @@ import (
 type Params struct {
 	// Eta is the decay coefficient η ∈ (0, 1) of Eq. (20).
 	Eta float64
-	// Fraction is the user selection fraction C; N = max(Q·C, 1) users are
-	// selected each round.
+	// Fraction is the user selection fraction C; N = max(⌊Q·C⌋, 1) users
+	// are selected each round (see CohortSize).
 	Fraction float64
 	// StepsPerRound is the number of local full-batch GD passes per round
 	// (the paper's Eq. (3) does exactly 1). It scales compute delay.
@@ -85,9 +89,16 @@ type Scheduler struct {
 	// state the observability layer reports. Reused across rounds.
 	lastUtil []float64
 
-	// Streaming top-N selection scratch (see selectAppend).
-	heap       []selEntry
-	heapPushes int
+	// order holds every fleet index sorted by the selection key (lastUtil
+	// descending, then index ascending); each round's cohort is its first N
+	// entries (see selectKeyed). ordered reports that every key but those of
+	// order[:N], the previous cohort's, is the current Eq. (20) utility; it
+	// is false before the first round, after ImportState, and after a
+	// loss-aware round keyed the order by another utility.
+	order       []int32
+	ordered     bool
+	merge       []selKey // the re-keyed prefix, merged forward into order
+	keysUpdated int
 
 	// Algorithm 3 scratch (see frequencyPlanInto).
 	planKeys []planKey
@@ -214,91 +225,37 @@ func (s *Scheduler) LastUtilities() []float64 {
 	return append([]float64(nil), s.lastUtil...)
 }
 
-// NumSelect returns N = max(Q·C, 1), the per-round selection count.
+// NumSelect returns N = max(⌊Q·C⌋, 1), the per-round selection count.
 func (s *Scheduler) NumSelect() int {
-	n := int(float64(s.fleet.Len()) * s.params.Fraction)
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return CohortSize(s.fleet.Len(), s.params.Fraction)
 }
 
-// cohortSize is NumSelect capped at the fleet size: how many users one
-// round actually selects.
-func (s *Scheduler) cohortSize() int {
-	n := s.NumSelect()
-	if q := s.fleet.Len(); n > q {
-		n = q
+// CohortSize returns N = max(⌊Q·C⌋, 1) for a fleet of q users at selection
+// fraction c. A product within a relative 10⁻¹² of an integer counts as
+// that integer, so a fraction binary floating point stores just below its
+// decimal value keeps its exact floor: CohortSize(90, 0.7) is 63, where
+// int(90 * 0.7) truncates 62.99999999999999 to 62.
+func CohortSize(q int, c float64) int {
+	p := float64(q) * c
+	n := math.Round(p)
+	if n-p > 1e-12*n {
+		n = math.Floor(p)
 	}
-	return n
+	return max(int(n), 1)
 }
 
-// LastHeapPushes reports how many heap insertions (initial fills plus root
-// replacements) the most recent selection performed — the work metric the
-// sched.select span exports as heap.pushes.
-func (s *Scheduler) LastHeapPushes() int { return s.heapPushes }
-
-// selEntry is one member of the streaming top-N heap: a candidate's fleet
-// index and its Eq. (20) utility, held together so a sift touches only the
-// heap's own memory.
-type selEntry struct {
-	util float64
-	q    int
-}
-
-// worse reports whether a ranks below b under the Algorithm 2 selection key
-// (utility descending, then index ascending). Lower utility is worse; on
-// bitwise-equal utilities the higher index is worse, because the naive
-// argmax scans indices ascending and only a strictly greater utility
-// displaces the incumbent.
-func (a selEntry) worse(b selEntry) bool {
-	if a.util < b.util {
-		return true
-	}
-	if a.util > b.util {
-		return false
-	}
-	return a.q > b.q
-}
-
-// siftDown restores the worst-first heap order of h below position i, whose
-// entry may rank better than its children.
-func siftDown(h []selEntry, i int) {
-	e := h[i]
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if r := c + 1; r < len(h) && h[r].worse(h[c]) {
-			c = r
-		}
-		if !h[c].worse(e) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = e
-}
-
-// utilityBuf returns the reused lastUtil buffer sized to the fleet, for
-// the caller to fill with this round's utilities before selectTop.
-func (s *Scheduler) utilityBuf() []float64 {
-	q := s.fleet.Len()
-	if cap(s.lastUtil) < q {
-		s.lastUtil = make([]float64, q)
-	}
-	s.lastUtil = s.lastUtil[:q]
-	return s.lastUtil
-}
+// LastHeapPushes reports how many selection keys the most recent selection
+// recomputed — Q on a round that (re)built the selection order (the first,
+// the first after ImportState, every loss-aware round), N otherwise. It is
+// the work metric the sched.select span exports as heap.pushes.
+func (s *Scheduler) LastHeapPushes() int { return s.keysUpdated }
 
 // SelectRound runs the selection of Algorithm 2 (lines 8–19) and returns a
 // freshly allocated index slice in selection (descending utility) order —
 // callers such as the FL engine retain it across rounds. The hot-path form
 // is SelectRoundAppend.
 func (s *Scheduler) SelectRound() []int {
-	return s.SelectRoundAppend(make([]int, 0, s.cohortSize()))
+	return s.SelectRoundAppend(make([]int, 0, s.NumSelect()))
 }
 
 // SelectRoundAppend is SelectRound appending into dst (reusing its backing
@@ -307,68 +264,104 @@ func (s *Scheduler) SelectRoundAppend(dst []int) []int {
 	return s.selectAppend(dst[:0])
 }
 
-// selectAppend is Algorithm 2's selection over the Eq. (20) utilities:
-// refresh the fleet-wide utility vector, then pick its top N.
+// selectAppend is Algorithm 2's selection over the Eq. (20) utilities. Their
+// denominators are fixed at initialization and only the previous cohort's
+// η^{α_q} moved since the last round, so once the order is built only those
+// N keys — order[:N] — are recomputed; an unbuilt order re-keys all Q.
 func (s *Scheduler) selectAppend(dst []int) []int {
-	util := s.utilityBuf()
-	for i := range util {
-		util[i] = s.etaPow[i] / (s.tcalMax[i] + s.tcom[i])
+	k := s.NumSelect()
+	if !s.ordered {
+		s.sizeOrder()
+		k = len(s.order)
 	}
-	return s.selectTop(dst)
+	for _, q := range s.order[:k] {
+		s.lastUtil[q] = s.etaPow[q] / (s.tcalMax[q] + s.tcom[q])
+	}
+	s.ordered = true
+	return s.selectKeyed(dst, k)
 }
 
-// selectTop is the streaming top-N selection over lastUtil, shared by the
-// paper's Eq. (20) utility and the loss-aware extension's: all Q candidates
-// flow past a size-N min-heap whose root is the weakest current winner,
-// giving O(Q + N·log N + R·log N) work for R root replacements — no full
-// sort, no interface dispatch, no allocation once buffers are warm. It
-// returns the identical index sequence, tie-breaks included, as the naive
-// argmax reference (SelectRoundNaive, in scheduler_equiv_test.go):
-// utilities are computed before any decay increment, replacement requires
-// a strictly greater utility (an equal-utility candidate has a higher
-// index, which the naive scan never prefers), and the final worst-first
-// extraction filled back-to-front reproduces the (utility desc, index asc)
-// selection order exactly. The root is the minimum of a total order, so the
-// replacement count LastHeapPushes reports does not depend on the heap's
-// layout. The property test there pins this under random fleets and forced
-// ties.
-func (s *Scheduler) selectTop(dst []int) []int {
-	util := s.lastUtil
-	n := s.cohortSize()
-	if cap(s.heap) < n {
-		s.heap = make([]selEntry, n)
+// sizeOrder sizes lastUtil and order to the fleet. A new order is the
+// identity permutation; from then on order always holds some permutation
+// of the fleet, which the next full re-key sorts.
+func (s *Scheduler) sizeOrder() {
+	q := s.fleet.Len()
+	if len(s.lastUtil) != q {
+		s.lastUtil = make([]float64, q)
 	}
-	h := s.heap[:n]
-	for cand := range h {
-		h[cand] = selEntry{util: util[cand], q: cand}
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	pushes := n
-	for cand := n; cand < len(util); cand++ {
-		if util[cand] > h[0].util {
-			h[0] = selEntry{util: util[cand], q: cand}
-			siftDown(h, 0)
-			pushes++
+	if len(s.order) != q {
+		s.order = make([]int32, q)
+		for i := range s.order {
+			s.order[i] = int32(i)
 		}
 	}
-	s.heapPushes = pushes
-	// Extract worst-first, writing winners back-to-front: dst ends in
-	// selection (descending utility, ascending index on ties) order.
-	dst = slices.Grow(dst, n)
-	base := len(dst)
-	dst = dst[:base+n]
-	for m := n; m > 0; m-- {
-		dst[base+m-1] = h[0].q
-		h[0] = h[m-1]
-		h = h[:m-1]
-		if len(h) > 1 {
-			siftDown(h, 0)
+}
+
+// selKey is one user's selection key: its utility and fleet index.
+type selKey struct {
+	util float64
+	q    int32
+}
+
+// compareKeys orders by utility descending, then index ascending.
+func compareKeys(a, b selKey) int {
+	switch {
+	case a.util > b.util:
+		return -1
+	case a.util < b.util:
+		return 1
+	}
+	return cmp.Compare(a.q, b.q)
+}
+
+// selectKeyed is the selection kernel shared by the paper's Eq. (20)
+// utility and the loss-aware extension's. The keys of order[:k] were just
+// rewritten in lastUtil; order[k:] is sorted under unchanged keys. It sorts
+// the prefix in the k-entry merge buffer, merges it forward into the tail
+// (galloping to each insertion point, so the work is O(k log(Q/k))
+// comparisons plus one memmove pass), and takes order[:N] as the cohort.
+// The key — utility descending, then index ascending — is a total order,
+// so that prefix is exactly the naive repeated argmax sequence
+// (SelectRoundNaive, in scheduler_equiv_test.go), whose scan keeps the
+// lower index on a bitwise-equal utility; the property tests there pin
+// this under random fleets and forced ties.
+func (s *Scheduler) selectKeyed(dst []int, k int) []int {
+	util, order := s.lastUtil, s.order
+	if k == len(order) {
+		// A full re-key sorts in place through lastUtil, so no Q-entry
+		// buffer is ever held.
+		slices.SortFunc(order, func(a, b int32) int {
+			return compareKeys(selKey{util[a], a}, selKey{util[b], b})
+		})
+	} else {
+		if cap(s.merge) < k {
+			s.merge = make([]selKey, k)
+		}
+		buf := s.merge[:k]
+		for i, q := range order[:k] {
+			buf[i] = selKey{util[q], q}
+		}
+		slices.SortFunc(buf, compareKeys)
+		tail := func(i int) selKey { return selKey{util[order[i]], order[i]} }
+		w, j := 0, k // write position in order, read position in the tail
+		for _, e := range buf {
+			// Gallop to bracket the first tail entry ranking after e, then
+			// bisect the bracket.
+			lo, hi := j, j
+			for step := 1; hi < len(order) && compareKeys(tail(hi), e) < 0; step *= 2 {
+				lo, hi = hi+1, hi+step
+			}
+			hi = min(hi, len(order))
+			end := lo + sort.Search(hi-lo, func(i int) bool { return compareKeys(tail(lo+i), e) > 0 })
+			w += copy(order[w:], order[j:end]) // w trails j: a memmove
+			order[w] = e.q
+			w, j = w+1, end
 		}
 	}
-	for _, sel := range dst[base:] {
-		s.markSelected(sel) // utility decay for future rounds (line 18)
+	s.keysUpdated = k
+	for _, q := range order[:s.NumSelect()] {
+		dst = append(dst, int(q))
+		s.markSelected(int(q)) // utility decay for future rounds (line 18)
 	}
 	return dst
 }
@@ -378,7 +371,7 @@ func (s *Scheduler) selectTop(dst []int) []int {
 // freshly allocated (the FL engine retains them in its round records); the
 // zero-allocation form is PlanRoundInto.
 func (s *Scheduler) PlanRound(ch wireless.Channel, modelBits float64) ([]int, []float64) {
-	n := s.cohortSize()
+	n := s.NumSelect()
 	return s.PlanRoundInto(make([]int, 0, n), make([]float64, n), ch, modelBits)
 }
 
@@ -391,7 +384,7 @@ func (s *Scheduler) PlanRoundInto(selected []int, freqs []float64, ch wireless.C
 	selSp := s.tr.Start(s.trParent, "sched.select")
 	selected = s.selectAppend(selected[:0])
 	selSp.SetInt("fleet.size", int64(s.fleet.Len()))
-	selSp.SetInt("heap.pushes", int64(s.heapPushes))
+	selSp.SetInt("heap.pushes", int64(s.keysUpdated))
 	selSp.End()
 	dvfsSp := s.tr.Start(s.trParent, "sched.dvfs")
 	if cap(freqs) < len(selected) {

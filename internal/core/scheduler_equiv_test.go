@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,9 +11,9 @@ import (
 	"helcfl/internal/wireless"
 )
 
-// SelectRoundNaive is the pre-heap reference: the literal O(Q·N) repeated
+// SelectRoundNaive is the reference selection: the literal O(Q·N) repeated
 // argmax of Algorithm 2 with utilities from the pow loop. The equivalence
-// property test below runs it against SelectRound.
+// property tests below run it against SelectRound.
 func (s *Scheduler) SelectRoundNaive() []int {
 	n := s.NumSelect()
 	q := s.fleet.Len()
@@ -81,11 +83,14 @@ func randomFleet(q int, seed int64) *device.Fleet {
 	return device.NewFleet(cfg, seed)
 }
 
-// TestSelectRoundMatchesNaive is the ISSUE 10 equivalence property test:
-// across seeded random fleets, tie-heavy fleets, random fractions, and many
-// consecutive rounds, the streaming top-N heap selection must return the
-// exact index sequence of the retained naive repeated argmax — order and
-// tie-breaks included — and leave identical decay state behind.
+// TestSelectRoundMatchesNaive is the selection equivalence property test:
+// across seeded random fleets and tie-heavy fleets, at N = 1, N = Q and
+// fractions between, for 50 consecutive rounds, the keyed selection must
+// return the exact index sequence of the retained naive repeated argmax —
+// order and tie-breaks included — and leave bit-identical α,
+// LastUtilities and ExportState behind. At round 25 both twins import a
+// state exported by a third scheduler that ran a different number of
+// rounds, so the live scheduler's order must be rebuilt, not merged into.
 func TestSelectRoundMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	ch := wireless.DefaultChannel()
@@ -98,52 +103,51 @@ func TestSelectRoundMatchesNaive(t *testing.T) {
 	}
 	for fi, fl := range fleets {
 		p := DefaultParams()
-		p.Fraction = []float64{0.001, 0.05, 0.1, 0.33, 0.5, 1.0}[rng.Intn(6)]
-		heapSched, err := NewFleetScheduler(fl, ch, testModelBits, p)
-		if err != nil {
-			t.Fatal(err)
+		p.Fraction = []float64{0.001, 0.05, 0.1, 0.33, 0.5, 1.0}[fi%6]
+		scheds := make([]*Scheduler, 3)
+		for i := range scheds {
+			var err error
+			if scheds[i], err = NewFleetScheduler(fl, ch, testModelBits, p); err != nil {
+				t.Fatal(err)
+			}
 		}
-		naiveSched, err := NewFleetScheduler(fl, ch, testModelBits, p)
-		if err != nil {
-			t.Fatal(err)
+		fastSched, naiveSched, donor := scheds[0], scheds[1], scheds[2]
+		for round := 0; round < 7+fi; round++ {
+			donor.SelectRound()
 		}
 		var reuse []int
-		for round := 0; round < 25; round++ {
+		for round := 0; round < 50; round++ {
+			what := fmt.Sprintf("fleet %d C=%g round %d", fi, p.Fraction, round)
+			if round == 25 {
+				st := donor.ExportState()
+				if err := fastSched.ImportState(st); err != nil {
+					t.Fatal(err)
+				}
+				if err := naiveSched.ImportState(st); err != nil {
+					t.Fatal(err)
+				}
+			}
 			var got []int
 			if round%2 == 0 {
-				got = heapSched.SelectRound()
+				got = fastSched.SelectRound()
 			} else {
-				reuse = heapSched.SelectRoundAppend(reuse)
+				reuse = fastSched.SelectRoundAppend(reuse)
 				got = reuse
 			}
-			want := naiveSched.SelectRoundNaive()
-			if len(got) != len(want) {
-				t.Fatalf("fleet %d round %d: heap selected %d users, naive %d", fi, round, len(got), len(want))
+			if want := naiveSched.SelectRoundNaive(); !slices.Equal(got, want) {
+				t.Fatalf("%s:\nkeyed: %v\nnaive: %v", what, got, want)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("fleet %d round %d: selection[%d] = %d (heap) vs %d (naive)\nheap:  %v\nnaive: %v",
-						fi, round, i, got[i], want[i], got, want)
-				}
-			}
-			for q := 0; q < fl.Len(); q++ {
-				if heapSched.alpha[q] != naiveSched.alpha[q] {
-					t.Fatalf("fleet %d round %d: alpha[%d] diverged (%d vs %d)", fi, round, q, heapSched.alpha[q], naiveSched.alpha[q])
-				}
-				if heapSched.lastUtil[q] != naiveSched.lastUtil[q] {
-					t.Fatalf("fleet %d round %d: lastUtil[%d] diverged (%v vs %v)", fi, round, q, heapSched.lastUtil[q], naiveSched.lastUtil[q])
-				}
-			}
+			requireSameState(t, what, fastSched, naiveSched)
 		}
 	}
 }
 
 // TestSelectRoundMatchesNaiveDegenerate extends the property above to the
-// two shapes where the heap's order does all the work or none: a fleet whose
+// two shapes where the merge does all the work or none: a fleet whose
 // utilities are all bitwise equal (every comparison falls through to the
 // index tie-break, and decay then splits the fleet into exact-tie groups)
-// and N = Q (no candidate ever streams past the heap; the extraction alone
-// must produce the selection order).
+// and N = Q (every key changes each round; the sort alone must produce the
+// selection order).
 func TestSelectRoundMatchesNaiveDegenerate(t *testing.T) {
 	ch := wireless.DefaultChannel()
 	for _, c := range []struct {
@@ -157,7 +161,7 @@ func TestSelectRoundMatchesNaiveDegenerate(t *testing.T) {
 	} {
 		p := DefaultParams()
 		p.Fraction = c.fraction
-		heapSched, err := NewFleetScheduler(c.fleet, ch, testModelBits, p)
+		fastSched, err := NewFleetScheduler(c.fleet, ch, testModelBits, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,15 +170,32 @@ func TestSelectRoundMatchesNaiveDegenerate(t *testing.T) {
 			t.Fatal(err)
 		}
 		for round := 0; round < 25; round++ {
-			got, want := heapSched.SelectRound(), naiveSched.SelectRoundNaive()
+			got, want := fastSched.SelectRound(), naiveSched.SelectRoundNaive()
 			if !slices.Equal(got, want) {
-				t.Fatalf("%s round %d:\nheap:  %v\nnaive: %v", c.name, round, got, want)
+				t.Fatalf("%s round %d:\nkeyed: %v\nnaive: %v", c.name, round, got, want)
 			}
-			if !slices.Equal(heapSched.alpha, naiveSched.alpha) {
+			if !slices.Equal(fastSched.alpha, naiveSched.alpha) {
 				t.Fatalf("%s round %d: appearance counters diverged", c.name, round)
 			}
 		}
 	}
+}
+
+// requireSameState fails unless a and b hold bit-identical decision state:
+// appearance counters, LastUtilities and ExportState.
+func requireSameState(t *testing.T, what string, a, b *Scheduler) {
+	t.Helper()
+	ea, eb := a.ExportState(), b.ExportState()
+	if !slices.Equal(ea.Alpha, eb.Alpha) || !slices.Equal(a.Appearances(), b.Appearances()) {
+		t.Fatalf("%s: appearance counters diverged\n%v\n%v", what, ea.Alpha, eb.Alpha)
+	}
+	if !sameBits(ea.LastUtil, eb.LastUtil) || !sameBits(a.LastUtilities(), b.LastUtilities()) {
+		t.Fatalf("%s: utility vectors diverged\n%v\n%v", what, ea.LastUtil, eb.LastUtil)
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // TestEtaPowMemo pins the incremental η^{α} memo bit-identical to the pow
@@ -266,22 +287,54 @@ func TestPlanRoundIntoMatchesPlanRound(t *testing.T) {
 }
 
 // TestPlanRoundIntoZeroAlloc gates the steady-state scale path at zero
-// allocations per round.
+// allocations per round, at Q=1e4 and at sched_1e5's Q=1e5, C=0.1.
 func TestPlanRoundIntoZeroAlloc(t *testing.T) {
 	ch := wireless.DefaultChannel()
-	fl := randomFleet(10000, 11)
-	s, err := NewFleetScheduler(fl, ch, testModelBits, DefaultParams())
+	for _, q := range []int{10000, 100000} {
+		s, err := NewFleetScheduler(randomFleet(q, 11), ch, testModelBits, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sel []int
+		var freqs []float64
+		sel, freqs = s.PlanRoundInto(sel, freqs, ch, testModelBits) // warm buffers
+		allocs := testing.AllocsPerRun(20, func() {
+			sel, freqs = s.PlanRoundInto(sel, freqs, ch, testModelBits)
+		})
+		if allocs != 0 {
+			t.Fatalf("Q=%d: PlanRoundInto allocates %v objects per round, want 0", q, allocs)
+		}
+	}
+}
+
+// TestSelectionRekeysOnlyLastCohort gates Algorithm 2 at O(N) keys per
+// round without a clock: at Q=1e5, C=0.1 the first round keys all Q users,
+// every later round only the previous cohort's N, and the first round after
+// an ImportState into the live scheduler all Q again.
+func TestSelectionRekeysOnlyLastCohort(t *testing.T) {
+	ch := wireless.DefaultChannel()
+	const q = 100000
+	s, err := NewFleetScheduler(randomFleet(q, 17), ch, testModelBits, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := s.NumSelect()
 	var sel []int
 	var freqs []float64
-	sel, freqs = s.PlanRoundInto(sel, freqs, ch, testModelBits) // warm buffers
-	allocs := testing.AllocsPerRun(20, func() {
+	for round, want := range []int{q, n, n, n, n} {
 		sel, freqs = s.PlanRoundInto(sel, freqs, ch, testModelBits)
-	})
-	if allocs != 0 {
-		t.Fatalf("PlanRoundInto allocates %v objects per round, want 0", allocs)
+		if got := s.LastHeapPushes(); got != want {
+			t.Fatalf("round %d: %d keys updated, want %d", round, got, want)
+		}
+	}
+	if err := s.ImportState(s.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	for round, want := range []int{q, n, n} {
+		sel = s.SelectRoundAppend(sel)
+		if got := s.LastHeapPushes(); got != want {
+			t.Fatalf("round %d after ImportState: %d keys updated, want %d", round, got, want)
+		}
 	}
 }
 
@@ -317,17 +370,30 @@ func TestImportStateRebuildsMemo(t *testing.T) {
 	}
 }
 
+// BenchmarkSelectRound times a steady-state round (the order already
+// built), at C=0.1 and at the Q=1e6, C=0.01 shape where the cohort is 1 %
+// of the fleet.
 func BenchmarkSelectRound(b *testing.B) {
 	ch := wireless.DefaultChannel()
-	for _, q := range []int{1000, 100000, 1000000} {
-		fl := randomFleet(q, 1)
-		s, err := NewFleetScheduler(fl, ch, testModelBits, DefaultParams())
+	for _, c := range []struct {
+		name string
+		q    int
+		frac float64
+	}{
+		{"Q1e3", 1000, 0.1},
+		{"Q1e5", 100000, 0.1},
+		{"Q1e6", 1000000, 0.1},
+		{"Q1e6_C0.01", 1000000, 0.01},
+	} {
+		p := DefaultParams()
+		p.Fraction = c.frac
+		s, err := NewFleetScheduler(randomFleet(c.q, 1), ch, testModelBits, p)
 		if err != nil {
 			b.Fatal(err)
 		}
 		var sel []int
 		sel = s.SelectRoundAppend(sel)
-		b.Run(benchName(q), func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sel = s.SelectRoundAppend(sel)

@@ -90,6 +90,41 @@ func TestNumSelect(t *testing.T) {
 	}
 }
 
+// TestCohortSize pins N = max(⌊Q·C⌋, 1) on products that binary floating
+// point lands just below an integer (90·0.7 = 62.99999999999999), then
+// checks every Q ≤ 10⁵ at percent fractions against the exact integer
+// floor ⌊Q·k/100⌋.
+func TestCohortSize(t *testing.T) {
+	for _, c := range []struct {
+		q    int
+		frac float64
+		want int
+	}{
+		{90, 0.7, 63},
+		{100, 0.29, 29},
+		{100, 0.57, 57},
+		{100, 0.1, 10},
+		{100, 0.001, 1},
+		{10, 0.15, 1},
+		{7, 1, 7},
+		{1, 0.5, 1},
+		{10000, 0.01, 100},
+		{100000, 0.1, 10000},
+	} {
+		if got := CohortSize(c.q, c.frac); got != c.want {
+			t.Errorf("CohortSize(%d, %v) = %d, want %d", c.q, c.frac, got, c.want)
+		}
+	}
+	for _, k := range []int{1, 5, 10, 20, 25, 29, 57, 70} {
+		frac := float64(k) / 100
+		for q := 1; q <= 100000; q++ {
+			if got, want := CohortSize(q, frac), max(q*k/100, 1); got != want {
+				t.Fatalf("CohortSize(%d, %v) = %d, want %d", q, frac, got, want)
+			}
+		}
+	}
+}
+
 func TestSelectRoundPicksFastestFirst(t *testing.T) {
 	devs := fleet(20, 4)
 	s := newSched(t, devs, DefaultParams())

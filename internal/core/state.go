@@ -39,6 +39,7 @@ func (s *Scheduler) ImportState(st SchedulerState) error {
 	}
 	s.alpha = append([]int(nil), st.Alpha...)
 	s.lastUtil = append([]float64(nil), st.LastUtil...)
+	s.ordered = false // the next selection re-keys and re-sorts all Q users
 	// Rebuild the η^{α_q} memo from the restored counters with the pow
 	// reference — the same multiplication sequence the incremental updates
 	// perform, so a restored scheduler stays bit-identical to one that

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"helcfl/internal/core"
 	"helcfl/internal/dataset"
 	"helcfl/internal/device"
 	"helcfl/internal/nn"
@@ -86,10 +87,7 @@ func RunSL(cfg SLConfig) (*SLResult, error) {
 	if evalEvery <= 0 {
 		evalEvery = 1
 	}
-	n := int(float64(len(cfg.Devices)) * cfg.Fraction)
-	if n < 1 {
-		n = 1
-	}
+	n := core.CohortSize(len(cfg.Devices), cfg.Fraction)
 
 	res := &SLResult{}
 	cumTime, cumEnergy := 0.0, 0.0

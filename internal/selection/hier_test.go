@@ -95,6 +95,108 @@ func TestHierHELCFLMatchesShardSchedulers(t *testing.T) {
 	}
 }
 
+// TestHELCFLPlannerMatchesShardOracles pins the planner's keyed selection,
+// at E ∈ {1, 3}, to a naive repeated argmax per shard written against the
+// exported scheduler API alone: each round a shard's oracle imports that
+// shard's appearance counters, reads its Eq. (20) utilities through
+// Utility, and takes the argmax N times, keeping the lower index on a
+// tie. Plans, utility vectors and decay counters must match bit for bit
+// over 50 rounds, through an ImportState into the live planner at round 25.
+func TestHELCFLPlannerMatchesShardOracles(t *testing.T) {
+	ch := wireless.DefaultChannel()
+	devs := hierFleet(61, 9)
+	for i, d := range devs[:30] {
+		*d = *devs[30+i%3] // exact ties across the first shard
+		d.ID = i
+	}
+	for _, numEdges := range []int{1, 3} {
+		for _, frac := range []float64{0.1, 0.5} {
+			params := core.DefaultParams()
+			params.Fraction = frac
+			h, err := NewHierHELCFL(devs, numEdges, ch, 4e5, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			donor, err := NewHierHELCFL(devs, numEdges, ch, 4e5, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < 9; j++ {
+				donor.PlanRound(j)
+			}
+			oracles := make([]*core.Scheduler, numEdges)
+			alpha := make([][]int, numEdges)
+			for e := range oracles {
+				shard := devs[h.offsets[e]:h.offsets[e+1]]
+				if oracles[e], err = core.NewScheduler(shard, ch, 4e5, params); err != nil {
+					t.Fatal(err)
+				}
+				alpha[e] = make([]int, len(shard))
+			}
+			for j := 0; j < 50; j++ {
+				what := fmt.Sprintf("E=%d C=%g round %d", numEdges, frac, j)
+				if j == 25 {
+					raw, err := donor.ExportState()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := h.ImportState(raw); err != nil {
+						t.Fatal(err)
+					}
+					_, da := donor.SelectionDetail()
+					for e := range alpha {
+						alpha[e] = append([]int(nil), da[h.offsets[e]:h.offsets[e+1]]...)
+					}
+				}
+				var ws []int
+				var wf, wu []float64
+				var wa []int
+				for e, ref := range oracles {
+					if err := ref.ImportState(core.SchedulerState{Alpha: alpha[e]}); err != nil {
+						t.Fatal(err)
+					}
+					util := make([]float64, len(alpha[e]))
+					for l := range util {
+						util[l] = ref.Utility(l)
+					}
+					taken := make([]bool, len(util))
+					sel := make([]int, 0, ref.NumSelect())
+					for len(sel) < ref.NumSelect() {
+						best := -1
+						for l := range util {
+							if !taken[l] && (best < 0 || util[l] > util[best]) {
+								best = l
+							}
+						}
+						taken[best] = true
+						sel = append(sel, best)
+					}
+					for i, f := range ref.FrequencyPlanSelected(sel, ch, 4e5) {
+						ws = append(ws, h.offsets[e]+sel[i])
+						wf = append(wf, f)
+					}
+					wu = append(wu, util...)
+					for _, l := range sel {
+						alpha[e][l]++
+					}
+					wa = append(wa, alpha[e]...)
+				}
+				gs, gf := h.PlanRound(j)
+				requirePlan(t, what, gs, gf, ws, wf)
+				gu, ga := h.SelectionDetail()
+				if fmt.Sprint(ga) != fmt.Sprint(wa) {
+					t.Fatalf("%s: decay counters %v, want %v", what, ga, wa)
+				}
+				for q := range wu {
+					if math.Float64bits(gu[q]) != math.Float64bits(wu[q]) {
+						t.Fatalf("%s: utility[%d] = %v, want %v", what, q, gu[q], wu[q])
+					}
+				}
+			}
+		}
+	}
+}
+
 func requirePlan(t *testing.T, what string, gs []int, gf []float64, ws []int, wf []float64) {
 	t.Helper()
 	if len(gs) != len(ws) || len(gf) != len(wf) {

@@ -28,7 +28,7 @@ import (
 	"helcfl/internal/wireless"
 )
 
-// RandomSelector draws max(Q·C, 1) distinct users uniformly per round — the
+// RandomSelector draws max(⌊Q·C⌋, 1) distinct users uniformly per round — the
 // Classic FL selection rule.
 type RandomSelector struct {
 	Q        int
@@ -45,13 +45,7 @@ func NewRandomSelector(q int, fraction float64, rng *rand.Rand) *RandomSelector 
 }
 
 // N returns the per-round selection count.
-func (r *RandomSelector) N() int {
-	n := int(float64(r.Q) * r.Fraction)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+func (r *RandomSelector) N() int { return core.CohortSize(r.Q, r.Fraction) }
 
 // Select returns the users for round j.
 func (r *RandomSelector) Select(j int) []int {
