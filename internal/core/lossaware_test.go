@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"helcfl/internal/device"
 	"helcfl/internal/wireless"
 )
 
@@ -198,21 +197,23 @@ func TestLossAwareNegativeLambdaRejected(t *testing.T) {
 // drawn from a small value set (so bonuses tie too), both must select the
 // same users in the same order and leave bit-identical α, utility vectors
 // and ExportState. Every tenth round runs the embedded Eq. (20) selection
-// instead, on an order the loss-aware rounds keyed by another utility,
-// and at round 25 both twins import a state from a third scheduler.
+// instead, on an order the loss-aware rounds keyed by another utility.
+// At round 25 both twins import a state from a third scheduler, and at
+// round 40 one with a wide α spread (wideAlphaState); two fleets tie
+// through denominators powers of two apart at η = 0.5 (pow2Denominators).
 func TestLossAwareSelectMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	ch := wireless.DefaultChannel()
-	fleets := []*device.Fleet{tieFleet(60, 6), tieFleet(120, 40)}
-	for trial := 0; trial < 4; trial++ {
-		fleets = append(fleets, randomFleet(20+rng.Intn(200), int64(trial)))
+	cases := []fleetCase{
+		{fleet: tieFleet(60, 6)},
+		{fleet: tieFleet(120, 40)},
+		{randomFleet(80, 40), 0.5, pow2Denominators},
+		{randomFleet(150, 41), 0.5, pow2Denominators},
 	}
-	newLA := func(f *device.Fleet, p Params, lambda float64) *LossAwareScheduler {
-		base, err := NewFleetScheduler(f, ch, testModelBits, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		la, err := NewLossAwareScheduler(base, lambda)
+	for trial := 0; trial < 4; trial++ {
+		cases = append(cases, fleetCase{fleet: randomFleet(20+rng.Intn(200), int64(trial))})
+	}
+	newLA := func(c fleetCase, fraction, lambda float64) *LossAwareScheduler {
+		la, err := NewLossAwareScheduler(newCase(t, c, fraction), lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,19 +226,22 @@ func TestLossAwareSelectMatchesNaive(t *testing.T) {
 		}
 		return losses
 	}
-	for fi, f := range fleets {
+	for fi, c := range cases {
+		f := c.fleet
 		for li, lambda := range []float64{0, 0.5, 2} {
-			p := DefaultParams()
-			p.Fraction = []float64{0.001, 0.1, 0.33, 1.0}[(3*fi+li)%4]
-			fast, naive, donor := newLA(f, p, lambda), newLA(f, p, lambda), newLA(f, p, lambda)
+			fraction := []float64{0.001, 0.1, 0.33, 1.0}[(3*fi+li)%4]
+			fast, naive, donor := newLA(c, fraction, lambda), newLA(c, fraction, lambda), newLA(c, fraction, lambda)
 			for round := 0; round < 5+fi; round++ {
 				sel := donor.SelectRound()
 				donor.ObserveRound(round, sel, draw(len(sel)))
 			}
 			for round := 0; round < 50; round++ {
-				what := fmt.Sprintf("fleet %d λ=%g C=%g round %d", fi, lambda, p.Fraction, round)
-				if round == 25 {
+				what := fmt.Sprintf("fleet %d λ=%g C=%g round %d", fi, lambda, fraction, round)
+				if round == 25 || round == 40 {
 					st := donor.ExportState()
+					if round == 40 {
+						st = LossAwareState{Base: wideAlphaState(f.Len(), rng), LastLoss: st.LastLoss, Seen: st.Seen}
+					}
 					if err := fast.ImportState(st); err != nil {
 						t.Fatal(err)
 					}
@@ -258,6 +262,7 @@ func TestLossAwareSelectMatchesNaive(t *testing.T) {
 					t.Fatalf("%s: %d keys updated, want all %d", what, keys, f.Len())
 				}
 				requireSameState(t, what, fast.Scheduler, naive.Scheduler)
+				requireKeyedOrder(t, what, fast.Scheduler)
 				losses := draw(len(got))
 				fast.ObserveRound(round, got, losses)
 				naive.ObserveRound(round, want, losses)

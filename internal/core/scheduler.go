@@ -8,12 +8,12 @@
 // selection key and, each round, re-keys only the previous cohort — the
 // only users whose Eq. (20) utility moved — and merges them back, so a
 // round costs O(N log Q) comparisons rather than a sweep of all Q
-// utilities. Algorithm 3 orders the cohort with one slices sort over
-// (delay, index) keys — no interface dispatch, no allocation once warm —
-// so a single round plan scales to Q=10⁶ users (see docs/SCALE.md); the
-// naive references (SelectRoundNaive in the package's tests, the AoS
-// FrequencyPlan) pin the fast paths bit-identical to the paper's literal
-// algorithms.
+// utilities. Both algorithms order users with the radix kernel
+// (internal/radix) — no comparison sort but over equal keys, no allocation
+// once warm — so a single round plan scales to Q=10⁶ users (see
+// docs/SCALE.md); the naive references (SelectRoundNaive and the
+// comparators in the package's tests, the AoS FrequencyPlan) pin the fast
+// paths bit-identical to the paper's literal algorithms.
 package core
 
 import (
@@ -25,6 +25,7 @@ import (
 
 	"helcfl/internal/device"
 	"helcfl/internal/obs/span"
+	"helcfl/internal/radix"
 	"helcfl/internal/wireless"
 )
 
@@ -75,8 +76,11 @@ type Scheduler struct {
 
 	// tcalMax[q] is T_q^cal at f_q^max (Algorithm 2, line 3).
 	tcalMax []float64
-	// tcom[q] is T_q^com (Algorithm 2, line 4).
-	tcom []float64
+	// tcom[q] is T_q^com (Algorithm 2, line 4) on channel ch for a payload
+	// of modelBits; Algorithm 3 reuses it when planned on the same link.
+	tcom      []float64
+	ch        wireless.Channel
+	modelBits float64
 	// alpha[q] counts how often user q has been selected (Eq. 20).
 	alpha []int
 	// etaPow[q] memoizes η^{α_q}: multiplied by η at each selection instead
@@ -91,17 +95,18 @@ type Scheduler struct {
 
 	// order holds every fleet index sorted by the selection key (lastUtil
 	// descending, then index ascending); each round's cohort is its first N
-	// entries (see selectKeyed). ordered reports that every key but those of
-	// order[:N], the previous cohort's, is the current Eq. (20) utility; it
-	// is false before the first round, after ImportState, and after a
-	// loss-aware round keyed the order by another utility.
+	// entries (see selectKeyed); its spare capacity (Q more entries) is the
+	// build's radix ping-pong buffer. ordered reports that every key but
+	// those of order[:N], the previous cohort's, is the current Eq. (20)
+	// utility; it is false before the first round, after ImportState, and
+	// after a loss-aware round keyed the order by another utility.
 	order       []int32
 	ordered     bool
-	merge       []selKey // the re-keyed prefix, merged forward into order
 	keysUpdated int
 
-	// Algorithm 3 scratch (see frequencyPlanInto).
-	planKeys []planKey
+	// ranks holds a cohort-sized radix order and its ping-pong buffer: the
+	// re-keyed cohort, Algorithm 3's line 1.
+	ranks []ranked
 
 	// tr/trParent attribute PlanRound's two phases (Algorithm 2 selection,
 	// Algorithm 3 DVFS solve) to the caller's span trace; nil/zero when
@@ -164,12 +169,14 @@ func NewFleetScheduler(fleet *device.Fleet, ch wireless.Channel, modelBits float
 func newFleetScheduler(fleet *device.Fleet, ch wireless.Channel, modelBits float64, params Params) (*Scheduler, error) {
 	q := fleet.Len()
 	s := &Scheduler{
-		params:  params,
-		fleet:   fleet,
-		tcalMax: make([]float64, q),
-		tcom:    make([]float64, q),
-		alpha:   make([]int, q),
-		etaPow:  make([]float64, q),
+		params:    params,
+		fleet:     fleet,
+		tcalMax:   make([]float64, q),
+		tcom:      make([]float64, q),
+		ch:        ch,
+		modelBits: modelBits,
+		alpha:     make([]int, q),
+		etaPow:    make([]float64, q),
 	}
 	scale := float64(params.StepsPerRound)
 	for i := 0; i < q; i++ {
@@ -283,78 +290,80 @@ func (s *Scheduler) selectAppend(dst []int) []int {
 
 // sizeOrder sizes lastUtil and order to the fleet. A new order is the
 // identity permutation; from then on order always holds some permutation
-// of the fleet, which the next full re-key sorts.
+// of the fleet, so a full re-key reaches every user through it.
 func (s *Scheduler) sizeOrder() {
 	q := s.fleet.Len()
 	if len(s.lastUtil) != q {
 		s.lastUtil = make([]float64, q)
 	}
 	if len(s.order) != q {
-		s.order = make([]int32, q)
+		s.order = make([]int32, q, 2*q)
 		for i := range s.order {
 			s.order[i] = int32(i)
 		}
 	}
 }
 
-// selKey is one user's selection key: its utility and fleet index.
-type selKey struct {
-	util float64
-	q    int32
+// ranked is one entry of a cohort-sized radix order: its key bits, read
+// from a column once, and a fleet index or cohort position.
+type ranked struct {
+	key uint64
+	i   int32
 }
 
-// compareKeys orders by utility descending, then index ascending.
-func compareKeys(a, b selKey) int {
-	switch {
-	case a.util > b.util:
-		return -1
-	case a.util < b.util:
-		return 1
+func rankKey(r ranked) uint64 { return r.key }
+
+// rankBuf returns the cohort order's n entries and their ping-pong buffer.
+func (s *Scheduler) rankBuf(n int) (order, pingPong []ranked) {
+	if cap(s.ranks) < 2*n {
+		s.ranks = make([]ranked, 2*n)
 	}
-	return cmp.Compare(a.q, b.q)
+	return s.ranks[:n], s.ranks[n : 2*n]
 }
 
 // selectKeyed is the selection kernel shared by the paper's Eq. (20)
 // utility and the loss-aware extension's. The keys of order[:k] were just
-// rewritten in lastUtil; order[k:] is sorted under unchanged keys. It sorts
-// the prefix in the k-entry merge buffer, merges it forward into the tail
-// (galloping to each insertion point, so the work is O(k log(Q/k))
-// comparisons plus one memmove pass), and takes order[:N] as the cohort.
-// The key — utility descending, then index ascending — is a total order,
-// so that prefix is exactly the naive repeated argmax sequence
-// (SelectRoundNaive, in scheduler_equiv_test.go), whose scan keeps the
-// lower index on a bitwise-equal utility; the property tests there pin
+// rewritten in lastUtil; order[k:] is sorted under unchanged keys. The key
+// is utility descending — ^radix.Key ascending, as every utility is finite
+// and ≥ 0 — then index ascending. A full re-key (k = Q) radix-orders the
+// identity permutation, whose stable passes keep ties in index order;
+// otherwise the prefix is radix-ordered in the rank buffer and merged
+// forward into the tail, galloping to each insertion point (O(k log(Q/k))
+// comparisons plus one memmove pass). order[:N] is the cohort: the key is
+// a total order, so that prefix is exactly the naive repeated argmax
+// sequence (SelectRoundNaive, in scheduler_equiv_test.go), whose scan keeps
+// the lower index on a bitwise-equal utility; the property tests there pin
 // this under random fleets and forced ties.
 func (s *Scheduler) selectKeyed(dst []int, k int) []int {
 	util, order := s.lastUtil, s.order
+	key := func(q int32) uint64 { return ^radix.Key(util[q]) }
 	if k == len(order) {
-		// A full re-key sorts in place through lastUtil, so no Q-entry
-		// buffer is ever held.
-		slices.SortFunc(order, func(a, b int32) int {
-			return compareKeys(selKey{util[a], a}, selKey{util[b], b})
-		})
+		for i := range order {
+			order[i] = int32(i)
+		}
+		radix.Sort(order, order[k:2*k], key, nil)
 	} else {
-		if cap(s.merge) < k {
-			s.merge = make([]selKey, k)
-		}
-		buf := s.merge[:k]
+		keyed, pingPong := s.rankBuf(k)
 		for i, q := range order[:k] {
-			buf[i] = selKey{util[q], q}
+			keyed[i] = ranked{key(q), q}
 		}
-		slices.SortFunc(buf, compareKeys)
-		tail := func(i int) selKey { return selKey{util[order[i]], order[i]} }
+		radix.Sort(keyed, pingPong, rankKey, func(a, b ranked) int { return cmp.Compare(a.i, b.i) })
 		w, j := 0, k // write position in order, read position in the tail
-		for _, e := range buf {
+		for _, e := range keyed {
+			after := func(i int) bool { // order[i] ranks after e
+				kq := key(order[i])
+				return kq > e.key || kq == e.key && order[i] > e.i
+			}
 			// Gallop to bracket the first tail entry ranking after e, then
 			// bisect the bracket.
 			lo, hi := j, j
-			for step := 1; hi < len(order) && compareKeys(tail(hi), e) < 0; step *= 2 {
+			for step := 1; hi < len(order) && !after(hi); step *= 2 {
 				lo, hi = hi+1, hi+step
 			}
 			hi = min(hi, len(order))
-			end := lo + sort.Search(hi-lo, func(i int) bool { return compareKeys(tail(lo+i), e) > 0 })
+			end := lo + sort.Search(hi-lo, func(i int) bool { return after(lo + i) })
 			w += copy(order[w:], order[j:end]) // w trails j: a memmove
-			order[w] = e.q
+			order[w] = e.i
 			w, j = w+1, end
 		}
 	}
@@ -413,57 +422,47 @@ func (s *Scheduler) FrequencyPlanSelected(selected []int, ch wireless.Channel, m
 	return freqs
 }
 
-// planKey is one cohort member as Algorithm 3 orders it: compute delay at
-// f_max, fleet index, and position in the selected slice.
-type planKey struct {
-	delay  float64
-	q, pos int
-}
-
-// comparePlanKeys orders by (compute delay at f_max ascending, fleet index
-// ascending) — Algorithm 3, line 1 — and by position last, which makes the
-// order total and equal to the stable sort of the naive reference.
-func comparePlanKeys(a, b planKey) int {
-	switch {
-	case a.delay < b.delay:
-		return -1
-	case a.delay > b.delay:
-		return 1
-	case a.q != b.q:
-		return cmp.Compare(a.q, b.q)
-	}
-	return cmp.Compare(a.pos, b.pos)
-}
-
 // frequencyPlanInto is Algorithm 3 on SoA state writing into freqs (length
-// len(selected)), allocation-free once the scheduler's scratch is warm.
+// len(selected)), allocation-free once the scheduler's scratch is warm. On
+// the construction's channel and payload (same bits) it reads each upload
+// delay from tcom, the same Eq. (7) expression, instead of recomputing it.
 func (s *Scheduler) frequencyPlanInto(freqs []float64, selected []int, ch wireless.Channel, modelBits float64) {
 	n := len(selected)
 	if n == 0 {
 		return
 	}
 	scale := float64(s.params.StepsPerRound)
-	fleet := s.fleet
-	if cap(s.planKeys) < n {
-		s.planKeys = make([]planKey, n)
+	fleet, tcal := s.fleet, s.tcalMax
+	b := math.Float64bits
+	cached := b(ch.BandwidthHz) == b(s.ch.BandwidthHz) && b(ch.NoisePower) == b(s.ch.NoisePower) &&
+		b(modelBits) == b(s.modelBits)
+	upload := func(q int) float64 {
+		if cached {
+			return s.tcom[q]
+		}
+		return ch.UploadDelay(modelBits, fleet.TxPower[q], fleet.ChannelGain[q])
 	}
-	keys := s.planKeys[:n]
+	// Line 1: cohort positions in ascending order of model-update delay at
+	// max frequency (tcalMax), equal delays by fleet index.
+	order, pingPong := s.rankBuf(n)
 	for i, q := range selected {
-		keys[i] = planKey{delay: scale * fleet.ComputeDelayAtMax(q), q: q, pos: i}
+		order[i] = ranked{radix.Key(tcal[q]), int32(i)}
 	}
-	// Line 1: ascending order of model-update delay at max frequency.
-	slices.SortFunc(keys, comparePlanKeys)
+	radix.Sort(order, pingPong, rankKey, func(a, b ranked) int { return cmp.Compare(selected[a.i], selected[b.i]) })
 
 	// Lines 3–4: the first user has no slack and runs at maximum frequency.
-	first := keys[0]
-	freqs[first.pos] = fleet.FMax[first.q]
+	first := selected[order[0].i]
+	freqs[order[0].i] = fleet.FMax[first]
 	// prevEnd is T_q^j of the previous user: the time its upload completes,
 	// assuming the chain starts at round time zero.
-	prevEnd := first.delay + ch.UploadDelay(modelBits, fleet.TxPower[first.q], fleet.ChannelGain[first.q])
+	prevEnd := tcal[first] + upload(first)
 
 	clamp := s.params.Clamp
-	for _, key := range keys[1:] {
-		q := key.q
+	for k, r := range order[1:] {
+		pos, q := r.i, selected[r.i]
+		if q == selected[order[k].i] { // a duplicate lands beside its twin
+			panic(fmt.Sprintf("core: user %d selected twice", q))
+		}
 		// Line 9: stretch this user's computation to fill the previous
 		// user's total delay: f = π|D| / T_prev (Eq. (4) inverted).
 		f := scale * fleet.TotalCycles(q) / prevEnd
@@ -473,7 +472,7 @@ func (s *Scheduler) frequencyPlanInto(freqs []float64, selected []int, ch wirele
 			// operating point so the chain time is never missed.
 			f = fleet.SnapFreq(q, f)
 		}
-		freqs[key.pos] = f
+		freqs[pos] = f
 		// Line 8 for the next iteration: this user's total delay at the
 		// determined frequency. With clamping, the realized upload start is
 		// delayed to when the channel frees (compute may finish early after
@@ -484,7 +483,7 @@ func (s *Scheduler) frequencyPlanInto(freqs []float64, selected []int, ch wirele
 		if clamp && prevEnd > start {
 			start = prevEnd
 		}
-		prevEnd = start + ch.UploadDelay(modelBits, fleet.TxPower[q], fleet.ChannelGain[q])
+		prevEnd = start + upload(q)
 	}
 }
 

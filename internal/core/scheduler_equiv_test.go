@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"helcfl/internal/device"
@@ -83,43 +85,152 @@ func randomFleet(q int, seed int64) *device.Fleet {
 	return device.NewFleet(cfg, seed)
 }
 
+// pow2Denominators rewrites s's static delays so that user q's Eq. (20)
+// denominator is B·2^(q mod 4) for one of three dyadic B. At η = 0.5 a
+// user selected k more times than one whose denominator is 2^k smaller
+// ties it bit for bit, so equal utilities arise from different
+// denominators, not only from identical devices.
+func pow2Denominators(s *Scheduler) {
+	for q := range s.tcalMax {
+		scale := float64(int(1) << (q % 4))
+		s.tcalMax[q] = (1 + 0.125*float64(q/4%3)) * scale
+		s.tcom[q] = 0.5 * scale
+	}
+}
+
+// nearTieDenominators rewrites s's static delays so that users 2m and
+// 2m+1 have denominators one ulp apart — 2m+1's smaller, so its utility
+// ranks first while α is 0 — chosen so that the first decay rounds the two
+// utilities to one value. The re-keyed cohort then holds a tie its previous
+// order has backwards, which only the index tie-break puts right.
+func nearTieDenominators(s *Scheduler) {
+	eta, same := s.params.Eta, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for q := 0; q+1 < len(s.tcalMax); q += 2 {
+		d := 1.4 + 0.35*float64(q)/float64(len(s.tcalMax)) // an ulp of d moves η/d by under an ulp
+		for step := 0; same(1/math.Nextafter(d, 0), 1/d) || !same(eta/math.Nextafter(d, 0), eta/d); step++ {
+			if step == 1000 {
+				panic("nearTieDenominators: no near tie found")
+			}
+			d = math.Nextafter(d, 2)
+		}
+		s.tcalMax[q], s.tcalMax[q+1] = d, math.Nextafter(d, 0)
+		s.tcom[q], s.tcom[q+1] = 0, 0
+	}
+}
+
+// fleetCase is one fleet of the selection property tests: η (0 keeps
+// DefaultParams') and a rewrite of the static delays (nil keeps the
+// fleet's own).
+type fleetCase struct {
+	fleet *device.Fleet
+	eta   float64
+	rig   func(*Scheduler)
+}
+
+// newCase builds a scheduler for c at fraction C.
+func newCase(t *testing.T, c fleetCase, fraction float64) *Scheduler {
+	t.Helper()
+	p := DefaultParams()
+	p.Fraction = fraction
+	if c.eta != 0 {
+		p.Eta = c.eta
+	}
+	s, err := NewFleetScheduler(c.fleet, wireless.DefaultChannel(), testModelBits, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.rig != nil {
+		c.rig(s)
+	}
+	return s
+}
+
+// wideAlphaState returns a state whose appearance counters spread from 0
+// to about 8000: the utilities then span every exponent from order one
+// through subnormals down to exact zeros, so every radix digit varies and
+// zero utilities tie across the fleet.
+func wideAlphaState(q int, rng *rand.Rand) SchedulerState {
+	alpha := make([]int, q)
+	for i := range alpha {
+		alpha[i] = []int{0, 1, 2, rng.Intn(100), rng.Intn(3000), 6800 + rng.Intn(1200)}[rng.Intn(6)]
+	}
+	return SchedulerState{Alpha: alpha}
+}
+
+// selKey is one user's selection key: its utility and fleet index.
+type selKey struct {
+	util float64
+	q    int32
+}
+
+// compareKeys orders by utility descending, then index ascending — the
+// comparator the keyed order's radix passes replaced, kept as their oracle.
+func compareKeys(a, b selKey) int {
+	switch {
+	case a.util > b.util:
+		return -1
+	case a.util < b.util:
+		return 1
+	}
+	return cmp.Compare(a.q, b.q)
+}
+
+// requireKeyedOrder fails unless s.order is the fleet sorted by
+// compareKeys over lastUtil, as every selection leaves it.
+func requireKeyedOrder(t *testing.T, what string, s *Scheduler) {
+	t.Helper()
+	want := make([]int32, s.NumUsers())
+	for i := range want {
+		want[i] = int32(i)
+	}
+	slices.SortFunc(want, func(a, b int32) int {
+		return compareKeys(selKey{s.lastUtil[a], a}, selKey{s.lastUtil[b], b})
+	})
+	if !slices.Equal(s.order, want) {
+		t.Fatalf("%s: selection order is not sorted by (utility desc, index)", what)
+	}
+}
+
 // TestSelectRoundMatchesNaive is the selection equivalence property test:
-// across seeded random fleets and tie-heavy fleets, at N = 1, N = Q and
-// fractions between, for 50 consecutive rounds, the keyed selection must
-// return the exact index sequence of the retained naive repeated argmax —
-// order and tie-breaks included — and leave bit-identical α,
-// LastUtilities and ExportState behind. At round 25 both twins import a
+// across seeded random fleets, tie-heavy fleets and fleets whose ties come
+// from different denominators (pow2Denominators, nearTieDenominators), at
+// N = 1,
+// N = Q and fractions between, for 50 consecutive rounds, the keyed
+// selection must return the exact index sequence of the retained naive
+// repeated argmax — order and tie-breaks included — leave bit-identical
+// α, LastUtilities and ExportState behind, and keep the whole fleet sorted
+// as the compareKeys oracle sorts it. At round 25 both twins import a
 // state exported by a third scheduler that ran a different number of
-// rounds, so the live scheduler's order must be rebuilt, not merged into.
+// rounds, and at round 40 a state with a wide α spread (wideAlphaState),
+// so the live scheduler's order must be rebuilt, not merged into.
 func TestSelectRoundMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	ch := wireless.DefaultChannel()
-	fleets := []*device.Fleet{
-		tieFleet(60, 6),   // dense exact ties
-		tieFleet(200, 50), // few huge tie groups
+	cases := []fleetCase{
+		{fleet: tieFleet(60, 6)},   // dense exact ties
+		{fleet: tieFleet(200, 50)}, // few huge tie groups
+		{randomFleet(90, 40), 0.5, pow2Denominators},
+		{fleet: randomFleet(120, 42), rig: nearTieDenominators},
+		{fleet: randomFleet(251, 43), rig: nearTieDenominators},
+		{randomFleet(333, 41), 0.5, pow2Denominators},
 	}
 	for trial := 0; trial < 8; trial++ {
-		fleets = append(fleets, randomFleet(30+rng.Intn(400), int64(trial)))
+		cases = append(cases, fleetCase{fleet: randomFleet(30+rng.Intn(400), int64(trial))})
 	}
-	for fi, fl := range fleets {
-		p := DefaultParams()
-		p.Fraction = []float64{0.001, 0.05, 0.1, 0.33, 0.5, 1.0}[fi%6]
-		scheds := make([]*Scheduler, 3)
-		for i := range scheds {
-			var err error
-			if scheds[i], err = NewFleetScheduler(fl, ch, testModelBits, p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		fastSched, naiveSched, donor := scheds[0], scheds[1], scheds[2]
+	for fi, c := range cases {
+		fraction := []float64{0.001, 0.05, 0.1, 0.33, 0.5, 1.0}[fi%6]
+		fastSched, naiveSched, donor := newCase(t, c, fraction), newCase(t, c, fraction), newCase(t, c, fraction)
+		fl, p := c.fleet, fastSched.params
 		for round := 0; round < 7+fi; round++ {
 			donor.SelectRound()
 		}
 		var reuse []int
 		for round := 0; round < 50; round++ {
 			what := fmt.Sprintf("fleet %d C=%g round %d", fi, p.Fraction, round)
-			if round == 25 {
+			if round == 25 || round == 40 {
 				st := donor.ExportState()
+				if round == 40 {
+					st = wideAlphaState(fl.Len(), rng)
+				}
 				if err := fastSched.ImportState(st); err != nil {
 					t.Fatal(err)
 				}
@@ -138,6 +249,7 @@ func TestSelectRoundMatchesNaive(t *testing.T) {
 				t.Fatalf("%s:\nkeyed: %v\nnaive: %v", what, got, want)
 			}
 			requireSameState(t, what, fastSched, naiveSched)
+			requireKeyedOrder(t, what, fastSched)
 		}
 	}
 }
@@ -219,14 +331,43 @@ func TestEtaPowMemo(t *testing.T) {
 	}
 }
 
+// planKey is one cohort member as Algorithm 3 orders it: compute delay at
+// f_max, fleet index, and position in the selected slice.
+type planKey struct {
+	delay  float64
+	q, pos int
+}
+
+// comparePlanKeys orders by (compute delay at f_max ascending, fleet index
+// ascending) — Algorithm 3, line 1 — and by position last: the comparator
+// the radix order of frequencyPlanInto replaced, kept as its oracle.
+func comparePlanKeys(a, b planKey) int {
+	switch {
+	case a.delay < b.delay:
+		return -1
+	case a.delay > b.delay:
+		return 1
+	case a.q != b.q:
+		return cmp.Compare(a.q, b.q)
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
+
 // TestFrequencyPlanSelectedMatchesAoS differentially tests the SoA
 // Algorithm 3 against the retained AoS FrequencyPlan, clamped and literal,
-// continuous and discrete-DVFS, across random cohorts.
+// continuous and discrete-DVFS, across random cohorts and cohorts of a
+// tie fleet (blocks of identical devices, so equal tcalMax), on the
+// scheduler's own payload and on another one (where the cached tcom must
+// not be read). After each plan, the cohort order line 1 left in the
+// rank buffer must be the comparePlanKeys oracle's.
 func TestFrequencyPlanSelectedMatchesAoS(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ch := wireless.DefaultChannel()
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		fl := randomFleet(50+rng.Intn(200), int64(trial+100))
+		if trial%4 == 2 {
+			fl = tieFleet(40+rng.Intn(100), 1+rng.Intn(12))
+		}
 		devs := fl.Devices()
 		if trial%3 == 0 {
 			for _, d := range devs {
@@ -241,17 +382,67 @@ func TestFrequencyPlanSelectedMatchesAoS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		bits := testModelBits
+		if trial%4 == 1 {
+			bits = 2.5e5
+		}
 		n := 1 + rng.Intn(fl.Len())
 		selected := rng.Perm(fl.Len())[:n]
 		cohort := make([]*device.Device, n)
 		for i, q := range selected {
 			cohort[i] = devs[q]
 		}
-		want := FrequencyPlan(cohort, ch, testModelBits, p.StepsPerRound, p.Clamp)
-		got := s.FrequencyPlanSelected(selected, ch, testModelBits)
+		want := FrequencyPlan(cohort, ch, bits, p.StepsPerRound, p.Clamp)
+		got := s.FrequencyPlanSelected(selected, ch, bits)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d: freq[%d] = %v (SoA) vs %v (AoS), clamp=%v", trial, i, got[i], want[i], p.Clamp)
+			}
+		}
+		keys := make([]planKey, n)
+		for i, q := range selected {
+			keys[i] = planKey{delay: float64(p.StepsPerRound) * fl.ComputeDelayAtMax(q), q: q, pos: i}
+		}
+		slices.SortFunc(keys, comparePlanKeys)
+		for i, k := range keys {
+			if int(s.ranks[i].i) != k.pos {
+				t.Fatalf("trial %d: line 1 puts position %d at %d, oracle position %d", trial, s.ranks[i].i, i, k.pos)
+			}
+		}
+	}
+}
+
+// TestFrequencyPlanRejectsDuplicateUser: a user listed twice in a cohort
+// is a caller bug Algorithm 3 refuses rather than plans twice.
+func TestFrequencyPlanRejectsDuplicateUser(t *testing.T) {
+	s, err := NewFleetScheduler(randomFleet(20, 3), wireless.DefaultChannel(), testModelBits, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "user 7 selected twice") {
+			t.Fatalf("panic %v, want user 7 selected twice", r)
+		}
+	}()
+	s.FrequencyPlanSelected([]int{3, 7, 11, 7}, wireless.DefaultChannel(), testModelBits)
+}
+
+// TestTcomMatchesUploadDelay pins the cached Eq. (7) column bit for bit to
+// the scalar UploadDelay Algorithm 3 would otherwise call, on random fleets
+// and channels: the reuse is exact, not approximate.
+func TestTcomMatchesUploadDelay(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 20; trial++ {
+		fl := randomFleet(100+rng.Intn(400), int64(trial))
+		ch := wireless.Channel{BandwidthHz: 1e6 + 3e6*rng.Float64(), NoisePower: 0.1 + 3*rng.Float64()}
+		bits := 1e4 + 1e7*rng.Float64()
+		s, err := NewFleetScheduler(fl, ch, bits, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := range s.tcom {
+			if want := ch.UploadDelay(bits, fl.TxPower[q], fl.ChannelGain[q]); math.Float64bits(s.tcom[q]) != math.Float64bits(want) {
+				t.Fatalf("trial %d user %d: tcom %v, UploadDelay %v", trial, q, s.tcom[q], want)
 			}
 		}
 	}
@@ -372,22 +563,27 @@ func TestImportStateRebuildsMemo(t *testing.T) {
 
 // BenchmarkSelectRound times a steady-state round (the order already
 // built), at C=0.1 and at the Q=1e6, C=0.01 shape where the cohort is 1 %
-// of the fleet.
+// of the fleet, and — the _cold cases — the first selection of a new
+// scheduler, which builds the order (as the first after ImportState does).
 func BenchmarkSelectRound(b *testing.B) {
 	ch := wireless.DefaultChannel()
 	for _, c := range []struct {
 		name string
 		q    int
 		frac float64
+		cold bool
 	}{
-		{"Q1e3", 1000, 0.1},
-		{"Q1e5", 100000, 0.1},
-		{"Q1e6", 1000000, 0.1},
-		{"Q1e6_C0.01", 1000000, 0.01},
+		{"Q1e3", 1000, 0.1, false},
+		{"Q1e5", 100000, 0.1, false},
+		{"Q1e6", 1000000, 0.1, false},
+		{"Q1e6_C0.01", 1000000, 0.01, false},
+		{"Q1e5_cold", 100000, 0.1, true},
+		{"Q1e6_cold", 1000000, 0.1, true},
 	} {
 		p := DefaultParams()
 		p.Fraction = c.frac
-		s, err := NewFleetScheduler(randomFleet(c.q, 1), ch, testModelBits, p)
+		fl := randomFleet(c.q, 1)
+		s, err := NewFleetScheduler(fl, ch, testModelBits, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -396,6 +592,11 @@ func BenchmarkSelectRound(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				if c.cold {
+					b.StopTimer()
+					s, _ = NewFleetScheduler(fl, ch, testModelBits, p)
+					b.StartTimer()
+				}
 				sel = s.SelectRoundAppend(sel)
 			}
 		})

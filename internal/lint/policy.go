@@ -38,6 +38,7 @@ var Packages = map[string]Class{
 	"helcfl/internal/grid":        ClassDeterministic,
 	"helcfl/internal/metrics":     ClassDeterministic,
 	"helcfl/internal/nn":          ClassDeterministic,
+	"helcfl/internal/radix":       ClassDeterministic,
 	// The span tracer is deterministic in structure (span counts, names,
 	// parents, and attributes repeat across runs; only durations vary).
 	// Its single audited clock site is span.now(), which carries the one

@@ -8,7 +8,8 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"slices"
+
+	"helcfl/internal/radix"
 )
 
 // Channel describes the shared uplink.
@@ -92,32 +93,37 @@ func ScheduleTDMA(reqs []UploadRequest) ([]UploadSlot, float64) {
 	return ScheduleTDMAInto(nil, reqs)
 }
 
-// ScheduleTDMAInto is ScheduleTDMA reusing dst's backing array when it is
-// large enough, so a caller scheduling every round can amortize the slot
-// slice to zero steady-state allocations. Requests are ordered by
-// (ComputeDone, User, input position) with an in-place O(N log N) sort; the
-// input position makes the key total, so the order — duplicate users and
-// exact ComputeDone ties included — is the one a stable sort on
-// (ComputeDone, User) produces. Returns the (possibly regrown) slot slice
-// and the round makespan.
+// ScheduleTDMAInto is ScheduleTDMA reusing dst's backing array when its
+// capacity holds 2·len(reqs) slots (the upper half is the radix ping-pong
+// buffer), so a caller scheduling every round can amortize the slot slice
+// to zero steady-state allocations. A stable radix order on ComputeDone
+// (−0 ties +0), equal times re-sorted stably by User, is the order a stable
+// sort on (ComputeDone, User) produces. It panics on a duration that is not
+// positive or a compute-done time that is not finite. Returns the (possibly
+// regrown) slot slice and the round makespan.
 func ScheduleTDMAInto(dst []UploadSlot, reqs []UploadRequest) ([]UploadSlot, float64) {
-	if len(reqs) == 0 {
+	n := len(reqs)
+	if n == 0 {
 		return dst[:0], 0
 	}
-	if cap(dst) < len(reqs) {
-		dst = make([]UploadSlot, len(reqs))
+	if cap(dst) < 2*n {
+		dst = make([]UploadSlot, 2*n)
 	}
-	dst = dst[:len(reqs)]
+	dst, spare := dst[:n], dst[n:2*n]
 	// Stage each request as a pending slot: until the sweep below, Start
 	// holds ComputeDone, End holds Duration and Wait holds the input
 	// position (exact in a float64 for any slice length).
 	for i, r := range reqs {
-		if r.Duration <= 0 {
+		if !(r.Duration > 0) {
 			panic(fmt.Sprintf("wireless: non-positive upload duration %g for user %d", r.Duration, r.User))
+		}
+		if math.IsNaN(r.ComputeDone) || math.IsInf(r.ComputeDone, 0) {
+			panic(fmt.Sprintf("wireless: non-finite compute-done time %g for user %d", r.ComputeDone, r.User))
 		}
 		dst[i] = UploadSlot{User: r.User, Start: r.ComputeDone, End: r.Duration, Wait: float64(i)}
 	}
-	slices.SortFunc(dst, compareStaged)
+	radix.Sort(dst, spare, func(sl UploadSlot) uint64 { return radix.Key(sl.Start) },
+		func(a, b UploadSlot) int { return cmp.Compare(a.User, b.User) })
 	free := 0.0 // time the channel becomes free
 	for i := range dst {
 		computeDone, dur := dst[i].Start, dst[i].End
@@ -134,20 +140,6 @@ func ScheduleTDMAInto(dst []UploadSlot, reqs []UploadRequest) ([]UploadSlot, flo
 		free = dst[i].End
 	}
 	return dst, free
-}
-
-// compareStaged orders the staged slots of ScheduleTDMAInto first come
-// first served: compute-done time, then user ID, then input position.
-func compareStaged(a, b UploadSlot) int {
-	switch {
-	case a.Start < b.Start:
-		return -1
-	case a.Start > b.Start:
-		return 1
-	case a.User != b.User:
-		return cmp.Compare(a.User, b.User)
-	}
-	return cmp.Compare(a.Wait, b.Wait)
 }
 
 // TotalWait sums the slack across all slots.

@@ -1,9 +1,11 @@
 package wireless
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -97,13 +99,36 @@ func TestScheduleTDMATieBreakByUser(t *testing.T) {
 	}
 }
 
+// TestScheduleTDMABadDurationPanics: a duration that is not positive (NaN
+// included) and a NaN or infinite compute-done time have no place on the
+// uplink, so the scheduler panics naming the field, wherever the bad
+// request sits in the set.
 func TestScheduleTDMABadDurationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero duration")
-		}
-	}()
-	ScheduleTDMA([]UploadRequest{{User: 0, ComputeDone: 0, Duration: 0}})
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name             string
+		computeDone, dur float64
+		want             string
+	}{
+		{"zero duration", 0, 0, "non-positive upload duration"},
+		{"negative duration", 1, -2, "non-positive upload duration"},
+		{"NaN duration", 1, nan, "non-positive upload duration"},
+		{"NaN compute-done", nan, 1, "non-finite compute-done time"},
+		{"+Inf compute-done", inf, 1, "non-finite compute-done time"},
+		{"-Inf compute-done", -inf, 1, "non-finite compute-done time"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.want) {
+					t.Fatalf("panic %v, want %q", r, c.want)
+				}
+			}()
+			ScheduleTDMA([]UploadRequest{
+				{User: 0, ComputeDone: 0, Duration: 1},
+				{User: 1, ComputeDone: c.computeDone, Duration: c.dur},
+			})
+		})
+	}
 }
 
 // Property: schedules never overlap, never start before compute completion,
