@@ -41,8 +41,8 @@ bench:
 	bash _bench/run.sh
 
 # In-tree static analysis (internal/lint): determinism, map-order,
-# float-comparison, durability, context-flow, allocation, span-lifecycle,
-# lock-discipline, goroutine-lifecycle, and wire-codec invariants. Exit is
+# float-comparison, durability, context-flow, span-lifecycle, and
+# lock-discipline invariants. Exit is
 # nonzero on any finding not covered by a justified //helcfl:allow, and
 # (-stale) on any allow directive that no longer suppresses anything.
 # See docs/STATIC_ANALYSIS.md.

@@ -1,8 +1,8 @@
 // Command helcfl-lint runs the in-tree static-analysis suite
 // (internal/lint) over the module: the determinism, map-order,
-// float-comparison, durability, context-flow, allocation, span-lifecycle,
-// lock-discipline, goroutine-lifecycle, and wire-codec invariants the repo's
-// bit-identity, crash-recovery, and fleet guarantees rest on.
+// float-comparison, durability, context-flow, span-lifecycle, and
+// lock-discipline invariants the repo's bit-identity, crash-recovery, and
+// clean-shutdown guarantees rest on.
 //
 // Usage:
 //

@@ -2,6 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -101,18 +104,49 @@ func TestJSONClean(t *testing.T) {
 
 // TestListAnalyzers and TestBadPattern cover the driver's small CLI surface.
 func TestListAnalyzers(t *testing.T) {
+	want := []string{"nondeterminism", "maporder", "floatcompare", "durability", "ctxflow", "spanend", "lockheld"}
+	if listed := listAnalyzers(t); !slices.Equal(listed, want) {
+		t.Errorf("-list names %v, want %v", listed, want)
+	}
+}
+
+// TestRulesTableMatchesAnalyzers keeps docs/STATIC_ANALYSIS.md from
+// drifting off the analyzer set: its rules table holds exactly one row per
+// analyzer, in -list order.
+func TestRulesTableMatchesAnalyzers(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/STATIC_ANALYSIS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rules, ok := strings.Cut(string(doc), "\n## The rules\n")
+	if !ok {
+		t.Fatal("docs/STATIC_ANALYSIS.md has no \"## The rules\" section")
+	}
+	rules, _, _ = strings.Cut(rules, "\n## ")
+	row := regexp.MustCompile("^\\| `([a-z]+)` \\|")
+	var rows []string
+	for _, line := range strings.Split(rules, "\n") {
+		if m := row.FindStringSubmatch(line); m != nil {
+			rows = append(rows, m[1])
+		}
+	}
+	if listed := listAnalyzers(t); !slices.Equal(rows, listed) {
+		t.Errorf("docs/STATIC_ANALYSIS.md rules table rows %v, want -list order %v", rows, listed)
+	}
+}
+
+// listAnalyzers runs -list and returns the analyzer names it prints.
+func listAnalyzers(t *testing.T) []string {
+	t.Helper()
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, name := range []string{
-		"nondeterminism", "maporder", "floatcompare", "durability", "ctxflow",
-		"noalloc", "spanend", "lockheld", "golife", "wirecodec",
-	} {
-		if !strings.Contains(stdout.String(), name) {
-			t.Errorf("-list output missing analyzer %s:\n%s", name, stdout.String())
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
+		names = append(names, strings.Fields(line)[0])
 	}
+	return names
 }
 
 func TestBadPattern(t *testing.T) {

@@ -1,12 +1,12 @@
-// Package leaktest is the runtime complement to the golife analyzer: a
-// goroutine-leak harness for test suites of the concurrent runtime packages
-// (fleet, deploy, fl, grid, obs). It snapshots the live goroutines before the
-// work under test (runtime.Stack with all=true), diffs by goroutine ID
-// afterwards, filters the known-benign residents (the testing harness,
-// signal plumbing, idle HTTP keep-alive loops), and retries for a grace
-// period so goroutines that are mid-exit when the test finishes do not
-// flake the suite. Anything still alive after the grace period is a leak:
-// it outlived the campaign that spawned it.
+// Package leaktest is a goroutine-leak harness for test suites of the
+// concurrent runtime packages (fleet, deploy, fl, grid, obs). It snapshots
+// the live goroutines before the work under test (runtime.Stack with
+// all=true), diffs by goroutine ID afterwards, filters the known-benign
+// residents (the testing harness, signal plumbing, idle HTTP keep-alive
+// loops), and retries for a grace period so goroutines that are mid-exit
+// when the test finishes do not flake the suite. Anything still alive
+// after the grace period is a leak: it outlived the campaign that spawned
+// it.
 //
 // Wire a whole package with
 //

@@ -34,22 +34,10 @@ func TestCtxFlowCorpus(t *testing.T) {
 	linttest.Run(t, "testdata/ctxflow", lint.CtxFlow)
 }
 
-func TestNoAllocCorpus(t *testing.T) {
-	linttest.Run(t, "testdata/noalloc", lint.NoAlloc)
-}
-
 func TestSpanEndCorpus(t *testing.T) {
 	linttest.Run(t, "testdata/spanend", lint.SpanEnd)
 }
 
 func TestLockHeldCorpus(t *testing.T) {
 	linttest.Run(t, "testdata/lockheld", lint.LockHeld)
-}
-
-func TestGoLifeCorpus(t *testing.T) {
-	linttest.Run(t, "testdata/golife", lint.GoLife)
-}
-
-func TestWireCodecCorpus(t *testing.T) {
-	linttest.Run(t, "testdata/wirecodec", lint.WireCodec)
 }

@@ -7,7 +7,8 @@ import (
 	"strings"
 )
 
-// The one escape hatch every analyzer honors:
+// The one escape hatch every analyzer honors, and the only //helcfl:
+// directive there is:
 //
 //	//helcfl:allow(rule) reason
 //
@@ -15,7 +16,9 @@ import (
 // directly above it. The rule must name an analyzer and the reason must be
 // non-empty — an allow that names no rule, an unknown rule, or carries no
 // justification is itself a finding (rule "allow"), so suppressions stay
-// auditable.
+// auditable. Any other //helcfl: comment — a misspelt directive, or the
+// marker of an analyzer that no longer exists — would silently check
+// nothing, so it is a finding of rule "allow" too.
 
 // directive is one parsed //helcfl:allow comment.
 type directive struct {
@@ -27,9 +30,9 @@ type directive struct {
 
 var allowRE = regexp.MustCompile(`^helcfl:allow\(([^)\s]*)\)\s*(.*)$`)
 
-// collectDirectives parses every //helcfl:allow comment in the pass's
-// files. It returns the well-formed directives keyed by filename and line,
-// and a finding for each malformed one.
+// collectDirectives parses every //helcfl: comment in the pass's files. It
+// returns the well-formed allow directives keyed by filename and line, and
+// a finding for each malformed or unknown one.
 func collectDirectives(fset *token.FileSet, files []*ast.File, rules map[string]bool) (map[string]map[int]directive, []Finding) {
 	byFile := map[string]map[int]directive{}
 	var bad []Finding
@@ -37,12 +40,18 @@ func collectDirectives(fset *token.FileSet, files []*ast.File, rules map[string]
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimPrefix(c.Text, "//")
-				if !strings.HasPrefix(text, "helcfl:allow") {
+				if !strings.HasPrefix(text, "helcfl:") {
 					continue
 				}
 				pos := fset.Position(c.Pos())
 				m := allowRE.FindStringSubmatch(text)
 				switch {
+				case !strings.HasPrefix(text, "helcfl:allow"):
+					bad = append(bad, Finding{
+						Rule: "allow", Pos: pos,
+						Message: "unknown directive //" + strings.Fields(text)[0] + ": the only one is //helcfl:allow(rule) reason",
+					})
+					continue
 				case m == nil:
 					bad = append(bad, Finding{
 						Rule: "allow", Pos: pos,

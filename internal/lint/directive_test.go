@@ -9,9 +9,10 @@ import (
 
 // TestAllowDirectiveAudit pins the escape hatch's own rules on the
 // testdata/allow corpus: a directive missing its reason, naming an unknown
-// rule, or failing to parse is itself a finding (rule "allow"), and such a
-// directive does NOT suppress the diagnostic it sits on. Only the
-// well-formed directive in the corpus suppresses anything.
+// rule, or failing to parse is itself a finding (rule "allow"), as is any
+// other //helcfl: comment, and such a directive does NOT suppress the
+// diagnostic it sits on. Only the well-formed directive in the corpus
+// suppresses anything.
 func TestAllowDirectiveAudit(t *testing.T) {
 	pkgs, err := lint.NewLoader().LoadTree("testdata/allow/src")
 	if err != nil {
@@ -28,6 +29,8 @@ func TestAllowDirectiveAudit(t *testing.T) {
 		{"allow", `allow directive for "nondeterminism" is missing a reason`, false},
 		{"allow", `allow directive names unknown rule "clockness"`, false},
 		{"allow", "malformed allow directive", false},
+		{"allow", "unknown directive //helcfl:noaloc", false},
+		{"allow", "unknown directive //helcfl:noalloc", false},
 		// The diagnostics under the broken directives stay live...
 		{"nondeterminism", "time.Now reads the wall clock", false},
 		{"nondeterminism", "time.Now reads the wall clock", false},

@@ -1,7 +1,8 @@
 // Package lint is helcfl's in-tree static-analysis suite. It mechanically
 // enforces the invariants the repo's headline guarantees rest on — the
-// bit-identical sim↔deploy conformance and the split-at-any-round resume —
-// which would otherwise only hold by convention:
+// bit-identical sim↔deploy conformance, the split-at-any-round resume, and
+// a runtime that shuts down and persists cleanly — which would otherwise
+// only hold by convention:
 //
 //   - no wall clock or global math/rand on a deterministic path
 //     (nondeterminism),
@@ -10,8 +11,15 @@
 //     (floatcompare),
 //   - fsync-before-rename discipline and no discarded Close/Sync/Flush
 //     errors in the persistence layer (durability),
-//   - no context-free HTTP requests or sleeps in the deployment layer
-//     (ctxflow).
+//   - no context-free HTTP requests or sleeps in the network layer
+//     (ctxflow),
+//   - every started span ended on every path (spanend),
+//   - every mutex released on every path and never held across blocking
+//     work (lockheld).
+//
+// Each analyzer catches a plausible mistake in this code that no runtime
+// test catches; mutation_test.go plants one per analyzer and requires it
+// to be reported.
 //
 // The framework is written purely against the standard library (go/ast,
 // go/parser, go/token, go/types) — no golang.org/x/tools dependency — with
@@ -79,8 +87,9 @@ type Diagnostic struct {
 // justification that suppressed it.
 type Finding struct {
 	// Rule is the analyzer name ("nondeterminism", …) or one of the
-	// framework rules: "allow" (malformed directive) and "policy"
-	// (unclassified package).
+	// framework rules: "allow" (malformed or unknown directive), "policy"
+	// (unclassified package) and "stale" (an allow that suppresses
+	// nothing).
 	Rule string
 	// Pos locates the finding.
 	Pos token.Position

@@ -127,30 +127,6 @@ var ToleranceHelpers = map[string]bool{
 	"helcfl/internal/tensor.Tensor.Equal": true,
 }
 
-// GoroutineScopedPackages are the concurrent-runtime packages, plus fl for
-// the engine's persistent local-update worker pool, where a `go` statement
-// must show a visible lifecycle — a WaitGroup join, a done/result
-// channel, or a ctx-bound loop. A fire-and-forget goroutine here outlives its
-// campaign, which is exactly what the leaktest harness catches at runtime;
-// the golife analyzer catches it at review time.
-var GoroutineScopedPackages = map[string]bool{
-	"helcfl/internal/deploy":     true,
-	"helcfl/internal/fl":         true,
-	"helcfl/internal/fleet":      true,
-	"helcfl/internal/grid":       true,
-	"helcfl/internal/obs":        true,
-	"helcfl/internal/obs/flight": true,
-	"helcfl/internal/obs/span":   true,
-}
-
-// WireCodecPackages hold the experiments registry, where every cell result
-// type a grid.Cell's Run can return must carry a gob registration in the
-// fleet wire codec (Encode/DecodeCellResult). The wirecodec analyzer applies
-// here.
-var WireCodecPackages = map[string]bool{
-	"helcfl/internal/experiments": true,
-}
-
 // BlockingCalls are module-internal functions that block on I/O (fsync,
 // network) and therefore must not run while a mutex is held. Keys are
 // qualified names ("import/path.Func" or "import/path.Type.Method"), values
@@ -186,9 +162,3 @@ func IsDurability(path string) bool { return DurabilityPackages[path] }
 
 // IsContextScoped reports whether the ctxflow analyzer applies to path.
 func IsContextScoped(path string) bool { return ContextPackages[path] }
-
-// IsGoroutineScoped reports whether the golife analyzer applies to path.
-func IsGoroutineScoped(path string) bool { return GoroutineScopedPackages[path] }
-
-// IsWireCodecScoped reports whether the wirecodec analyzer applies to path.
-func IsWireCodecScoped(path string) bool { return WireCodecPackages[path] }

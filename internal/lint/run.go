@@ -5,8 +5,8 @@ import "sort"
 // Analyzers returns the full suite in its canonical order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Nondeterminism, MapOrder, FloatCompare, Durability, CtxFlow, NoAlloc,
-		SpanEnd, LockHeld, GoLife, WireCodec,
+		Nondeterminism, MapOrder, FloatCompare, Durability, CtxFlow,
+		SpanEnd, LockHeld,
 	}
 }
 
@@ -25,7 +25,7 @@ func RuleNames(analyzers []*Analyzer) map[string]bool {
 // sorted by position. Beyond the analyzers themselves it reports:
 //
 //   - rule "allow": a malformed directive — no parseable rule, an unknown
-//     rule, or a missing reason;
+//     rule, or a missing reason — or any other //helcfl: comment;
 //   - rule "policy": a module package absent from the policy table
 //     (policy.go), so new packages must be classified explicitly.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {

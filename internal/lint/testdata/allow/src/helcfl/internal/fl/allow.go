@@ -1,7 +1,7 @@
 // Corpus for the //helcfl:allow escape hatch itself: a directive with no
 // reason, an unknown rule, or unparseable syntax is a finding of rule
 // "allow", and a malformed directive does NOT suppress the underlying
-// diagnostic. directive_test.go asserts on this file directly rather than
+// diagnostic. So is any other //helcfl: comment. directive_test.go asserts on this file directly rather than
 // through want comments, because a directive line cannot also carry a want.
 package fl
 
@@ -27,3 +27,13 @@ func malformed() int { return 0 }
 //
 //helcfl:allow(nondeterminism) corpus fixture: justified suppression for contrast
 func justified() time.Time { return time.Now() }
+
+// A misspelt directive checks nothing, so it is reported.
+//
+//helcfl:noaloc
+func typo() int { return 0 }
+
+// So is the marker of an analyzer that no longer exists.
+//
+//helcfl:noalloc
+func retired() int { return 0 }

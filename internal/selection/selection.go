@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 
 	"helcfl/internal/core"
 	"helcfl/internal/device"
@@ -112,15 +113,18 @@ func (f *FedCSSelector) Select(j int) []int {
 	slices.SortFunc(f.reqs, compareTotalDelay)
 	// Greedy admission: the cohort is the longest prefix of that order
 	// whose estimated TDMA completion time stays within the deadline; the
-	// fastest user is admitted regardless.
-	n := min(1, len(f.reqs))
-	for n < len(f.reqs) {
-		var makespan float64
-		f.slots, makespan = wireless.ScheduleTDMAInto(f.slots, f.reqs[:n+1])
-		if makespan > f.DeadlineSec {
-			break // adding slower users only lengthens the round further
-		}
-		n++
+	// fastest user is admitted regardless. A longer prefix never finishes
+	// earlier — each upload starts at max(compute done, channel free) and
+	// ends at start + duration, and rounded max and + are monotone — so
+	// the admission is a binary search over prefix lengths: O(log Q)
+	// schedules where admitting one user at a time took up to Q.
+	n := len(f.reqs)
+	if n > 1 {
+		n = 1 + sort.Search(n-1, func(i int) bool {
+			var makespan float64
+			f.slots, makespan = wireless.ScheduleTDMAInto(f.slots, f.reqs[:i+2])
+			return makespan > f.DeadlineSec
+		})
 	}
 	selected := make([]int, n)
 	for i, r := range f.reqs[:n] {

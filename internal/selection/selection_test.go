@@ -169,10 +169,32 @@ func fedCSSelectOracle(devs []*device.Device, ch wireless.Channel, modelBits, de
 
 func TestFedCSMatchesOracle(t *testing.T) {
 	ch := wireless.DefaultChannel()
-	for seed := int64(1); seed <= 6; seed++ {
+	for seed := int64(1); seed <= 7; seed++ {
 		devs := fleet(25+10*int(seed), seed)
-		for _, deadline := range []float64{1e-6, 1.5, 3, 6, 1e9} {
-			for _, steps := range []int{1, 3} {
+		if seed == 7 {
+			// Equal totals: every device past the eighth copies one of the
+			// first eight, so the order among twins falls to the index.
+			for i := 8; i < len(devs); i++ {
+				twin := *devs[i%8]
+				devs[i] = &twin
+			}
+		}
+		for _, steps := range []int{1, 3} {
+			deadlines := []float64{1e-6, 1.5, 3, 6, 1e9}
+			// Deadlines exactly at a prefix's makespan and one ulp either
+			// side: the admission boundary itself.
+			order := fedCSSelectOracle(devs, ch, testModelBits, math.Inf(1), steps)
+			for _, k := range []int{2, len(order) / 3, len(order) / 2, len(order)} {
+				reqs := make([]wireless.UploadRequest, k)
+				for i, q := range order[:k] {
+					d := devs[q]
+					reqs[i] = wireless.UploadRequest{User: q, ComputeDone: float64(steps) * d.ComputeDelayAtMax(),
+						Duration: ch.UploadDelay(testModelBits, d.TxPower, d.ChannelGain)}
+				}
+				_, m := wireless.ScheduleTDMA(reqs)
+				deadlines = append(deadlines, math.Nextafter(m, 0), m, math.Nextafter(m, math.Inf(1)))
+			}
+			for _, deadline := range deadlines {
 				sel := NewFedCSSelector(devs, ch, testModelBits, deadline, steps)
 				want := fedCSSelectOracle(devs, ch, testModelBits, deadline, steps)
 				for round := 0; round < 2; round++ {

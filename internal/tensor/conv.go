@@ -59,8 +59,6 @@ func checkIm2ColBatch(x *Tensor, kh, kw, stride, pad int) (b, c, oh, ow int) {
 // exactly once, so the write order cannot affect the result. The stride
 // form lets a whole batch lower into one matrix with disjoint per-sample
 // column ranges.
-//
-//helcfl:noalloc
 func im2colFillStrided(out []float64, rowStride, colOff int, xdata []float64, c, h, w, kh, kw, stride, pad, oh, ow int) {
 	for ch := 0; ch < c; ch++ {
 		plane := xdata[ch*h*w : (ch+1)*h*w]
@@ -90,8 +88,6 @@ func im2colFillStrided(out []float64, rowStride, colOff int, xdata []float64, c,
 // starting at r·rowStride+colOff of colsData — into out (len c·h·w, already
 // zeroed) in the fixed (channel, ki, kj, oi, oj) order of the reference
 // kernel, so overlapping receptive fields sum in a deterministic sequence.
-//
-//helcfl:noalloc
 func col2imScatterStrided(out, colsData []float64, rowStride, colOff, c, h, w, kh, kw, stride, pad, oh, ow int) {
 	for ch := 0; ch < c; ch++ {
 		plane := out[ch*h*w : (ch+1)*h*w]

@@ -57,7 +57,6 @@ func MatMulInto(dst, a, b *Tensor) {
 // 20% kernel slowdown. A dedicated, never-inlined function gets its own
 // clean register set; the call overhead is amortized over a whole panel.
 //
-//helcfl:noalloc
 //go:noinline
 func axpyPanel(out, brow []float64, av float64) {
 	out = out[:len(brow)]
@@ -75,7 +74,6 @@ func axpyPanel(out, brow []float64, av float64) {
 // pass the four rows in ascending reduction index. Never inlined for the
 // same register reason as axpyPanel.
 //
-//helcfl:noalloc
 //go:noinline
 func axpy4(out, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 	n := len(b0)
@@ -94,8 +92,6 @@ func axpy4(out, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 // them to axpy4 four at a time and the last 0–3 to axpyPanel. For a fixed
 // output element, contributions arrive in ascending-p order with the same
 // zero-skip as the naive ikj kernel, so the result is bit-identical.
-//
-//helcfl:noalloc
 func matMulRows(dst, a, b []float64, k, n, lo, hi int) {
 	var nz [blockK]int // nonzero reduction indices of one row's k-block
 	for kb := 0; kb < k; kb += blockK {
@@ -151,8 +147,6 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 // are all nonzero takes one axpy4, any other takes one axpyPanel per
 // nonzero entry, in order. Ascending-p accumulation and the zero-skip
 // match the naive pkj kernel exactly.
-//
-//helcfl:noalloc
 func matMulTransARows(dst, a, b []float64, k, m, n, lo, hi int) {
 	for jb := 0; jb < n; jb += blockN {
 		jEnd := min(jb+blockN, n)
@@ -216,8 +210,6 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 // addition chain as the naive per-element dot product. Output columns go
 // four at a time through dot4, whose four independent chains overlap the
 // add latency a single chain waits on; the last 0–3 columns run alone.
-//
-//helcfl:noalloc
 func matMulTransBRows(dst, a, b []float64, k, n, lo, hi int) {
 	for jb := 0; jb < n; jb += blockN {
 		jEnd := min(jb+blockN, n)
@@ -253,7 +245,6 @@ func matMulTransBRows(dst, a, b []float64, k, n, lo, hi int) {
 // ascending p with every product and sum rounded on its own: four separate
 // chains interleaved, never one chain split.
 //
-//helcfl:noalloc
 //go:noinline
 func dot4(arow, b0, b1, b2, b3 []float64, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
 	n := len(arow)

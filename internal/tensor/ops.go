@@ -23,8 +23,6 @@ func (t *Tensor) AXPY(a float64, u *Tensor) *Tensor {
 // AddColSumsInto treats t as a (rows, cols) matrix and adds its per-column
 // sums into dst (length cols). The allocation-free form of ColSums for
 // gradient accumulation.
-//
-//helcfl:noalloc
 func (t *Tensor) AddColSumsInto(dst *Tensor) {
 	checkAddColSumsInto(t, dst)
 	rows, cols := t.shape[0], t.shape[1]

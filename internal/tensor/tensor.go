@@ -100,8 +100,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 // successful fit are unspecified — callers overwrite. It is meant for
 // scratch that owns its backing array (a tensor from New): fitting a
 // FromSlice/Reshape view would grow it over storage it does not own.
-//
-//helcfl:noalloc
 func (t *Tensor) FitShape(shape []int) bool {
 	n := 1
 	for _, d := range shape {
@@ -122,16 +120,12 @@ func (t *Tensor) FitShape(shape []int) bool {
 // Fit2 is FitShape for (d0, d1). The fixed-rank forms exist because a
 // variadic shape would allocate its slice on every hot-path call; the array
 // here stays on the stack.
-//
-//helcfl:noalloc
 func (t *Tensor) Fit2(d0, d1 int) bool {
 	shape := [2]int{d0, d1}
 	return t.FitShape(shape[:])
 }
 
 // Fit4 is FitShape for (d0, d1, d2, d3).
-//
-//helcfl:noalloc
 func (t *Tensor) Fit4(d0, d1, d2, d3 int) bool {
 	shape := [4]int{d0, d1, d2, d3}
 	return t.FitShape(shape[:])
