@@ -32,7 +32,7 @@ func main() {
 	x := env.Synth.Train.FlatX()
 	labels := env.Synth.Train.Labels
 	for step := 30; step <= 150; step += 30 {
-		l := fl.LocalUpdate(model, loss, x, labels, nil, preset.LR, 30, 0, nil)
+		l := fl.LocalUpdate(model, loss, x, labels, nil, preset.LR, 30, nil)
 		_, acc := fl.Evaluate(model, env.Synth.Test, true)
 		fmt.Printf("step %3d  train loss %.3f  test acc %.1f%%\n", step, l, acc*100)
 	}

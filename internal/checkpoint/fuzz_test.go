@@ -39,7 +39,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 func FuzzReplayWAL(f *testing.F) {
 	// Seed with a well-formed two-record log and its mutations.
 	build := func(recs []Record) []byte {
-		w, _, err := OpenWAL(f.TempDir() + "/seed.wal")
+		path := f.TempDir() + "/seed.wal"
+		w, _, err := OpenWAL(path)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func FuzzReplayWAL(f *testing.F) {
 			}
 		}
 		w.Close()
-		raw, err := os.ReadFile(w.path)
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -55,8 +55,7 @@ type Record struct {
 
 // WAL is an append-only, fsync-per-record intra-round event log.
 type WAL struct {
-	path string
-	f    *os.File
+	f *os.File
 }
 
 // OpenWAL opens (or creates) the WAL at path, replays every intact record
@@ -79,7 +78,7 @@ func OpenWAL(path string) (*WAL, []Record, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: open wal: %w", err)
 	}
-	w := &WAL{path: path, f: f}
+	w := &WAL{f: f}
 	if len(raw) == 0 {
 		if err := w.writeHeader(); err != nil {
 			_ = f.Close()

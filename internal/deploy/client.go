@@ -42,14 +42,6 @@ type ClientConfig struct {
 	LocalSteps int
 	// PollInterval is the wait between polls (keep small in tests).
 	PollInterval time.Duration
-	// TimeScale, when positive, makes the client act out its DVFS compute
-	// delay in real time: after training it sleeps
-	// TimeScale × CyclesPerUpdate / f_assigned seconds, so the server-side
-	// round timing reflects Algorithm 3's frequency plan. 0 disables.
-	TimeScale float64
-	// CyclesPerUpdate is the device's per-update CPU cost used with
-	// TimeScale.
-	CyclesPerUpdate float64
 	// MaxRetries is how many extra attempts each request gets after a
 	// transient failure (transport error, timeout, or 5xx). 0 disables
 	// retries: the first failure is final, matching the old behaviour.
@@ -77,9 +69,6 @@ type ClientConfig struct {
 	// and stamps every request with the Helcfl-Trace header, so the
 	// server's spans stitch into this client's trace.
 	Trace *span.Recorder
-	// TraceParent parents the client's request spans (zero means the
-	// trace root).
-	TraceParent span.Ref
 }
 
 // Client is a polling FL device.
@@ -178,7 +167,7 @@ func (c *Client) session(ctx context.Context) error {
 			return nil
 		case PhaseTraining:
 			if poll.Selected {
-				if err := c.trainRound(ctx, poll.Round, poll.FreqHz); err != nil {
+				if err := c.trainRound(ctx, poll.Round); err != nil {
 					// Conflicts are benign races (the round advanced while
 					// we trained); everything else is fatal.
 					if !isConflict(err) {
@@ -243,7 +232,7 @@ func (c *Client) do(ctx context.Context, what string, build func(ctx context.Con
 		// One span per attempt: retries are separate requests on the wire
 		// and should be separately attributed. The header carries this
 		// span's ref so the server's handler span becomes its child.
-		sp := c.cfg.Trace.Start(c.cfg.TraceParent, "http.client")
+		sp := c.cfg.Trace.Start(span.Ref{}, "http.client")
 		sp.SetStr("what", what)
 		sp.SetInt("attempt", int64(attempt))
 		if c.cfg.Trace != nil {
@@ -337,8 +326,8 @@ func (c *Client) poll(ctx context.Context) (*PollResponse, error) {
 }
 
 // trainRound downloads the round's global model, runs the local update,
-// and uploads the result. freqHz is the FLCC-assigned DVFS frequency.
-func (c *Client) trainRound(ctx context.Context, round int, freqHz float64) error {
+// and uploads the result.
+func (c *Client) trainRound(ctx context.Context, round int) error {
 	modelURL := fmt.Sprintf("%s/model?round=%d", c.cfg.BaseURL, round)
 	res, err := c.do(ctx, "model fetch", func(ctx context.Context) (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, modelURL, nil)
@@ -358,17 +347,7 @@ func (c *Client) trainRound(ctx context.Context, round int, freqHz float64) erro
 
 	// Local update, Eq. (3), from the parameters just loaded off the wire —
 	// the same loop the simulated engine trains with.
-	fl.LocalUpdate(c.model, c.loss, c.x, c.cfg.Data.Labels, nil, c.cfg.LR, c.cfg.LocalSteps, 0, nil)
-	// Act out the DVFS compute delay, so slower assigned frequencies make
-	// this device visibly later on the server's timeline.
-	if c.cfg.TimeScale > 0 && c.cfg.CyclesPerUpdate > 0 && freqHz > 0 {
-		delay := c.cfg.TimeScale * c.cfg.CyclesPerUpdate / freqHz
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Duration(delay * float64(time.Second))):
-		}
-	}
+	fl.LocalUpdate(c.model, c.loss, c.x, c.cfg.Data.Labels, nil, c.cfg.LR, c.cfg.LocalSteps, nil)
 
 	payload := nn.ParamBytes(c.model)
 	uploadURL := fmt.Sprintf("%s/upload?user=%d&round=%d", c.cfg.BaseURL, c.cfg.Info.User, round)

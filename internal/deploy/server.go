@@ -68,9 +68,6 @@ type ServerConfig struct {
 	// server lock held; keep it fast). Tests use it to pin the global-model
 	// trajectory.
 	RoundHook func(RoundSummary)
-	// Metrics is the registry backing /metrics; nil allocates a private one
-	// (so parallel test servers never share counters).
-	Metrics *obs.Registry
 	// Log receives request and panic log lines; nil disables logging.
 	Log Logf
 	// Trace, when non-nil, records an "http.server" span per request —
@@ -158,10 +155,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		devices:    make([]*device.Device, cfg.ExpectedUsers),
 		registered: map[int]bool{},
 		uploads:    map[int][]float64{},
-	}
-	s.metrics = cfg.Metrics
-	if s.metrics == nil {
-		s.metrics = obs.NewRegistry()
+		// A private registry, so parallel servers never share counters.
+		metrics: obs.NewRegistry(),
 	}
 	s.mReqs = s.metrics.CounterVec("helcfl_http_requests_total", "HTTP requests served, by path.", "path")
 	s.mPanics = s.metrics.Counter("helcfl_http_panics_total", "Handler panics recovered by the middleware.")

@@ -32,7 +32,7 @@ func sampleResult() *fl.Result {
 		BestAccuracy:      0.4375,
 		TotalTime:         12.625,
 		TotalEnergy:       41.0,
-		ReachedTarget:     true,
+		StoppedByDeadline: true,
 		HaltedByDeadFleet: true,
 	}
 }

@@ -117,7 +117,6 @@ func runSL(env *Env) (metrics.Curve, error) {
 	res, err := fl.RunSL(fl.SLConfig{
 		Spec:       env.Spec,
 		Devices:    env.Devices,
-		Channel:    env.Channel,
 		UserData:   env.UserData,
 		Test:       env.Synth.Test,
 		Fraction:   p.Fraction,

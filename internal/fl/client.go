@@ -14,20 +14,13 @@ import (
 // (x, labels) at learning rate lr, returning the final local training loss.
 //
 // A non-nil global first overwrites m's parameters (the broadcast of
-// Algorithm 1, line 5) and anchors a FedProx proximal term (Li et al.,
-// MLSys'20): each step descends ∇[L(θ) + (μ/2)·‖θ − θ_G‖²], which tames
-// the client drift of multiple local steps under Non-IID data (see the
-// Eq. 19 boundary test) — an extension beyond the paper; μ = 0 is plain
-// Eq. (3). A nil global trains on from m's current parameters (separated
-// learning, a model loaded off the wire) and requires μ = 0. A non-nil dst
-// of m.NumParams() elements receives the updated flat parameters — the
-// upload payload.
-func LocalUpdate(m *nn.Sequential, loss *nn.SoftmaxCrossEntropy, x *tensor.Tensor, labels []int, global []float64, lr float64, steps int, mu float64, dst []float64) float64 {
+// Algorithm 1, line 5); a nil global trains on from m's current parameters
+// (separated learning, a model loaded off the wire). A non-nil dst of
+// m.NumParams() elements receives the updated flat parameters — the upload
+// payload.
+func LocalUpdate(m *nn.Sequential, loss *nn.SoftmaxCrossEntropy, x *tensor.Tensor, labels []int, global []float64, lr float64, steps int, dst []float64) float64 {
 	if steps <= 0 {
 		panic(fmt.Sprintf("fl: non-positive local steps %d", steps))
-	}
-	if mu < 0 || (mu != 0 && global == nil) {
-		panic(fmt.Sprintf("fl: proximal weight %g is negative or has no global model to anchor to", mu))
 	}
 	if global != nil {
 		m.SetFlatParams(global)
@@ -38,20 +31,11 @@ func LocalUpdate(m *nn.Sequential, loss *nn.SoftmaxCrossEntropy, x *tensor.Tenso
 		logits := m.Forward(x, true)
 		lossVal = loss.Forward(logits, labels)
 		m.BackwardParams(loss.Backward())
-		// θ ← θ - τ·(∇L + μ(θ − θ_G)); with μ=0 this is exactly Eq. (3)
-		// (the mean over |D_q| is inside the softmax-CE loss).
-		params, grads := m.Params(), m.Grads()
-		off := 0
-		for i, p := range params {
-			g := grads[i]
-			if mu != 0 {
-				pd, gd := p.Data(), g.Data()
-				for j := range pd {
-					gd[j] += mu * (pd[j] - global[off+j])
-				}
-			}
-			p.AXPY(-lr, g)
-			off += p.Size()
+		// θ ← θ - τ·∇L, Eq. (3) (the mean over |D_q| is inside the
+		// softmax-CE loss).
+		grads := m.Grads()
+		for i, p := range m.Params() {
+			p.AXPY(-lr, grads[i])
 		}
 	}
 	if dst != nil {

@@ -12,14 +12,13 @@ import (
 // float64 payloads bit-exact, which is what lets a distributed merge stay
 // byte-identical to the in-process run.
 type resultWire struct {
-	Scheme                           string
-	Records                          []RoundRecord
-	ModelBits                        float64
-	FinalAccuracy, BestAccuracy      float64
-	TotalTime, TotalEnergy           float64
-	StoppedByDeadline, ReachedTarget bool
-	Converged                        bool
-	HaltedByDeadFleet                bool
+	Scheme                      string
+	Records                     []RoundRecord
+	ModelBits                   float64
+	FinalAccuracy, BestAccuracy float64
+	TotalTime, TotalEnergy      float64
+	StoppedByDeadline           bool
+	HaltedByDeadFleet           bool
 }
 
 // GobEncode implements gob.GobEncoder, dropping Model (see resultWire).
@@ -34,8 +33,6 @@ func (r *Result) GobEncode() ([]byte, error) {
 		TotalTime:         r.TotalTime,
 		TotalEnergy:       r.TotalEnergy,
 		StoppedByDeadline: r.StoppedByDeadline,
-		ReachedTarget:     r.ReachedTarget,
-		Converged:         r.Converged,
 		HaltedByDeadFleet: r.HaltedByDeadFleet,
 	})
 	return buf.Bytes(), err
@@ -56,8 +53,6 @@ func (r *Result) GobDecode(data []byte) error {
 		TotalTime:         w.TotalTime,
 		TotalEnergy:       w.TotalEnergy,
 		StoppedByDeadline: w.StoppedByDeadline,
-		ReachedTarget:     w.ReachedTarget,
-		Converged:         w.Converged,
 		HaltedByDeadFleet: w.HaltedByDeadFleet,
 	}
 	return nil

@@ -2,7 +2,6 @@ package fl
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 
@@ -38,25 +37,11 @@ type Config struct {
 	LR float64
 	// LocalSteps is the number of full-batch GD passes per round (paper: 1).
 	LocalSteps int
-	// ProxMu adds a FedProx proximal term μ/2·‖θ−θ_G‖² to every local
-	// update. 0 (the default) is plain FedAvg per the paper.
-	ProxMu float64
 	// MaxRounds is J, the iteration budget.
 	MaxRounds int
 	// DeadlineSec, when positive, stops training once cumulative simulated
 	// wall-clock exceeds it (constraint (14)).
 	DeadlineSec float64
-	// TargetAccuracy, when positive, stops training at the first evaluation
-	// reaching it (the convergence exit of Algorithm 1).
-	TargetAccuracy float64
-	// ConvergePatience, when positive, stops training when the evaluated
-	// test loss has not improved by at least ConvergeDelta for that many
-	// consecutive evaluations — the other reading of Algorithm 1's "checks
-	// whether this newly created global ML model converges".
-	ConvergePatience int
-	// ConvergeDelta is the minimum loss improvement that resets patience
-	// (default 0: any improvement counts).
-	ConvergeDelta float64
 	// EvalEvery evaluates global test accuracy every k rounds (and always
 	// on the final round). 0 means every round.
 	EvalEvery int
@@ -190,10 +175,8 @@ type Result struct {
 	FinalAccuracy, BestAccuracy float64
 	// TotalTime and TotalEnergy are the summed round delays and energies.
 	TotalTime, TotalEnergy float64
-	// StoppedByDeadline and ReachedTarget report which exit fired.
-	StoppedByDeadline, ReachedTarget bool
-	// Converged reports the loss-plateau exit fired.
-	Converged bool
+	// StoppedByDeadline reports the Eq. 14 deadline exit fired.
+	StoppedByDeadline bool
 	// HaltedByDeadFleet reports that training stopped because every user
 	// the planner selected had exhausted its battery.
 	HaltedByDeadFleet bool
@@ -222,12 +205,10 @@ type Engine struct {
 	trainers []trainer
 	inputs   []*tensor.Tensor
 
-	res           *Result
-	cumTime       float64
-	cumEnergy     float64
-	bestLoss      float64
-	sinceImproved int
-	spentJ        []float64
+	res       *Result
+	cumTime   float64
+	cumEnergy float64
+	spentJ    []float64
 
 	round    int  // next round to execute
 	stopped  bool // an exit condition fired
@@ -351,9 +332,8 @@ func newEngineState(cfg Config) (*Engine, error) {
 			// steady-state round.
 			Records: make([]RoundRecord, 0, cfg.MaxRounds),
 		},
-		bestLoss: math.Inf(1),
-		spentJ:   make([]float64, len(cfg.Devices)),
-		topo:     TopologyOf(cfg.Planner),
+		spentJ: make([]float64, len(cfg.Devices)),
+		topo:   TopologyOf(cfg.Planner),
 	}, nil
 }
 
@@ -393,7 +373,7 @@ func (e *Engine) alive(q int) bool {
 
 // Step executes the next training round of Algorithm 1: selection,
 // broadcast, parallel local updates, sequential TDMA uploads, and FedAvg
-// aggregation, with the deadline and convergence exits. It returns whether
+// aggregation, with the J-round and deadline exits. It returns whether
 // a round was executed; false with a nil error means the campaign is done.
 func (e *Engine) Step() (bool, error) {
 	if e.Done() {
@@ -675,20 +655,6 @@ func (e *Engine) Step() (bool, error) {
 			e.res.BestAccuracy = ta
 		}
 		e.res.FinalAccuracy = ta
-		if cfg.TargetAccuracy > 0 && ta >= cfg.TargetAccuracy {
-			e.res.ReachedTarget = true
-		}
-		if cfg.ConvergePatience > 0 {
-			if tl < e.bestLoss-cfg.ConvergeDelta {
-				e.bestLoss = tl
-				e.sinceImproved = 0
-			} else {
-				e.sinceImproved++
-				if e.sinceImproved >= cfg.ConvergePatience {
-					e.res.Converged = true
-				}
-			}
-		}
 	}
 	if cfg.Sink != nil {
 		cfg.Sink.OnEvent(obs.RoundEndEvent{
@@ -704,9 +670,6 @@ func (e *Engine) Step() (bool, error) {
 	e.res.Records = append(e.res.Records, rec)
 	if deadlineHit {
 		e.res.StoppedByDeadline = true
-		e.stopped = true
-	}
-	if e.res.ReachedTarget || e.res.Converged {
 		e.stopped = true
 	}
 	if cfg.Trace != nil {
@@ -736,8 +699,7 @@ func (e *Engine) Result() *Result {
 				Scheme: e.res.Scheme, Rounds: len(e.res.Records),
 				TotalTimeSec: e.res.TotalTime, TotalEnergyJ: e.res.TotalEnergy,
 				FinalAccuracy: e.res.FinalAccuracy, BestAccuracy: e.res.BestAccuracy,
-				StoppedByDeadline: e.res.StoppedByDeadline, ReachedTarget: e.res.ReachedTarget,
-				Converged: e.res.Converged, HaltedByDeadFleet: e.res.HaltedByDeadFleet,
+				StoppedByDeadline: e.res.StoppedByDeadline, HaltedByDeadFleet: e.res.HaltedByDeadFleet,
 			})
 		}
 	}
@@ -746,7 +708,7 @@ func (e *Engine) Result() *Result {
 
 // Run executes Algorithm 1: initialization, then iterative rounds of
 // selection, broadcast, parallel local updates, sequential TDMA uploads, and
-// FedAvg aggregation, with the deadline and convergence exits.
+// FedAvg aggregation, with the J-round and deadline exits.
 func Run(cfg Config) (*Result, error) {
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -804,7 +766,7 @@ func (e *Engine) trainOne(t trainer, si, q int) {
 		// holds (the conformance tests pin this).
 		t0 = time.Now() //helcfl:allow(nondeterminism) telemetry-only span; no control-flow or model effect
 	}
-	e.losses[si] = LocalUpdate(t.model, t.loss, e.inputs[q], cfg.UserData[q].Labels, e.broadcast, cfg.LR, cfg.LocalSteps, cfg.ProxMu, e.flats[si])
+	e.losses[si] = LocalUpdate(t.model, t.loss, e.inputs[q], cfg.UserData[q].Labels, e.broadcast, cfg.LR, cfg.LocalSteps, e.flats[si])
 	if e.wall != nil {
 		e.wall[si] = time.Since(t0).Seconds() //helcfl:allow(nondeterminism) telemetry-only span; no control-flow or model effect
 	}

@@ -217,23 +217,6 @@ func TestRunDeadlineStops(t *testing.T) {
 	}
 }
 
-func TestRunTargetAccuracyStops(t *testing.T) {
-	env := newTestEnv(t, 5, 8)
-	cfg := baseConfig(env, allUsersPlanner(env.devs))
-	cfg.MaxRounds = 200
-	cfg.TargetAccuracy = 0.5
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.ReachedTarget {
-		t.Fatal("target accuracy never reached")
-	}
-	if len(res.Records) >= 200 {
-		t.Fatal("run did not stop at target")
-	}
-}
-
 func TestRunEvalEvery(t *testing.T) {
 	env := newTestEnv(t, 6, 6)
 	cfg := baseConfig(env, allUsersPlanner(env.devs))
@@ -329,7 +312,6 @@ func TestRunSLBasic(t *testing.T) {
 	res, err := RunSL(SLConfig{
 		Spec:       env.spec,
 		Devices:    env.devs,
-		Channel:    env.ch,
 		UserData:   env.users,
 		Test:       env.test,
 		Fraction:   0.5,
@@ -370,7 +352,7 @@ func TestSLWorseThanFederated(t *testing.T) {
 	}
 	env2 := newTestEnv(t, 13, 8)
 	slRes, err := RunSL(SLConfig{
-		Spec: env2.spec, Devices: env2.devs, Channel: env2.ch,
+		Spec: env2.spec, Devices: env2.devs,
 		UserData: env2.users, Test: env2.test,
 		Fraction: 1.0, LR: 0.3, LocalSteps: 1, MaxRounds: 60, EvalEvery: 10, Seed: 42,
 	})
@@ -389,7 +371,7 @@ func TestSLWorseThanFederated(t *testing.T) {
 func TestRunSLMatchesClientReference(t *testing.T) {
 	env := newTestEnv(t, 17, 6)
 	cfg := SLConfig{
-		Spec: env.spec, Devices: env.devs, Channel: env.ch,
+		Spec: env.spec, Devices: env.devs,
 		UserData: env.users, Test: env.test,
 		Fraction: 0.5, LR: 0.3, LocalSteps: 2, MaxRounds: 8, EvalEvery: 3, EvalUsers: 4, Seed: 5,
 	}
@@ -429,7 +411,7 @@ func TestRunSLMatchesClientReference(t *testing.T) {
 func TestRunSLValidation(t *testing.T) {
 	env := newTestEnv(t, 14, 4)
 	good := SLConfig{
-		Spec: env.spec, Devices: env.devs, Channel: env.ch,
+		Spec: env.spec, Devices: env.devs,
 		UserData: env.users, Test: env.test,
 		Fraction: 0.5, LR: 0.1, LocalSteps: 1, MaxRounds: 5,
 	}
@@ -473,7 +455,7 @@ func TestClientRequiresData(t *testing.T) {
 		users := append([]*dataset.Dataset(nil), env.users...)
 		users[1] = data
 		_, err := RunSL(SLConfig{
-			Spec: env.spec, Devices: env.devs, Channel: env.ch,
+			Spec: env.spec, Devices: env.devs,
 			UserData: users, Test: env.test,
 			Fraction: 1, LR: 0.1, LocalSteps: 1, MaxRounds: 2,
 		})

@@ -63,20 +63,14 @@ func NewClient(user int, data *dataset.Dataset, model *nn.Sequential, flattenInp
 // LocalUpdate implements Eq. (3): starting from the broadcast global
 // parameters, run `steps` full-batch gradient-descent passes over the local
 // dataset at learning rate lr, and return the updated flat parameter vector
-// (the upload payload) along with the final local training loss.
+// (the upload payload) along with the final local training loss. The
+// returned slice is the client's internal upload buffer, reused on the next
+// update — callers that need it past that point must copy it.
 func (c *Client) LocalUpdate(globalFlat []float64, lr float64, steps int) ([]float64, float64) {
-	return c.LocalUpdateProx(globalFlat, lr, steps, 0)
-}
-
-// LocalUpdateProx is LocalUpdate with a FedProx proximal weight μ (see the
-// package-level LocalUpdate). The returned slice is the client's internal
-// upload buffer, reused on the next update — callers that need it past that
-// point must copy it.
-func (c *Client) LocalUpdateProx(globalFlat []float64, lr float64, steps int, mu float64) ([]float64, float64) {
 	if len(c.flat) != c.model.NumParams() {
 		c.flat = make([]float64, c.model.NumParams())
 	}
-	return c.flat, LocalUpdate(c.model, c.loss, c.x, c.Data.Labels, globalFlat, lr, steps, mu, c.flat)
+	return c.flat, LocalUpdate(c.model, c.loss, c.x, c.Data.Labels, globalFlat, lr, steps, c.flat)
 }
 
 // Model exposes the client's model.
@@ -86,5 +80,5 @@ func (c *Client) Model() *nn.Sequential { return c.model }
 // resetting from a global model — the separated-learning update RunSL is
 // pinned to.
 func (c *Client) TrainOwn(lr float64, steps int) float64 {
-	return LocalUpdate(c.model, c.loss, c.x, c.Data.Labels, nil, lr, steps, 0, nil)
+	return LocalUpdate(c.model, c.loss, c.x, c.Data.Labels, nil, lr, steps, nil)
 }

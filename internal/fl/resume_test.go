@@ -9,6 +9,8 @@ package fl_test
 // networked half.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -189,25 +191,104 @@ func TestEngineResumeBitIdentical(t *testing.T) {
 			if back.Round != split {
 				t.Fatalf("resumed at round %d, want %d", back.Round, split)
 			}
-			for {
-				ok, err := resumed.Step()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-			}
-			res := resumed.Result()
-			recordsBitEqual(t, res.Records, ref.Records)
-			modelsBitEqual(t, res.Model, ref.Model)
-			if res.FinalAccuracy != ref.FinalAccuracy || res.BestAccuracy != ref.BestAccuracy ||
-				res.TotalTime != ref.TotalTime || res.TotalEnergy != ref.TotalEnergy ||
-				res.HaltedByDeadFleet != ref.HaltedByDeadFleet {
-				t.Fatalf("result roll-up diverges: %+v vs %+v", res, ref)
-			}
+			finishBitEqual(t, resumed, ref)
 		})
 	}
+}
+
+// finishBitEqual steps eng to the end of its campaign and requires the
+// result to be bit-identical to ref, the uninterrupted run.
+func finishBitEqual(t *testing.T, eng *fl.Engine, ref *fl.Result) {
+	t.Helper()
+	for {
+		ok, err := eng.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	res := eng.Result()
+	recordsBitEqual(t, res.Records, ref.Records)
+	modelsBitEqual(t, res.Model, ref.Model)
+	if res.FinalAccuracy != ref.FinalAccuracy || res.BestAccuracy != ref.BestAccuracy ||
+		res.TotalTime != ref.TotalTime || res.TotalEnergy != ref.TotalEnergy ||
+		res.StoppedByDeadline != ref.StoppedByDeadline || res.HaltedByDeadFleet != ref.HaltedByDeadFleet {
+		t.Fatalf("result roll-up diverges: %+v vs %+v", res, ref)
+	}
+}
+
+// parentEngineState is EngineState as checkpoints written before the
+// convergence exits were removed encode it: it also carries the
+// loss-plateau bookkeeping and the two exit flags those exits set.
+type parentEngineState struct {
+	Round                       int
+	RNGUsed                     uint64
+	GlobalParams                []float64
+	CumTime, CumEnergy          float64
+	BestLossBits                uint64
+	SinceImproved               int
+	SpentJ                      []float64
+	Records                     []fl.RoundRecord
+	BestAccuracy, FinalAccuracy float64
+	StoppedByDeadline           bool
+	ReachedTarget               bool
+	Converged                   bool
+	HaltedByDeadFleet           bool
+	Stopped                     bool
+	PlannerState                []byte
+}
+
+// TestEngineResumesParentShapedState pins checkpoint compatibility: a
+// state gob-encoded with the old fields decodes, restores, and finishes the
+// campaign bit-identically to the live run.
+func TestEngineResumesParentShapedState(t *testing.T) {
+	env := newResumeEnv(t)
+	ref, err := fl.Run(env.config(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := fl.NewEngine(env.config(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	const split = 4
+	for i := 0; i < split; i++ {
+		if ok, err := eng.Step(); err != nil || !ok {
+			t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	st, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The values a campaign without the convergence exits wrote: no loss
+	// tracked (+Inf), no patience spent, neither exit fired.
+	old := parentEngineState{
+		Round: st.Round, RNGUsed: st.RNGUsed, GlobalParams: st.GlobalParams,
+		CumTime: st.CumTime, CumEnergy: st.CumEnergy,
+		BestLossBits: math.Float64bits(math.Inf(1)), SinceImproved: 0,
+		SpentJ: st.SpentJ, Records: st.Records,
+		BestAccuracy: st.BestAccuracy, FinalAccuracy: st.FinalAccuracy,
+		StoppedByDeadline: st.StoppedByDeadline, ReachedTarget: false, Converged: false,
+		HaltedByDeadFleet: st.HaltedByDeadFleet, Stopped: st.Stopped,
+		PlannerState: st.PlannerState,
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := fl.UnmarshalEngineState(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := fl.RestoreEngine(env.config(t), st2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finishBitEqual(t, resumed, ref)
 }
 
 // TestRestoreEngineRejectsMismatchedState pins the defensive checks: a

@@ -10,7 +10,6 @@ import (
 	"helcfl/internal/nn"
 	"helcfl/internal/sim"
 	"helcfl/internal/tensor"
-	"helcfl/internal/wireless"
 )
 
 // SLConfig configures the separated-learning baseline (the paper's "SL"
@@ -20,7 +19,6 @@ import (
 type SLConfig struct {
 	Spec       nn.ModelSpec
 	Devices    []*device.Device
-	Channel    wireless.Channel
 	UserData   []*dataset.Dataset
 	Test       *dataset.Dataset
 	Fraction   float64
@@ -96,7 +94,7 @@ func RunSL(cfg SLConfig) (*SLResult, error) {
 		lossSum := 0.0
 		var maxDelay, energy float64
 		for _, q := range sel {
-			lossSum += LocalUpdate(models[q], loss, inputs[q], cfg.UserData[q].Labels, nil, cfg.LR, cfg.LocalSteps, 0, nil)
+			lossSum += LocalUpdate(models[q], loss, inputs[q], cfg.UserData[q].Labels, nil, cfg.LR, cfg.LocalSteps, nil)
 			d := cfg.Devices[q]
 			delay := float64(cfg.LocalSteps) * d.ComputeDelayAtMax()
 			if delay > maxDelay {

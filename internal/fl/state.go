@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"math"
 )
 
 // EngineState is a complete snapshot of an Engine taken at a round
 // boundary: everything Algorithm 1 accumulates across rounds — global model
 // parameters (full float64 precision, so the resumed FedAvg trajectory is
-// bit-identical), the RNG stream position, battery ledgers, convergence
-// bookkeeping, and the completed-round records. Together with the planner's
+// bit-identical), the RNG stream position, battery ledgers, and the
+// completed-round records. Together with the planner's
 // exported state (PlannerState) it is sufficient to reconstruct an engine
 // whose remaining rounds are indistinguishable from never having stopped.
 type EngineState struct {
@@ -24,11 +23,6 @@ type EngineState struct {
 	GlobalParams []float64
 	// CumTime and CumEnergy accumulate the executed rounds' costs.
 	CumTime, CumEnergy float64
-	// BestLoss and SinceImproved are the convergence-patience bookkeeping.
-	// BestLoss is stored as IEEE bits so +Inf (no evaluation yet) survives
-	// every encoder exactly.
-	BestLossBits  uint64
-	SinceImproved int
 	// SpentJ is the per-device lifetime energy ledger (battery faults).
 	SpentJ []float64
 	// Records are the completed rounds.
@@ -36,8 +30,6 @@ type EngineState struct {
 	// Result roll-up captured so far.
 	BestAccuracy, FinalAccuracy float64
 	StoppedByDeadline           bool
-	ReachedTarget               bool
-	Converged                   bool
 	HaltedByDeadFleet           bool
 	// Stopped mirrors the engine's exit latch.
 	Stopped bool
@@ -60,15 +52,11 @@ func (e *Engine) Snapshot() (*EngineState, error) {
 		GlobalParams:      e.global.GetFlatParams(),
 		CumTime:           e.cumTime,
 		CumEnergy:         e.cumEnergy,
-		BestLossBits:      math.Float64bits(e.bestLoss),
-		SinceImproved:     e.sinceImproved,
 		SpentJ:            append([]float64(nil), e.spentJ...),
 		Records:           copyRecords(e.res.Records),
 		BestAccuracy:      e.res.BestAccuracy,
 		FinalAccuracy:     e.res.FinalAccuracy,
 		StoppedByDeadline: e.res.StoppedByDeadline,
-		ReachedTarget:     e.res.ReachedTarget,
-		Converged:         e.res.Converged,
 		HaltedByDeadFleet: e.res.HaltedByDeadFleet,
 		Stopped:           e.stopped,
 	}
@@ -117,16 +105,12 @@ func RestoreEngine(cfg Config, st *EngineState) (*Engine, error) {
 	e.round = st.Round
 	e.cumTime = st.CumTime
 	e.cumEnergy = st.CumEnergy
-	e.bestLoss = math.Float64frombits(st.BestLossBits)
-	e.sinceImproved = st.SinceImproved
 	e.spentJ = append([]float64(nil), st.SpentJ...)
 	e.stopped = st.Stopped
 	e.res.Records = copyRecords(st.Records)
 	e.res.BestAccuracy = st.BestAccuracy
 	e.res.FinalAccuracy = st.FinalAccuracy
 	e.res.StoppedByDeadline = st.StoppedByDeadline
-	e.res.ReachedTarget = st.ReachedTarget
-	e.res.Converged = st.Converged
 	e.res.HaltedByDeadFleet = st.HaltedByDeadFleet
 	if st.PlannerState != nil {
 		sp, ok := cfg.Planner.(StatefulPlanner)

@@ -58,8 +58,8 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // engine's worker-owned models: one trainer driven over users with
 // different |D_q| — shrinking, growing, shrinking again, then revisiting —
 // must produce, for every user, the upload and loss a fresh Client with its
-// own model clone produces, bit for bit. Multiple steps and a proximal term
-// exercise every buffer the loop touches.
+// own model clone produces, bit for bit. Multiple steps exercise every
+// buffer the loop touches.
 func TestTrainerReuseMatchesFreshClients(t *testing.T) {
 	for _, spec := range []nn.ModelSpec{
 		{Kind: "mlp", InC: 2, H: 8, W: 8, Classes: 4, Hidden: []int{16, 8}},
@@ -70,14 +70,14 @@ func TestTrainerReuseMatchesFreshClients(t *testing.T) {
 			global := spec.Build(rand.New(rand.NewSource(5)))
 			globalFlat := global.GetFlatParams()
 			flatten := spec.FlattensInput()
-			const lr, steps, mu = 0.1, 2, 0.05
+			const lr, steps = 0.1, 2
 
 			tr := trainer{model: global.Clone(), loss: nn.NewSoftmaxCrossEntropy()}
 			upload := make([]float64, len(globalFlat))
 			for _, q := range []int{0, 1, 2, 3, 4, 5, 3, 0} {
 				d := env.users[q]
-				loss := LocalUpdate(tr.model, tr.loss, modelInput(d, flatten), d.Labels, globalFlat, lr, steps, mu, upload)
-				wantUpload, wantLoss := NewClient(q, d, global.Clone(), flatten).LocalUpdateProx(globalFlat, lr, steps, mu)
+				loss := LocalUpdate(tr.model, tr.loss, modelInput(d, flatten), d.Labels, globalFlat, lr, steps, upload)
+				wantUpload, wantLoss := NewClient(q, d, global.Clone(), flatten).LocalUpdate(globalFlat, lr, steps)
 				if !sameBits(loss, wantLoss) {
 					t.Fatalf("user %d (|D_q|=%d): reused trainer loss %v, fresh client %v", q, d.N(), loss, wantLoss)
 				}
@@ -92,32 +92,22 @@ func TestTrainerReuseMatchesFreshClients(t *testing.T) {
 // fullBackwardUpdate is LocalUpdate's Eq. (3) loop written out with
 // Sequential.Backward, which also computes the first layer's input
 // gradient: the reference LocalUpdate's parameter-only backward must match.
-func fullBackwardUpdate(m *nn.Sequential, loss *nn.SoftmaxCrossEntropy, x *tensor.Tensor, labels []int, global []float64, lr float64, steps int, mu float64) ([]float64, float64) {
+func fullBackwardUpdate(m *nn.Sequential, loss *nn.SoftmaxCrossEntropy, x *tensor.Tensor, labels []int, global []float64, lr float64, steps int) ([]float64, float64) {
 	m.SetFlatParams(global)
 	lossVal := 0.0
 	for s := 0; s < steps; s++ {
 		m.ZeroGrads()
 		lossVal = loss.Forward(m.Forward(x, true), labels)
 		m.Backward(loss.Backward())
-		off := 0
 		for i, p := range m.Params() {
-			g := m.Grads()[i]
-			if mu != 0 {
-				pd, gd := p.Data(), g.Data()
-				for j := range gd {
-					gd[j] += mu * (pd[j] - global[off+j])
-				}
-			}
-			p.AXPY(-lr, g)
-			off += p.Size()
+			p.AXPY(-lr, m.Grads()[i])
 		}
 	}
 	return m.GetFlatParams(), lossVal
 }
 
 // TestLocalUpdateMatchesFullBackward pins the parameter-only backward on
-// the product path: for every model kind, with and without the proximal
-// term, over one and several steps, LocalUpdate's parameters and loss are
+// the product path: for every model kind, over one and several steps, LocalUpdate's parameters and loss are
 // bit-identical to the same loop run with the full Backward.
 func TestLocalUpdateMatchesFullBackward(t *testing.T) {
 	for _, spec := range []nn.ModelSpec{
@@ -129,19 +119,17 @@ func TestLocalUpdateMatchesFullBackward(t *testing.T) {
 		d := env.users[0]
 		x := modelInput(d, spec.FlattensInput())
 		global := spec.Build(rand.New(rand.NewSource(9))).GetFlatParams()
-		for _, mu := range []float64{0, 0.01} {
-			for _, steps := range []int{1, 3} {
-				m := spec.Build(rand.New(rand.NewSource(1)))
-				ref := m.Clone()
-				got := make([]float64, len(global))
-				gotLoss := LocalUpdate(m, nn.NewSoftmaxCrossEntropy(), x, d.Labels, global, 0.1, steps, mu, got)
-				want, wantLoss := fullBackwardUpdate(ref, nn.NewSoftmaxCrossEntropy(), x, d.Labels, global, 0.1, steps, mu)
-				if !sameBits(gotLoss, wantLoss) {
-					t.Errorf("%s mu=%g steps=%d: loss %v, full backward %v", spec.Kind, mu, steps, gotLoss, wantLoss)
-				}
-				if !slices.EqualFunc(got, want, sameBits) {
-					t.Errorf("%s mu=%g steps=%d: parameters diverge from the full-backward loop", spec.Kind, mu, steps)
-				}
+		for _, steps := range []int{1, 3} {
+			m := spec.Build(rand.New(rand.NewSource(1)))
+			ref := m.Clone()
+			got := make([]float64, len(global))
+			gotLoss := LocalUpdate(m, nn.NewSoftmaxCrossEntropy(), x, d.Labels, global, 0.1, steps, got)
+			want, wantLoss := fullBackwardUpdate(ref, nn.NewSoftmaxCrossEntropy(), x, d.Labels, global, 0.1, steps)
+			if !sameBits(gotLoss, wantLoss) {
+				t.Errorf("%s steps=%d: loss %v, full backward %v", spec.Kind, steps, gotLoss, wantLoss)
+			}
+			if !slices.EqualFunc(got, want, sameBits) {
+				t.Errorf("%s steps=%d: parameters diverge from the full-backward loop", spec.Kind, steps)
 			}
 		}
 	}

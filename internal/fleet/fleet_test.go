@@ -406,6 +406,40 @@ func TestWorkerReportsDeterministicCellFailure(t *testing.T) {
 	}
 }
 
+// TestWorkerReportsEncodeFailure pins that a result the worker cannot
+// encode fails its cell at once, like a Run error, instead of ending the
+// worker and leaving Wait blocked on a cell nobody will complete.
+func TestWorkerReportsEncodeFailure(t *testing.T) {
+	cells := testCells(3)
+	bad := cells[1].Key()
+	c, srv := newTestCoordinator(t, CoordinatorConfig{Cells: cells})
+	w, err := NewWorker(WorkerConfig{
+		Coordinator: srv.URL, Name: "w0",
+		Resolve: func(PlanInfo) ([]grid.Cell, error) { return testCells(3), nil },
+		Encode: func(v any) ([]byte, error) {
+			if v.(testResult).Key == bad {
+				return nil, errors.New("unencodable")
+			}
+			return testEncode(v)
+		},
+	})
+	if err != nil {
+		t.Fatalf("NewWorker: %v", err)
+	}
+	runErr := make(chan error, 1)
+	go func() { runErr <- w.Run(context.Background()) }()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err = c.Wait(ctx)
+	var errs grid.Errors
+	if !errors.As(err, &errs) || len(errs) != 1 || errs[0].Index != 1 || errs[0].Key != bad {
+		t.Fatalf("Wait error = %v, want one grid.CellError for %s", err, bad)
+	}
+	if err := <-runErr; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
 func TestWaitHonorsContext(t *testing.T) {
 	c, _ := newTestCoordinator(t, CoordinatorConfig{Cells: testCells(1)})
 	ctx, cancel := context.WithCancel(context.Background())

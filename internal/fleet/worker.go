@@ -44,11 +44,9 @@ type WorkerConfig struct {
 	// Seed seeds the retry jitter and heartbeat phase, decorrelating a
 	// fleet that shares one outage.
 	Seed int64
-	// Log and Trace attach observability; each may be nil. TraceParent
-	// roots the worker's fleet.cell spans.
-	Log         deploy.Logf
-	Trace       *span.Recorder
-	TraceParent span.Ref
+	// Log and Trace attach observability; each may be nil.
+	Log   deploy.Logf
+	Trace *span.Recorder
 }
 
 // Worker leases cells from a coordinator, runs them locally on the
@@ -112,8 +110,12 @@ func (w *Worker) Fenced() int { return int(w.fenced.Load()) }
 // canceled, or Drain is called.
 func (w *Worker) Run(ctx context.Context) error {
 	var info PlanInfo
-	if err := w.getJSON(ctx, PathPlan, &info); err != nil {
+	status, err := w.exchange(ctx, w.policy, http.MethodGet, PathPlan, nil, &info, span.Ref{})
+	if err != nil {
 		return fmt.Errorf("fleet: fetch plan: %w", err)
+	}
+	if status != http.StatusOK {
+		return fmt.Errorf("fleet: fetch plan: unexpected status %d", status)
 	}
 	cells, err := w.cfg.Resolve(info)
 	if err != nil {
@@ -135,7 +137,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return nil
 		}
 		var lease LeaseResponse
-		status, err := w.postJSON(ctx, w.policy, PathLease, LeaseRequest{Worker: w.cfg.Name}, &lease, w.cfg.TraceParent)
+		status, err := w.exchange(ctx, w.policy, http.MethodPost, PathLease, LeaseRequest{Worker: w.cfg.Name}, &lease, span.Ref{})
 		if err != nil {
 			return fmt.Errorf("fleet: lease: %w", err)
 		}
@@ -170,7 +172,7 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // runCell executes one leased cell under heartbeats and reports it.
 func (w *Worker) runCell(ctx context.Context, cell grid.Cell, lease LeaseResponse) error {
-	sp := w.cfg.Trace.Start(w.cfg.TraceParent, "fleet.cell")
+	sp := w.cfg.Trace.Start(span.Ref{}, "fleet.cell")
 	sp.SetStr("key", lease.Key)
 	sp.SetInt("index", int64(lease.Index))
 	sp.SetInt("token", int64(lease.Token))
@@ -210,19 +212,21 @@ func (w *Worker) runCell(ctx context.Context, cell grid.Cell, lease LeaseRespons
 		return nil
 	}
 	req := CompleteRequest{Worker: w.cfg.Name, Index: lease.Index, Token: lease.Token}
-	if runErr != nil {
-		// A deterministic cell failure: report it so the coordinator can
-		// surface it like grid.Runner would, instead of re-leasing a cell
-		// that will fail everywhere forever.
-		req.Error = runErr.Error()
-	} else {
+	if runErr == nil {
 		enc, err := w.cfg.Encode(v)
 		if err != nil {
-			return fmt.Errorf("fleet: encode cell %d result: %w", lease.Index, err)
+			runErr = fmt.Errorf("encode result: %w", err)
 		}
 		req.Result = enc
 	}
-	status, err := w.postJSON(ctx, w.policy, PathComplete, req, nil, sp.Ref())
+	if runErr != nil {
+		// A deterministic cell failure — the cell's own or its result's
+		// encoding: report it so the coordinator can surface it like
+		// grid.Runner would, instead of re-leasing a cell that will fail
+		// everywhere forever.
+		req.Result, req.Error = nil, runErr.Error()
+	}
+	status, err := w.exchange(ctx, w.policy, http.MethodPost, PathComplete, req, nil, sp.Ref())
 	switch {
 	case err != nil:
 		return fmt.Errorf("fleet: complete cell %d: %w", lease.Index, err)
@@ -262,7 +266,7 @@ func (w *Worker) heartbeat(ctx context.Context, fence func(), lease LeaseRespons
 		hb := HeartbeatRequest{Worker: w.cfg.Name, Index: lease.Index, Token: lease.Token}
 		// Single attempt per beat: a missed beat is recoverable (the next
 		// one lands well within the TTL), so no retry budget is spent.
-		status, err := w.postJSON(ctx, retry.Policy{Base: w.cfg.BaseBackoff}, PathHeartbeat, hb, nil, parent)
+		status, err := w.exchange(ctx, retry.Policy{Base: w.cfg.BaseBackoff}, http.MethodPost, PathHeartbeat, hb, nil, parent)
 		if err == nil && status == http.StatusConflict {
 			w.logf("fleet: %s lease on cell %d fenced; abandoning", w.cfg.Name, lease.Index)
 			fence()
@@ -272,97 +276,59 @@ func (w *Worker) heartbeat(ctx context.Context, fence func(), lease LeaseRespons
 	}
 }
 
-// getJSON fetches path with the worker's retry policy.
-func (w *Worker) getJSON(ctx context.Context, path string, out any) error {
-	return w.policy.Do(ctx, func(ctx context.Context, attempt int) error {
-		reqCtx, cancel := w.attemptCtx(ctx)
-		defer cancel()
-		req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, w.cfg.Coordinator+path, nil)
-		if err != nil {
-			return err
+// exchange sends one JSON request to path under pol — body, when non-nil,
+// is marshalled as the payload — and decodes a 200 response into out (when
+// non-nil). Transport failures and 5xx are transient; any other status is
+// returned to the caller undisturbed (409 carries fencing semantics).
+func (w *Worker) exchange(ctx context.Context, pol retry.Policy, method, path string, body, out any, parent span.Ref) (int, error) {
+	var payload []byte
+	if body != nil {
+		var err error
+		if payload, err = json.Marshal(body); err != nil {
+			return 0, err
 		}
-		w.setTrace(req, w.cfg.TraceParent)
-		resp, err := w.cfg.HTTPClient.Do(req)
-		if err != nil {
-			return w.transient(ctx, err)
-		}
-		body, readErr := io.ReadAll(resp.Body)
-		_ = resp.Body.Close()
-		if readErr != nil {
-			return w.transient(ctx, readErr)
-		}
-		if resp.StatusCode >= 500 {
-			return retry.Transient(fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(body)))
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(body))
-		}
-		return json.Unmarshal(body, out)
-	})
-}
-
-// postJSON posts body to path under the given retry policy, decoding a
-// 200 response into out (when non-nil). Transport failures and 5xx are
-// transient; any other status is returned to the caller undisturbed (409
-// carries fencing semantics).
-func (w *Worker) postJSON(ctx context.Context, pol retry.Policy, path string, body, out any, parent span.Ref) (int, error) {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return 0, err
 	}
 	status := 0
-	err = pol.Do(ctx, func(ctx context.Context, attempt int) error {
-		reqCtx, cancel := w.attemptCtx(ctx)
+	err := pol.Do(ctx, func(ctx context.Context, attempt int) error {
+		reqCtx, cancel := ctx, context.CancelFunc(func() {})
+		if w.cfg.RequestTimeout > 0 {
+			reqCtx, cancel = context.WithTimeout(ctx, w.cfg.RequestTimeout)
+		}
 		defer cancel()
-		req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, w.cfg.Coordinator+path, bytes.NewReader(payload))
+		req, err := http.NewRequestWithContext(reqCtx, method, w.cfg.Coordinator+path, bytes.NewReader(payload))
 		if err != nil {
 			return err
 		}
-		req.Header.Set("Content-Type", "application/json")
-		w.setTrace(req, parent)
-		resp, err := w.cfg.HTTPClient.Do(req)
-		if err != nil {
-			return w.transient(ctx, err)
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
 		}
-		respBody, readErr := io.ReadAll(resp.Body)
-		_ = resp.Body.Close()
-		if readErr != nil {
-			return w.transient(ctx, readErr)
+		if w.cfg.Trace != nil {
+			// Stitches this request to the worker's spans across processes.
+			req.Header.Set(deploy.TraceHeader, deploy.FormatTraceHeader(parent))
+		}
+		var respBody []byte
+		resp, err := w.cfg.HTTPClient.Do(req)
+		if err == nil {
+			respBody, err = io.ReadAll(resp.Body)
+			_ = resp.Body.Close()
+		}
+		if err != nil {
+			// Prefer the caller's cancellation over a retry.
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			return retry.Transient(err)
 		}
 		if resp.StatusCode >= 500 {
 			return retry.Transient(fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(respBody)))
 		}
 		status = resp.StatusCode
-		if resp.StatusCode == http.StatusOK && out != nil {
+		if status == http.StatusOK && out != nil {
 			return json.Unmarshal(respBody, out)
 		}
 		return nil
 	})
 	return status, err
-}
-
-// attemptCtx bounds one HTTP attempt by RequestTimeout.
-func (w *Worker) attemptCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if w.cfg.RequestTimeout > 0 {
-		return context.WithTimeout(ctx, w.cfg.RequestTimeout)
-	}
-	return ctx, func() {}
-}
-
-// transient classifies a transport/read failure, preferring the caller's
-// cancellation over a retry.
-func (w *Worker) transient(ctx context.Context, err error) error {
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return retry.Transient(err)
-}
-
-// setTrace stitches this request to the worker's spans across processes.
-func (w *Worker) setTrace(req *http.Request, parent span.Ref) {
-	if w.cfg.Trace != nil {
-		req.Header.Set(deploy.TraceHeader, deploy.FormatTraceHeader(parent))
-	}
 }
 
 func (w *Worker) logf(format string, args ...interface{}) {

@@ -190,46 +190,6 @@ func TestErrorCollection(t *testing.T) {
 	}
 }
 
-func TestFailFastCancelsRemainingCells(t *testing.T) {
-	boom := errors.New("boom")
-	const n = 40
-	cells := make([]Cell, n)
-	var ran atomic.Int64
-	for i := range cells {
-		i := i
-		cells[i] = cell(i, func(ctx context.Context, _ *rand.Rand) (any, error) {
-			ran.Add(1)
-			if i == 0 {
-				return nil, boom
-			}
-			<-ctx.Done() // with FailFast, in-flight cells see cancellation
-			return nil, ctx.Err()
-		})
-	}
-	// Serial pool: cell 0 fails first, every later cell must be skipped
-	// without running.
-	ran.Store(0)
-	_, err := (&Runner{Parallel: 1, FailFast: true}).Run(context.Background(), cells)
-	var errs Errors
-	if !errors.As(err, &errs) {
-		t.Fatalf("got %v, want Errors", err)
-	}
-	if got := ran.Load(); got != 1 {
-		t.Fatalf("%d cells ran after a fail-fast failure, want 1", got)
-	}
-	if len(errs) != n {
-		t.Fatalf("collected %d errors, want %d (failure + skips)", len(errs), n)
-	}
-	if !errors.Is(errs[0], boom) {
-		t.Errorf("first error is %v, want the root failure", errs[0])
-	}
-	for _, e := range errs[1:] {
-		if !errors.Is(e, context.Canceled) {
-			t.Fatalf("skipped cell error = %v, want context.Canceled", e)
-		}
-	}
-}
-
 func TestCancellationMidGrid(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 30

@@ -35,9 +35,6 @@ type Runner struct {
 	// Parallel bounds the worker pool; <= 0 means GOMAXPROCS. The pool
 	// never exceeds the grid size.
 	Parallel int
-	// FailFast cancels the remaining grid on the first cell error instead
-	// of collecting every failure.
-	FailFast bool
 	// Metrics, when set, receives the campaign counters
 	// (helcfl_grid_cells_{started,completed,failed}_total), grid gauges,
 	// and the campaign/cell wall-second histograms.
@@ -94,8 +91,7 @@ func newGridMetrics(reg *obs.Registry) *gridMetrics {
 // Each worker checks ctx before pulling the next cell; once ctx is
 // canceled, unstarted cells are marked with a CellError wrapping ctx.Err()
 // and in-flight cells run to completion (their Runs see the canceled ctx
-// and may return early). With FailFast, the first cell error cancels the
-// rest of the grid the same way.
+// and may return early).
 //
 // On any failure the returned error is an Errors slice in index order;
 // results of successful cells are still populated.
@@ -130,9 +126,6 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]any, error) {
 	defer campSp.End()
 	campRef := campSp.Ref()
 
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	cellErrs := make([]*CellError, n)
 	var started, completed, failed atomic.Int64
 	var progressMu sync.Mutex
@@ -157,7 +150,7 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]any, error) {
 					return
 				}
 				key := cells[i].Key()
-				if err := cctx.Err(); err != nil {
+				if err := ctx.Err(); err != nil {
 					cellErrs[i] = &CellError{Index: i, Key: key, Err: err}
 					continue
 				}
@@ -175,9 +168,9 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]any, error) {
 				cellSp := rec.Start(campRef, "grid.cell")
 				cellSp.SetStr("key", key)
 				cellSp.SetInt("index", int64(i))
-				runCtx := cctx
+				runCtx := ctx
 				if rec != nil {
-					runCtx = span.WithParent(cctx, rec, cellSp.Ref())
+					runCtx = span.WithParent(ctx, rec, cellSp.Ref())
 				}
 				v, err := cells[i].Run(runCtx, cells[i].RNG())
 				cellSp.End()
@@ -188,9 +181,6 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]any, error) {
 					failed.Add(1)
 					if m != nil {
 						m.failed.Inc()
-					}
-					if r.FailFast {
-						cancel()
 					}
 				} else {
 					results[i] = v

@@ -28,6 +28,14 @@ var keep = map[string]string{
 	"tensor.SetWorkers":         "worker-count hook the kernel determinism tests sweep",
 }
 
+// keepFields names the exported fields that no non-test code writes but that
+// stay on purpose, each with its reason. TestReachability fails on an entry
+// that no longer exists or that non-test code now writes.
+var keepFields = map[string]string{
+	"fl.Config.QuantizeUploads":   "the only way the sim↔deploy conformance tests and the quantized zero-alloc gate reach the wire's float32 precision",
+	"fl.Config.QuantizeBroadcast": "the only way the sim↔deploy conformance tests and the quantized zero-alloc gate reach the wire's float32 precision",
+}
+
 // testSupport are the packages whose every declaration is a root: they exist
 // to be imported by tests.
 var testSupport = map[string]bool{
@@ -82,7 +90,10 @@ type reachIface struct {
 }
 
 // TestReachability fails for every non-test declaration that no product path
-// reaches. The roots are the main functions under cmd/, examples/ and _bench,
+// reaches, and for every exported field of an exported struct type that no
+// non-test code writes: such a field is an option fixed at its zero value.
+//
+// The roots are the main functions under cmd/, examples/ and _bench,
 // the exported API of the root helcfl facade, the test-support packages, the
 // init functions and package variable initialisers of every package a root
 // imports, and the keep table. A live declaration makes live whatever it
@@ -176,6 +187,138 @@ func TestReachability(t *testing.T) {
 	if len(dead) > 0 {
 		t.Errorf("%d unreached declarations, %d lines: delete them, move a test oracle into its _test.go file, or add a keep entry with its reason", len(dead), lines)
 	}
+
+	fields := exportedFields(pkgs)
+	written := writtenFields(pkgs)
+	for _, key := range sortedKeys(keepFields) {
+		f, ok := fields[key]
+		switch {
+		case !ok:
+			t.Errorf("stale keepFields entry %s: no such field", key)
+		case written[f]:
+			t.Errorf("stale keepFields entry %s: non-test code writes it", key)
+		}
+	}
+	var unset []string
+	for key, f := range fields {
+		if !written[f] && keepFields[key] == "" {
+			unset = append(unset, key)
+		}
+	}
+	sort.Strings(unset)
+	for _, key := range unset {
+		pos := g.fset.Position(fields[key].Pos())
+		file, _ := filepath.Rel(root, pos.Filename)
+		t.Errorf("unset: %s %s:%d", key, file, pos.Line)
+	}
+	if len(unset) > 0 {
+		t.Errorf("%d exported fields that no non-test code writes: delete them with the branches they gate, or add a keepFields entry with its reason", len(unset))
+	}
+}
+
+// exportedFields maps the key "pkg.T.F" to each exported, non-embedded
+// field F of an exported struct type T declared in the module, outside the
+// test-support packages. An embedded field is composition, not an option.
+func exportedFields(pkgs []*lint.Package) map[string]*types.Var {
+	out := map[string]*types.Var{}
+	for _, pkg := range pkgs {
+		if !reported(pkg.Path) || testSupport[pkg.Path] {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					out[pkgPrefix(pkg.Path)+"."+name+"."+f.Name()] = f
+				}
+			}
+		}
+	}
+	return out
+}
+
+// writtenFields returns every struct field that the non-test sources of pkgs
+// write: as a composite-literal key or position, or in the operand of an
+// assignment, an increment or decrement, or an address-of. Writing x.F.G or
+// x.F[i] writes F too.
+func writtenFields(pkgs []*lint.Package) map[*types.Var]bool {
+	written := map[*types.Var]bool{}
+	for _, pkg := range pkgs {
+		info := pkg.Info
+		var operand func(ast.Expr)
+		operand = func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.SelectorExpr:
+					if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
+						written[sel.Obj().(*types.Var).Origin()] = true
+					}
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := derefStruct(info.Types[n].Type)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								written[f.Origin()] = true
+							}
+						} else {
+							written[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						operand(lhs)
+					}
+				case *ast.IncDecStmt:
+					operand(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						operand(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return written
+}
+
+// derefStruct returns the struct type under typ or, for the elided &T of a
+// composite literal in a []*T or map[K]*T literal, under the pointer typ is.
+func derefStruct(typ types.Type) (*types.Struct, bool) {
+	if typ == nil {
+		return nil, false
+	}
+	if p, ok := typ.Underlying().(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	st, ok := typ.Underlying().(*types.Struct)
+	return st, ok
 }
 
 func buildReachGraph(fset *token.FileSet, pkgs []*lint.Package) (*reachGraph, error) {
@@ -244,8 +387,8 @@ func hasMethodNames(typ types.Type, it *types.Interface) bool {
 // addPackage registers the declarations of one package and, as per-package
 // roots, its init functions and the references of its var initialisers.
 func (g *reachGraph) addPackage(pkg *lint.Package) {
-	prefix := strings.TrimPrefix(strings.TrimPrefix(pkg.Path, "helcfl/internal/"), "helcfl/")
-	report := pkg.Path != "helcfl/_bench" && !strings.HasPrefix(pkg.Path, "helcfl/_bench/")
+	prefix := pkgPrefix(pkg.Path)
+	report := reported(pkg.Path)
 	add := func(obj types.Object, node ast.Node, s *reachSpan) *reachDecl {
 		d := &reachDecl{key: declKey(prefix, obj), pkg: pkg, obj: obj, node: node, report: report}
 		g.decls = append(g.decls, d)
@@ -480,6 +623,16 @@ func importClosure(pkgs []*types.Package) []*types.Package {
 		visit(p)
 	}
 	return out
+}
+
+// pkgPrefix is the short package name keys use: "fl" for helcfl/internal/fl.
+func pkgPrefix(path string) string {
+	return strings.TrimPrefix(strings.TrimPrefix(path, "helcfl/internal/"), "helcfl/")
+}
+
+// reported reports whether path is a module package rather than one of _bench.
+func reported(path string) bool {
+	return path != "helcfl/_bench" && !strings.HasPrefix(path, "helcfl/_bench/")
 }
 
 func isMethod(obj types.Object) bool {

@@ -123,7 +123,7 @@ type RunEndEvent struct {
 	// FinalAccuracy and BestAccuracy summarize the test trajectory.
 	FinalAccuracy, BestAccuracy float64
 	// Which exit fired (at most one).
-	StoppedByDeadline, ReachedTarget, Converged, HaltedByDeadFleet bool
+	StoppedByDeadline, HaltedByDeadFleet bool
 }
 
 // Event is one engine event. Kind names it as the flight dump writes it.

@@ -3,7 +3,7 @@
 // register/poll/upload against the FLCC) and the fleet worker (retrying
 // lease/heartbeat/complete against the campaign coordinator). Both sides of
 // the system retry transient failures the same way — exponential delay
-// doubling from Base up to Cap, with the upper half jittered by a seeded
+// doubling from Base up to DefaultCap, with the upper half jittered by a seeded
 // generator so a fleet retrying the same outage does not stampede in
 // lockstep — and both classify exhaustion the same way, so keeping one copy
 // here is what stops the two loops drifting apart.
@@ -40,8 +40,6 @@ type Policy struct {
 	// Base is the delay before the first retry; it doubles per retry.
 	// Defaults to DefaultBase.
 	Base time.Duration
-	// Cap bounds the exponential delay growth. Defaults to DefaultCap.
-	Cap time.Duration
 	// Jitter, when non-nil, randomizes the upper half of each delay
 	// (d/2 + rand[0, d/2]). Seed it per client so a fleet's retry schedule
 	// is reproducible yet decorrelated. Nil keeps the full deterministic
@@ -114,7 +112,7 @@ func (p Policy) Do(ctx context.Context, fn func(ctx context.Context, attempt int
 }
 
 // Sleep blocks for the backoff delay before retry attempt (1-based): Base
-// doubling per attempt, capped at Cap (overflow also caps), with the upper
+// doubling per attempt, capped at DefaultCap (overflow also caps), with the upper
 // half jittered when a Jitter source is set. Returns early with ctx.Err()
 // on cancellation.
 func (p Policy) Sleep(ctx context.Context, attempt int) error {
@@ -131,16 +129,13 @@ func (p Policy) Sleep(ctx context.Context, attempt int) error {
 // Delay computes the backoff duration before retry attempt (1-based)
 // without sleeping. Exposed so callers can report or test the schedule.
 func (p Policy) Delay(attempt int) time.Duration {
-	base, cap := p.Base, p.Cap
+	base := p.Base
 	if base <= 0 {
 		base = DefaultBase
 	}
-	if cap <= 0 {
-		cap = DefaultCap
-	}
 	d := base << (attempt - 1)
-	if d > cap || d <= 0 {
-		d = cap
+	if d > DefaultCap || d <= 0 {
+		d = DefaultCap
 	}
 	if p.Jitter != nil {
 		d = d/2 + time.Duration(p.Jitter.Int63n(int64(d/2)+1))

@@ -117,25 +117,25 @@ func TestDoSeesTransientThroughWrapping(t *testing.T) {
 }
 
 func TestDelayDoublesJittersAndCaps(t *testing.T) {
-	p := Policy{Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond}
+	p := Policy{Base: 250 * time.Millisecond}
 	for attempt, want := range map[int]time.Duration{
-		1: 10 * time.Millisecond,
-		2: 20 * time.Millisecond,
-		3: 40 * time.Millisecond,
-		4: 80 * time.Millisecond,
-		5: 80 * time.Millisecond, // capped
+		1: 250 * time.Millisecond,
+		2: 500 * time.Millisecond,
+		3: time.Second,
+		4: DefaultCap,
+		5: DefaultCap, // capped
 	} {
 		if got := p.Delay(attempt); got != want {
 			t.Fatalf("Delay(%d) = %v, want %v", attempt, got, want)
 		}
 	}
 	// Overflowed shifts cap instead of going negative.
-	if got := p.Delay(64); got != 80*time.Millisecond {
+	if got := p.Delay(64); got != DefaultCap {
 		t.Fatalf("overflowed Delay = %v, want cap", got)
 	}
 	// Jitter keeps the delay in [d/2, d] and is reproducible from the seed.
-	jp := Policy{Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond, Jitter: rand.New(rand.NewSource(7))}
-	ref := Policy{Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond, Jitter: rand.New(rand.NewSource(7))}
+	jp := Policy{Base: 250 * time.Millisecond, Jitter: rand.New(rand.NewSource(7))}
+	ref := Policy{Base: 250 * time.Millisecond, Jitter: rand.New(rand.NewSource(7))}
 	for attempt := 1; attempt <= 6; attempt++ {
 		d := jp.Delay(attempt)
 		plain := p.Delay(attempt)
