@@ -12,12 +12,9 @@ race:
 	$(GO) test -race -count=2 -timeout 45m ./...
 
 # Randomized fault-injection stress tests (opt-in via build tag; see
-# docs/ROBUSTNESS.md for how to replay a failing seed). Includes the
-# fleet kill sweep: real worker processes SIGKILLed mid-campaign and the
-# coordinator killed and resumed from its journal, byte-compared against
-# a serial run (scale with HELCFL_FLEET_SEEDS / HELCFL_FLEET_WORKERS).
+# docs/ROBUSTNESS.md for how to replay a failing seed).
 chaos:
-	$(GO) test -race -tags chaos -run Chaos -timeout 30m ./internal/deploy/ ./internal/chaos/ ./internal/fleet/ -v
+	$(GO) test -race -tags chaos -run Chaos -timeout 30m ./internal/deploy/ ./internal/chaos/ -v
 
 # Kill/restart recovery conformance: the tier-1 Recovery tests plus the
 # exhaustive every-kill-point sweep (chaos tag), all under the race

@@ -1,7 +1,7 @@
 // Command helcfl-node runs one node of a networked HELCFL deployment: the
-// FLCC server, a device client, or a campaign fleet worker. All nodes
-// derive the same synthetic dataset and partition from the shared seed,
-// so a deployment needs no data distribution channel.
+// FLCC server or a device client. All nodes derive the same synthetic
+// dataset and partition from the shared seed, so a deployment needs no
+// data distribution channel.
 //
 //	# terminal 1: the FLCC (waits for 4 devices, runs 20 rounds)
 //	helcfl-node serve -addr :8080 -users 4 -rounds 20
@@ -10,17 +10,6 @@
 //	helcfl-node client -server http://localhost:8080 -user 0 -users 4
 //	helcfl-node client -server http://localhost:8080 -user 1 -users 4
 //	...
-//
-// Worker mode joins a `helcfl <experiment> -fleet` coordinator instead:
-// it rebuilds the campaign grid locally from the coordinator's plan
-// identity, then leases cells, runs them, and reports results until the
-// sweep finishes (see docs/GRID.md).
-//
-//	helcfl-node worker -coordinator http://host:9090 -name w0 -seed 2
-//
-// A first SIGINT/SIGTERM drains the worker (it finishes its in-flight
-// cell, skips further leases, and exits cleanly); a second aborts it
-// mid-cell, and the coordinator reassigns the lease after its TTL.
 package main
 
 import (
@@ -28,7 +17,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"log"
 	"math/rand"
 	"net/http"
@@ -41,12 +29,8 @@ import (
 	"helcfl/internal/dataset"
 	"helcfl/internal/deploy"
 	"helcfl/internal/device"
-	"helcfl/internal/experiments"
 	"helcfl/internal/fl"
-	"helcfl/internal/fleet"
-	"helcfl/internal/grid"
 	"helcfl/internal/nn"
-	"helcfl/internal/obs"
 	"helcfl/internal/obs/span"
 	"helcfl/internal/selection"
 	"helcfl/internal/wireless"
@@ -77,14 +61,12 @@ func sharedData(users int, seed int64) (*dataset.Synth, []*dataset.Dataset) {
 
 func run(args []string) (retErr error) {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: helcfl-node <serve|client|worker> [flags]")
+		return fmt.Errorf("usage: helcfl-node <serve|client> [flags]")
 	}
 	mode := args[0]
 	fs := flag.NewFlagSet(mode, flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "serve: listen address")
 	server := fs.String("server", "http://localhost:8080", "client: FLCC URL")
-	coordinator := fs.String("coordinator", "http://localhost:9090", "worker: fleet coordinator URL (a `helcfl <experiment> -fleet` process)")
-	name := fs.String("name", "", "worker: name used in leases and logs (default worker-<pid>)")
 	users := fs.Int("users", 4, "fleet size (must match on all nodes)")
 	user := fs.Int("user", 0, "client: this device's index")
 	rounds := fs.Int("rounds", 20, "serve: round budget")
@@ -104,9 +86,6 @@ func run(args []string) (retErr error) {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	if *name == "" {
-		*name = fmt.Sprintf("worker-%d", os.Getpid())
-	}
 
 	// Each node gets its own recorder and trace ID derived from the shared
 	// seed; the Helcfl-Trace header stitches the per-node JSONL files back
@@ -119,15 +98,8 @@ func run(args []string) (retErr error) {
 		}
 		jl := span.NewJSONL(f)
 		id := uint64(*seed + 1000 + int64(*user))
-		switch mode {
-		case "serve":
+		if mode == "serve" {
 			id = uint64(*seed + 100)
-		case "worker":
-			// Workers have no fleet index; derive a stable per-name ID so
-			// two workers with -name w0/w1 never collide in stitched traces.
-			h := fnv.New64a()
-			_, _ = h.Write([]byte(*name))
-			id = uint64(*seed+2000) ^ h.Sum64()
 		}
 		rec = span.NewRecorder(id, span.Options{Exporter: jl})
 		defer func() {
@@ -240,85 +212,7 @@ func run(args []string) (retErr error) {
 		fmt.Printf("device %d done: trained %d rounds\n", *user, c.RoundsTrained)
 		return nil
 
-	case "worker":
-		var logf deploy.Logf
-		if *verbose {
-			logf = log.Printf
-		}
-		w, err := fleet.NewWorker(fleet.WorkerConfig{
-			Coordinator:    *coordinator,
-			Name:           *name,
-			Resolve:        resolveFleetPlan,
-			Encode:         experiments.EncodeCellResult,
-			MaxRetries:     *retries,
-			BaseBackoff:    *backoff,
-			RequestTimeout: *reqTimeout,
-			Seed:           *seed,
-			Log:            logf,
-			Trace:          rec,
-		})
-		if err != nil {
-			return err
-		}
-		// Two-stage shutdown replaces the shared one-shot context: the
-		// first signal drains (finish the in-flight cell, stop leasing),
-		// the second aborts mid-cell and lets the lease TTL reassign it.
-		stopSignals()
-		wctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		sigCh := make(chan os.Signal, 2)
-		signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-		defer signal.Stop(sigCh)
-		go func() {
-			select {
-			case <-sigCh:
-			case <-wctx.Done():
-				return
-			}
-			fmt.Printf("worker %s draining: finishing the current cell (signal again to abort)\n", *name)
-			w.Drain()
-			select {
-			case <-sigCh:
-				cancel()
-			case <-wctx.Done():
-			}
-		}()
-		fmt.Printf("worker %s joining %s\n", *name, *coordinator)
-		if err := w.Run(wctx); err != nil {
-			if errors.Is(err, context.Canceled) && wctx.Err() != nil {
-				fmt.Printf("worker %s aborted after %d completed cells\n", *name, w.Completed())
-				return nil
-			}
-			return err
-		}
-		fmt.Printf("worker %s done: %d cells completed, %d fenced\n", *name, w.Completed(), w.Fenced())
-		return nil
-
 	default:
 		return fmt.Errorf("unknown mode %q", mode)
 	}
-}
-
-// resolveFleetPlan rebuilds a campaign grid from the coordinator's plan
-// identity via the experiments registry — the worker-side half of the
-// fingerprint handshake. It must mirror runGrid's plan construction in
-// cmd/helcfl bit for bit, or the fingerprints diverge and the worker
-// refuses to lease.
-func resolveFleetPlan(info fleet.PlanInfo) ([]grid.Cell, error) {
-	def, ok := experiments.LookupExperiment(info.Experiment)
-	if !ok {
-		return nil, fmt.Errorf("unknown experiment %q", info.Experiment)
-	}
-	p, err := experiments.LookupPreset(info.Preset)
-	if err != nil {
-		return nil, err
-	}
-	// Cells capture the preset by value; serialize any shared sink exactly
-	// like the local grid path does.
-	p.Sink = obs.Synchronized(p.Sink)
-	plan, err := def.Plan(p, info.Seed, experiments.Options{Seeds: info.Seeds})
-	if err != nil {
-		return nil, err
-	}
-	return plan.Cells, nil
 }

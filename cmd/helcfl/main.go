@@ -31,14 +31,6 @@
 //	               docs/OBSERVABILITY.md; render with helcfl-inspect trace)
 //	-flightrec-out directory for flight-recorder dumps, written on panic,
 //	               SIGQUIT, and at the end of the run
-//	-fleet         coordinate the grid over a worker fleet instead of the
-//	               local pool: listen on this address and lease cells to
-//	               `helcfl-node worker` processes (see docs/GRID.md)
-//	-fleet-journal journal grants/completions to this WAL so a killed
-//	               coordinator can resume mid-sweep with -fleet-resume
-//	-fleet-resume  resume a half-finished sweep from -fleet-journal
-//	-fleet-ttl     lease duration before a silent worker's cell is
-//	               reassigned (default 15s)
 //	-v             progress lines on stderr (per cell for grid experiments,
 //	               per round for trace/train)
 //
@@ -64,7 +56,6 @@ import (
 
 	"helcfl/internal/experiments"
 	"helcfl/internal/fl"
-	"helcfl/internal/fleet"
 	"helcfl/internal/grid"
 	"helcfl/internal/metrics"
 	"helcfl/internal/nn"
@@ -115,10 +106,6 @@ func runCtx(ctx context.Context, args []string) error {
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address during the run")
 	traceOut := fs.String("trace-out", "", "stream phase spans as JSONL to this file")
 	flightDir := fs.String("flightrec-out", "", "directory for flight-recorder dumps (panic, SIGQUIT, end of run)")
-	fleetAddr := fs.String("fleet", "", "coordinate this grid experiment over a worker fleet on this listen address (workers join with `helcfl-node worker`)")
-	fleetJournal := fs.String("fleet-journal", "", "fleet coordinator journal path for crash recovery (empty disables)")
-	fleetResume := fs.Bool("fleet-resume", false, "resume a half-finished sweep from -fleet-journal")
-	fleetTTL := fs.Duration("fleet-ttl", fleet.DefaultLeaseTTL, "fleet lease duration before a silent worker's cell is reassigned")
 	verbose := fs.Bool("v", false, "print progress lines to stderr")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
@@ -176,18 +163,6 @@ func runCtx(ctx context.Context, args []string) error {
 		def, ok := experiments.LookupExperiment(cmd)
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (want one of %s)", cmd, commandNames())
-		}
-		if *fleetAddr != "" {
-			return runFleetCoordinator(ctx, def, preset, *seed, opt, fleetConfig{
-				addr:    *fleetAddr,
-				journal: *fleetJournal,
-				resume:  *fleetResume,
-				ttl:     *fleetTTL,
-				outDir:  *outDir,
-				metrics: reg,
-				verbose: *verbose,
-				trace:   trc.rec,
-			})
 		}
 		return runGrid(ctx, def, preset, *seed, opt, gridConfig{
 			parallel: *parallel,

@@ -63,6 +63,15 @@ func TestRunUsageAndUnknowns(t *testing.T) {
 			t.Fatalf("removed flag %s must error", flag)
 		}
 	}
+
+	// grid.Runner is the only campaign executor: the worker-fleet flags
+	// are gone and must not silently fall back to the local pool.
+	for _, flag := range []string{"-fleet", "-fleet-journal", "-fleet-resume", "-fleet-ttl"} {
+		err := runCtx(context.Background(), []string{"fig1", "-preset", "tiny", flag, ":0"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("removed flag %s: got %v, want an unknown-flag error", flag, err)
+		}
+	}
 }
 
 // TestCommandListComesFromRegistry pins that the usage string and the

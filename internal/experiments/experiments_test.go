@@ -65,6 +65,21 @@ func TestPresetValidate(t *testing.T) {
 	}
 }
 
+func TestLookupPreset(t *testing.T) {
+	for _, name := range []string{"paper", "fast", "tiny"} {
+		p, err := LookupPreset(name)
+		if err != nil {
+			t.Fatalf("LookupPreset(%q): %v", name, err)
+		}
+		if p.Name != name {
+			t.Fatalf("LookupPreset(%q).Name = %q", name, p.Name)
+		}
+	}
+	if _, err := LookupPreset("nope"); err == nil {
+		t.Fatal("unknown preset should error")
+	}
+}
+
 func TestSlackRichDerivation(t *testing.T) {
 	p := SlackRich(Tiny())
 	if p.CyclesPerUpdate >= Tiny().CyclesPerUpdate {

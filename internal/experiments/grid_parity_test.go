@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"helcfl/internal/fl"
 	"helcfl/internal/grid"
 )
 
@@ -60,7 +59,6 @@ func TestParallelMatchesSerialForEveryExperiment(t *testing.T) {
 			if !reflect.DeepEqual(serialRes, parRes) {
 				t.Fatal("parallel raw results differ from serial")
 			}
-			serialRes = viaWireCodec(t, serialRes)
 			serialOut, serialArts := renderAll(t, serialPlan, serialRes)
 			parOut, parArts := renderAll(t, parallelPlan, parRes)
 			if serialOut != parOut {
@@ -74,55 +72,6 @@ func TestParallelMatchesSerialForEveryExperiment(t *testing.T) {
 			}
 			checkRenderGolden(t, def.Name, serialPlan, serialOut, serialArts)
 		})
-	}
-}
-
-// viaWireCodec sends every cell result through the fleet wire codec
-// (EncodeCellResult, DecodeCellResult) and requires it back deep-equal, so
-// a result type without its gob.Register, or with a field gob drops, fails
-// on real campaign output. The final model, which the codec leaves behind by
-// design, is cleared first. It returns the decoded results.
-func viaWireCodec(t *testing.T, res []any) []any {
-	t.Helper()
-	out := make([]any, len(res))
-	for i, v := range res {
-		clearModels(reflect.ValueOf(v))
-		data, err := EncodeCellResult(v)
-		if err != nil {
-			t.Fatalf("cell %d: %v", i, err)
-		}
-		if out[i], err = DecodeCellResult(data); err != nil {
-			t.Fatalf("cell %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(out[i], v) {
-			t.Fatalf("cell %d: %T changed through the wire codec:\n got %+v\nwant %+v", i, v, out[i], v)
-		}
-	}
-	return out
-}
-
-// clearModels sets Model to nil in every *fl.Result reachable from v.
-func clearModels(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Pointer:
-		if v.IsNil() {
-			return
-		}
-		if v.Type() == reflect.TypeFor[*fl.Result]() {
-			(*fl.Result)(v.UnsafePointer()).Model = nil
-			return
-		}
-		clearModels(v.Elem())
-	case reflect.Interface:
-		clearModels(v.Elem())
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			clearModels(v.Field(i))
-		}
-	case reflect.Slice, reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			clearModels(v.Index(i))
-		}
 	}
 }
 

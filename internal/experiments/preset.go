@@ -198,9 +198,8 @@ func (p Preset) Targets(s Setting) []float64 {
 	return p.NonIIDTargets
 }
 
-// LookupPreset resolves a preset by its Name ("paper", "fast", "tiny").
-// Fleet workers use it to rebuild the coordinator's plan locally from the
-// preset name alone, so no configuration crosses the wire — only identity.
+// LookupPreset resolves a preset by its Name ("paper", "fast", "tiny"),
+// as the CLI's -preset flag names it.
 func LookupPreset(name string) (Preset, error) {
 	switch name {
 	case "paper":

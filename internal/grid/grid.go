@@ -154,17 +154,3 @@ func Validate(cells []Cell) error {
 	}
 	return nil
 }
-
-// Fingerprint hashes the ordered cell keys (FNV-1a 64). A coordinator and
-// its workers rebuild the same plan independently from (experiment, preset,
-// seeds); comparing fingerprints before any lease is granted catches a
-// version- or flag-skewed worker whose plan would place results at the
-// wrong indices.
-func Fingerprint(cells []Cell) uint64 {
-	h := fnv.New64a()
-	for _, c := range cells {
-		_, _ = h.Write([]byte(c.Key()))
-		_, _ = h.Write([]byte{0})
-	}
-	return h.Sum64()
-}

@@ -56,11 +56,8 @@ var Packages = map[string]Class{
 	"helcfl/internal/chaos":      ClassRuntime,
 	"helcfl/internal/checkpoint": ClassRuntime,
 	"helcfl/internal/deploy":     ClassRuntime,
-	// The fleet coordinator/worker pair leases cells over HTTP with
-	// wall-clock lease deadlines; the cells it runs stay deterministic.
-	"helcfl/internal/fleet": ClassRuntime,
-	"helcfl/internal/lint":  ClassRuntime,
-	"helcfl/internal/obs":   ClassRuntime,
+	"helcfl/internal/lint":       ClassRuntime,
+	"helcfl/internal/obs":        ClassRuntime,
 	// The shared backoff engine sleeps on timers by design.
 	"helcfl/internal/retry": ClassRuntime,
 	// The flight recorder is crash forensics: signals, wall clock,
@@ -102,7 +99,6 @@ var DurabilityPackages = map[string]bool{
 // deadlines propagate. The ctxflow analyzer applies here.
 var ContextPackages = map[string]bool{
 	"helcfl/internal/deploy": true,
-	"helcfl/internal/fleet":  true,
 	"helcfl/internal/retry":  true,
 }
 

@@ -1,12 +1,9 @@
-// Package retry is the shared jittered-exponential-backoff retry loop used
-// by every HELCFL network client: the deploy device client (retrying
-// register/poll/upload against the FLCC) and the fleet worker (retrying
-// lease/heartbeat/complete against the campaign coordinator). Both sides of
-// the system retry transient failures the same way — exponential delay
-// doubling from Base up to DefaultCap, with the upper half jittered by a seeded
-// generator so a fleet retrying the same outage does not stampede in
-// lockstep — and both classify exhaustion the same way, so keeping one copy
-// here is what stops the two loops drifting apart.
+// Package retry is the jittered-exponential-backoff retry loop behind
+// deploy.Client, its only caller, which retries register/poll/upload
+// against the FLCC. Each retry waits an exponential delay doubling from
+// Base up to DefaultCap, with the upper half jittered by a seeded generator
+// so a fleet of devices retrying the same outage does not stampede in
+// lockstep.
 //
 // Usage: the per-attempt function reports a retryable failure by wrapping
 // its cause with Transient; any other error is permanent and returned
