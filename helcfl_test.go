@@ -54,8 +54,8 @@ func TestRunSchemeViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if curve.Scheme != "ClassicFL" || res.Scheme != "ClassicFL" {
-		t.Fatal("scheme labels wrong")
+	if res.Scheme != "ClassicFL" {
+		t.Fatalf("scheme = %s", res.Scheme)
 	}
 	if len(curve.Points) == 0 {
 		t.Fatal("empty curve")

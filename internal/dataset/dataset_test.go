@@ -49,8 +49,8 @@ func TestGenerateSynthDeterministic(t *testing.T) {
 
 func TestGenerateSynthDefaults(t *testing.T) {
 	s := GenerateSynth(SynthConfig{Seed: 3})
-	if s.Config.Classes != 10 || s.Config.C != 3 || s.Config.H != 8 || s.Config.W != 8 {
-		t.Fatalf("defaults = %+v", s.Config)
+	if d := s.Train; d.Channels() != 3 || d.Height() != 8 || d.Width() != 8 || d.DistinctLabels(10) != 10 {
+		t.Fatalf("default shape %v, %d classes", d.X.Shape(), d.DistinctLabels(10))
 	}
 	if s.Train.N() != 4000 || s.Test.N() != 1000 {
 		t.Fatalf("default sizes = %d/%d", s.Train.N(), s.Test.N())

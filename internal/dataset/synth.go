@@ -50,11 +50,10 @@ func (c SynthConfig) withDefaults() SynthConfig {
 	return c
 }
 
-// Synth holds a generated train/test pair along with the generating config.
+// Synth holds a generated train/test pair.
 type Synth struct {
-	Config SynthConfig
-	Train  *Dataset
-	Test   *Dataset
+	Train *Dataset
+	Test  *Dataset
 }
 
 // GenerateSynth builds a SynthCIFAR dataset. Each class is a smooth spatial
@@ -91,7 +90,7 @@ func GenerateSynth(cfg SynthConfig) *Synth {
 		return d
 	}
 
-	return &Synth{Config: cfg, Train: gen(cfg.TrainN), Test: gen(cfg.TestN)}
+	return &Synth{Train: gen(cfg.TrainN), Test: gen(cfg.TestN)}
 }
 
 // classPrototype draws one smooth class archetype.

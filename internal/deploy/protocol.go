@@ -68,13 +68,6 @@ type RegisterRequest struct {
 	ChannelGain float64 `json:"channel_gain"`
 }
 
-// RegisterResponse acknowledges registration.
-type RegisterResponse struct {
-	// Registered counts devices seen so far; Expected is the fleet size.
-	Registered int `json:"registered"`
-	Expected   int `json:"expected"`
-}
-
 // PollResponse tells a device what to do now.
 type PollResponse struct {
 	Phase Phase `json:"phase"`

@@ -261,7 +261,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		// acknowledgement was lost must not be rejected — it is already part
 		// of the fleet.
 		if req.User >= 0 && req.User < s.cfg.ExpectedUsers && s.registered[req.User] {
-			writeJSON(w, RegisterResponse{Registered: len(s.registered), Expected: s.cfg.ExpectedUsers})
+			w.WriteHeader(http.StatusOK)
 			return
 		}
 		httpError(w, http.StatusConflict, "registration closed")
@@ -293,7 +293,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, RegisterResponse{Registered: len(s.registered), Expected: s.cfg.ExpectedUsers})
+	w.WriteHeader(http.StatusOK)
 }
 
 // newPlanner builds the planner over the registered fleet. The server runs
@@ -588,7 +588,7 @@ func (s *Server) aggregateLocked() {
 		for _, user := range missing {
 			s.cfg.Sink.OnEvent(obs.DropoutEvent{Round: closed, User: user})
 		}
-		s.cfg.Sink.OnEvent(obs.AggregateEvent{Round: closed, Uploads: len(uploads), Failed: len(missing)})
+		s.cfg.Sink.OnEvent(obs.AggregateEvent{Round: closed, Uploads: len(uploads)})
 		s.cfg.Sink.OnEvent(obs.RoundEndEvent{Round: closed, Selected: s.selOrder, Failed: len(missing)})
 	}
 	if s.cfg.RoundHook != nil {

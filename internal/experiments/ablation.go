@@ -157,7 +157,6 @@ func CompressionPlan(p Preset, s Setting, seed int64, compressors []compress.Com
 		cells[i] = newCell("compress", "HELCFL", "compressor="+comp.Name(), p, s, seed, compressed,
 			func(c cellEnv) (compressRun, error) {
 				run, err := c.train("HELCFL", func(cfg *fl.Config) { cfg.Compressor = comp })
-				run.Curve.Scheme = comp.Name()
 				return compressRun{Ratio: compress.Ratio(comp, numParams(c.Env)), Run: run}, err
 			})
 	}

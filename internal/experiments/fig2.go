@@ -108,13 +108,13 @@ func RunSchemeWith(env *Env, scheme string, mutate func(*fl.Config)) (metrics.Cu
 	if err != nil {
 		return metrics.Curve{}, nil, err
 	}
-	return metrics.CurveFromRecords(scheme, res.Records), res, nil
+	return metrics.CurveFromRecords(res.Records), res, nil
 }
 
 // runSL executes the separated-learning baseline and adapts it to a curve.
 func runSL(env *Env) (metrics.Curve, error) {
 	p := env.Preset
-	res, err := fl.RunSL(fl.SLConfig{
+	records, err := fl.RunSL(fl.SLConfig{
 		Spec:       env.Spec,
 		Devices:    env.Devices,
 		UserData:   env.UserData,
@@ -130,7 +130,7 @@ func runSL(env *Env) (metrics.Curve, error) {
 	if err != nil {
 		return metrics.Curve{}, err
 	}
-	return metrics.CurveFromRecords("SL", res.Records), nil
+	return metrics.CurveFromRecords(records), nil
 }
 
 // Fig2Cells returns one Fig. 2 panel as cells: the five schemes of

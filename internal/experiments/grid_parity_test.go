@@ -166,8 +166,8 @@ func TestAllPlanDedupsSharedCells(t *testing.T) {
 func TestRegistryNamesAreUniqueAndResolvable(t *testing.T) {
 	seen := map[string]bool{}
 	for _, def := range Registry() {
-		if def.Name == "" || def.Title == "" {
-			t.Fatalf("definition %+v missing name or title", def)
+		if def.Name == "" {
+			t.Fatalf("definition %+v missing name", def)
 		}
 		if seen[def.Name] {
 			t.Fatalf("duplicate experiment name %q", def.Name)

@@ -61,7 +61,7 @@ func TestSpeedup(t *testing.T) {
 func TestAccuracyGain(t *testing.T) {
 	fig := &Fig2Result{Setting: NonIID, Curves: map[string]metrics.Curve{}}
 	for _, s := range SchemeOrder {
-		fig.Curves[s] = metrics.Curve{Scheme: s, Points: []metrics.Point{{Accuracy: 0.80}}}
+		fig.Curves[s] = metrics.Curve{Points: []metrics.Point{{Accuracy: 0.80}}}
 	}
 	fig.Curves["HELCFL"] = metrics.Curve{Points: []metrics.Point{{Accuracy: 0.60}, {Accuracy: 0.85}}}
 	fig.Curves["SL"] = metrics.Curve{Points: []metrics.Point{{Accuracy: 0.42}}}

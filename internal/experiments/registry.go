@@ -39,42 +39,41 @@ type Options struct {
 
 // Definition names one runnable experiment.
 type Definition struct {
-	Name  string
-	Title string
-	Plan  func(p Preset, seed int64, opt Options) (*Plan, error)
+	Name string
+	Plan func(p Preset, seed int64, opt Options) (*Plan, error)
 }
 
 // definitions is the ordered registry backing Registry and
 // LookupExperiment.
 var definitions = []Definition{
-	{"fig1", "Fig. 1 slack illustration", func(p Preset, seed int64, _ Options) (*Plan, error) {
+	{"fig1", func(p Preset, seed int64, _ Options) (*Plan, error) {
 		return fig1Plan(p, seed), nil
 	}},
-	{"fig2", "Fig. 2 accuracy vs iteration", func(p Preset, seed int64, _ Options) (*Plan, error) {
+	{"fig2", func(p Preset, seed int64, _ Options) (*Plan, error) {
 		return fig2Plan(p, seed), nil
 	}},
-	{"table1", "Table I delay to desired accuracy", func(p Preset, seed int64, _ Options) (*Plan, error) {
+	{"table1", func(p Preset, seed int64, _ Options) (*Plan, error) {
 		return table1Plan(p, seed), nil
 	}},
-	{"fig3", "Fig. 3 DVFS energy reduction", func(p Preset, seed int64, _ Options) (*Plan, error) {
+	{"fig3", func(p Preset, seed int64, _ Options) (*Plan, error) {
 		return fig3Plan(p, seed), nil
 	}},
-	{"ablation", "design ablations and robustness studies", func(p Preset, seed int64, _ Options) (*Plan, error) {
+	{"ablation", func(p Preset, seed int64, _ Options) (*Plan, error) {
 		return ablationPlan(p, seed)
 	}},
-	{"seeds", "multi-seed robustness", func(p Preset, seed int64, opt Options) (*Plan, error) {
+	{"seeds", func(p Preset, seed int64, opt Options) (*Plan, error) {
 		return seedsPlan(p, seed, opt.Seeds)
 	}},
-	{"budget", "deadline-budget campaign (constraint 14)", func(p Preset, seed int64, _ Options) (*Plan, error) {
+	{"budget", func(p Preset, seed int64, _ Options) (*Plan, error) {
 		return budgetPlan(p, seed)
 	}},
-	{"battery", "finite-battery fleet campaign", func(p Preset, seed int64, _ Options) (*Plan, error) {
+	{"battery", func(p Preset, seed int64, _ Options) (*Plan, error) {
 		return eachSetting(func(s Setting) (*Plan, error) { return BatteryPlan(p, s, seed, batterySelections) })
 	}},
-	{"hier", "hierarchical edge-aggregation tier (E edge aggregators)", func(p Preset, seed int64, _ Options) (*Plan, error) {
+	{"hier", func(p Preset, seed int64, _ Options) (*Plan, error) {
 		return hierPlan(p, seed)
 	}},
-	{"all", "full campaign with headline summary", func(p Preset, seed int64, _ Options) (*Plan, error) {
+	{"all", func(p Preset, seed int64, _ Options) (*Plan, error) {
 		return allPlan(p, seed)
 	}},
 }

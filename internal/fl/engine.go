@@ -504,12 +504,9 @@ func (e *Engine) Step() (bool, error) {
 	trainSp.End()
 
 	if cfg.Sink != nil {
-		// The realized frequency outcome and per-user spans. round.Users
-		// is in TDMA transmission order with User = device ID (== fleet
-		// index, the same identification the battery accounting uses).
-		cfg.Sink.OnEvent(obs.FrequencyEvent{
-			Round: j, Users: selected, Freqs: freqs, SlackSec: round.TotalSlack,
-		})
+		// Per-user spans. round.Users is in TDMA transmission order with
+		// User = device ID (== fleet index, the same identification the
+		// battery accounting uses).
 		siOf := make(map[int]int, len(selected))
 		for i, q := range selected {
 			siOf[q] = i
@@ -597,10 +594,7 @@ func (e *Engine) Step() (bool, error) {
 		FedAvgHierInto(e.avgBuf, &e.hierScratch, uploads, weights, upEdges, e.topo.NumEdges())
 		e.global.SetFlatParams(e.avgBuf)
 		if cfg.Sink != nil {
-			cfg.Sink.OnEvent(obs.AggregateEvent{
-				Round: j, Uploads: len(uploads), Failed: failed,
-				TrainLoss: lossSum / float64(len(selected)),
-			})
+			cfg.Sink.OnEvent(obs.AggregateEvent{Round: j, Uploads: len(uploads)})
 		}
 	}
 	if obs, ok := cfg.Planner.(Observer); ok {

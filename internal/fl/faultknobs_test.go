@@ -76,12 +76,7 @@ func TestDroppedUsersExcludedFromAggregation(t *testing.T) {
 		}
 		dropsByRound[ev.Round]++
 	}
-	// Rounds where every upload is lost emit no aggregate at all, so index
-	// the aggregates that did happen by round.
-	aggByRound := map[int]obsAggregate{}
-	for _, ev := range sink.aggregates {
-		aggByRound[ev.Round] = obsAggregate{uploads: ev.Uploads, failed: ev.Failed}
-	}
+	aggByRound := sink.aggregatesByRound()
 	totalFailed := 0
 	for _, rec := range res.Records {
 		totalFailed += rec.Failed
@@ -108,6 +103,21 @@ func TestDroppedUsersExcludedFromAggregation(t *testing.T) {
 }
 
 type obsAggregate struct{ uploads, failed int }
+
+// aggregatesByRound pairs each aggregation's upload count with its round's
+// failure count from RoundEndEvent. Rounds where every upload is lost emit
+// no aggregate at all and have no entry.
+func (r *recordingSink) aggregatesByRound() map[int]obsAggregate {
+	failed := map[int]int{}
+	for _, ev := range r.roundEnds {
+		failed[ev.Round] = ev.Failed
+	}
+	out := map[int]obsAggregate{}
+	for _, ev := range r.aggregates {
+		out[ev.Round] = obsAggregate{uploads: ev.Uploads, failed: failed[ev.Round]}
+	}
+	return out
+}
 
 // TestDropoutNearOneStillRuns: p=0.999 is the legal extreme — most rounds
 // lose every upload and skip aggregation entirely, but the run completes
@@ -187,10 +197,7 @@ func TestBatteryDeadUsersNeverReselected(t *testing.T) {
 		}
 	}
 	// Partial cohorts still satisfy the aggregation balance.
-	aggByRound := map[int]obsAggregate{}
-	for _, ev := range sink.aggregates {
-		aggByRound[ev.Round] = obsAggregate{uploads: ev.Uploads, failed: ev.Failed}
-	}
+	aggByRound := sink.aggregatesByRound()
 	for _, rec := range res.Records {
 		if agg, ok := aggByRound[rec.Round]; ok {
 			if agg.uploads+agg.failed != len(rec.Selected) {

@@ -33,18 +33,12 @@ type SLConfig struct {
 	Seed      int64
 }
 
-// SLResult mirrors Result for the separated-learning engine.
-type SLResult struct {
-	Records                     []RoundRecord
-	FinalAccuracy, BestAccuracy float64
-	TotalTime, TotalEnergy      float64
-}
-
 // RunSL executes separated learning. Selected users run at maximum
 // frequency (there is no slack to reclaim: with no uploads, the round ends
 // when the slowest selected user finishes computing). Round delay is
-// max T_cal; round energy is Σ E_cal; no communication occurs.
-func RunSL(cfg SLConfig) (*SLResult, error) {
+// max T_cal; round energy is Σ E_cal; no communication occurs. It returns
+// one record per round.
+func RunSL(cfg SLConfig) ([]RoundRecord, error) {
 	switch {
 	case len(cfg.Devices) == 0:
 		return nil, fmt.Errorf("fl: SL with no devices")
@@ -87,7 +81,7 @@ func RunSL(cfg SLConfig) (*SLResult, error) {
 	}
 	n := core.CohortSize(len(cfg.Devices), cfg.Fraction)
 
-	res := &SLResult{}
+	var records []RoundRecord
 	cumTime, cumEnergy := 0.0, 0.0
 	for j := 0; j < cfg.MaxRounds; j++ {
 		sel := rng.Perm(len(cfg.Devices))[:n]
@@ -123,16 +117,10 @@ func RunSL(cfg SLConfig) (*SLResult, error) {
 			}
 			rec.Evaluated = true
 			rec.TestAccuracy = accSum / float64(len(evalSet))
-			if rec.TestAccuracy > res.BestAccuracy {
-				res.BestAccuracy = rec.TestAccuracy
-			}
-			res.FinalAccuracy = rec.TestAccuracy
 		}
-		res.Records = append(res.Records, rec)
+		records = append(records, rec)
 	}
-	res.TotalTime = cumTime
-	res.TotalEnergy = cumEnergy
-	return res, nil
+	return records, nil
 }
 
 // pick gathers devices at the given indices.

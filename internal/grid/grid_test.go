@@ -326,16 +326,17 @@ func TestMetricsAndProgress(t *testing.T) {
 			if ev.Err != nil {
 				failures++
 			}
+			// The counters count finish events, in delivery order.
+			if ev.Completed+ev.Failed != finishes || ev.Failed != failures {
+				t.Fatalf("finish event %d: completed=%d failed=%d, want %d finished, %d failed",
+					finishes, ev.Completed, ev.Failed, finishes, failures)
+			}
 		} else {
 			starts++
 		}
 	}
 	if starts != 5 || finishes != 5 || failures != 1 {
 		t.Fatalf("starts=%d finishes=%d failures=%d, want 5/5/1", starts, finishes, failures)
-	}
-	last := events[len(events)-1]
-	if last.Started != 5 || last.Completed+last.Failed != 5 {
-		t.Fatalf("final counters started=%d completed=%d failed=%d", last.Started, last.Completed, last.Failed)
 	}
 }
 

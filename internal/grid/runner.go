@@ -16,17 +16,16 @@ import (
 // when its Run returns. Cells skipped because the context was canceled emit
 // no events; they surface as CellErrors instead.
 type Event struct {
-	// Index and Key identify the cell; Total is the grid size.
-	Index int
+	// Key identifies the cell; Total is the grid size.
 	Key   string
 	Total int
 	// Done is false for the start notification, true for the finish one.
 	Done bool
 	// Err is the cell's failure (finish events only).
 	Err error
-	// Started, Completed, and Failed are the campaign counters after this
-	// event.
-	Started, Completed, Failed int
+	// Completed and Failed count the finish events delivered so far, this
+	// one included, so Completed+Failed counts up by one per finish event.
+	Completed, Failed int
 }
 
 // Runner executes a campaign grid on a bounded worker pool. The zero value
@@ -127,14 +126,21 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]any, error) {
 	campRef := campSp.Ref()
 
 	cellErrs := make([]*CellError, n)
-	var started, completed, failed atomic.Int64
 	var progressMu sync.Mutex
+	completed, failed := 0, 0
 	emit := func(ev Event) {
 		if r.Progress == nil {
 			return
 		}
 		progressMu.Lock()
 		defer progressMu.Unlock()
+		switch {
+		case ev.Done && ev.Err != nil:
+			failed++
+		case ev.Done:
+			completed++
+		}
+		ev.Completed, ev.Failed = completed, failed
 		r.Progress(ev)
 	}
 
@@ -154,12 +160,10 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]any, error) {
 					cellErrs[i] = &CellError{Index: i, Key: key, Err: err}
 					continue
 				}
-				s := started.Add(1)
 				if m != nil {
 					m.started.Inc()
 				}
-				emit(Event{Index: i, Key: key, Total: n,
-					Started: int(s), Completed: int(completed.Load()), Failed: int(failed.Load())})
+				emit(Event{Key: key, Total: n})
 
 				var timer obs.Span
 				if m != nil {
@@ -178,19 +182,16 @@ func (r *Runner) Run(ctx context.Context, cells []Cell) ([]any, error) {
 
 				if err != nil {
 					cellErrs[i] = &CellError{Index: i, Key: key, Err: err}
-					failed.Add(1)
 					if m != nil {
 						m.failed.Inc()
 					}
 				} else {
 					results[i] = v
-					completed.Add(1)
 					if m != nil {
 						m.completed.Inc()
 					}
 				}
-				emit(Event{Index: i, Key: key, Total: n, Done: true, Err: err,
-					Started: int(started.Load()), Completed: int(completed.Load()), Failed: int(failed.Load())})
+				emit(Event{Key: key, Total: n, Done: true, Err: err})
 			}
 		}()
 	}

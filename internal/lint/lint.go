@@ -63,8 +63,6 @@ type Pass struct {
 	Fset *token.FileSet
 	// Files are the package's parsed source files (tests excluded).
 	Files []*ast.File
-	// Pkg is the type-checked package.
-	Pkg *types.Package
 	// Info holds the type-checker's resolution results for Files.
 	Info *types.Info
 

@@ -19,8 +19,6 @@ import (
 type Package struct {
 	// Path is the import path.
 	Path string
-	// Dir is the directory the sources were read from.
-	Dir string
 	// Fset is the loader's shared file set.
 	Fset *token.FileSet
 	// Files are the parsed non-test sources, with comments.
@@ -186,7 +184,7 @@ func (l *Loader) load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: typecheck %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Fset: l.fset, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }

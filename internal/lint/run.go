@@ -56,7 +56,7 @@ func run(pkgs []*Package, analyzers []*Analyzer, stale bool) []Finding {
 		}
 		consumed := map[string]map[int]bool{}
 		for _, a := range analyzers {
-			pass := &Pass{Path: pkg.Path, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info}
+			pass := &Pass{Path: pkg.Path, Fset: pkg.Fset, Files: pkg.Files, Info: pkg.Info}
 			a.Run(pass)
 			for _, d := range pass.diags {
 				f := Finding{Rule: a.Name, Pos: pkg.Fset.Position(d.Pos), Message: d.Message}

@@ -9,7 +9,7 @@ import (
 // Table I's quantity: the first evaluated moment a training curve crosses
 // the desired accuracy.
 func ExampleCurve_TimeToAccuracy() {
-	c := metrics.Curve{Scheme: "HELCFL", Points: []metrics.Point{
+	c := metrics.Curve{Points: []metrics.Point{
 		{Round: 0, Time: 60, Accuracy: 0.42},
 		{Round: 10, Time: 409.2, Accuracy: 0.61},
 		{Round: 20, Time: 850, Accuracy: 0.71},

@@ -26,15 +26,13 @@ type Point struct {
 // Curve is a training trajectory: the evaluated points of a run in round
 // order.
 type Curve struct {
-	// Scheme names the scheduling scheme that produced the curve.
-	Scheme string
 	// Points holds the evaluated rounds in ascending order.
 	Points []Point
 }
 
 // CurveFromRecords extracts the evaluated points of an FL run.
-func CurveFromRecords(scheme string, recs []fl.RoundRecord) Curve {
-	c := Curve{Scheme: scheme}
+func CurveFromRecords(recs []fl.RoundRecord) Curve {
+	var c Curve
 	for _, r := range recs {
 		if !r.Evaluated {
 			continue

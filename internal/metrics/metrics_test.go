@@ -6,8 +6,8 @@ import (
 	"helcfl/internal/fl"
 )
 
-func mkCurve(scheme string, pts ...Point) Curve {
-	return Curve{Scheme: scheme, Points: pts}
+func mkCurve(pts ...Point) Curve {
+	return Curve{Points: pts}
 }
 
 func TestCurveFromRecordsFiltersEvaluated(t *testing.T) {
@@ -16,7 +16,7 @@ func TestCurveFromRecordsFiltersEvaluated(t *testing.T) {
 		{Round: 1, CumTime: 2, CumEnergy: 4},
 		{Round: 2, CumTime: 3, CumEnergy: 6, Evaluated: true, TestAccuracy: 0.5},
 	}
-	c := CurveFromRecords("x", recs)
+	c := CurveFromRecords(recs)
 	if len(c.Points) != 2 {
 		t.Fatalf("points = %d, want 2", len(c.Points))
 	}
@@ -26,7 +26,7 @@ func TestCurveFromRecordsFiltersEvaluated(t *testing.T) {
 }
 
 func TestBestAndFinal(t *testing.T) {
-	c := mkCurve("x",
+	c := mkCurve(
 		Point{Round: 0, Accuracy: 0.4},
 		Point{Round: 1, Accuracy: 0.7},
 		Point{Round: 2, Accuracy: 0.6},
@@ -37,14 +37,14 @@ func TestBestAndFinal(t *testing.T) {
 	if c.Final() != 0.6 {
 		t.Fatalf("Final = %g", c.Final())
 	}
-	empty := mkCurve("e")
+	empty := mkCurve()
 	if empty.Best() != 0 || empty.Final() != 0 {
 		t.Fatal("empty curve must report zeros")
 	}
 }
 
 func TestTimeToAccuracy(t *testing.T) {
-	c := mkCurve("x",
+	c := mkCurve(
 		Point{Round: 0, Time: 10, Accuracy: 0.3},
 		Point{Round: 5, Time: 60, Accuracy: 0.55},
 		Point{Round: 9, Time: 100, Accuracy: 0.8},
@@ -61,7 +61,7 @@ func TestTimeToAccuracy(t *testing.T) {
 }
 
 func TestEnergyAndRoundsToAccuracy(t *testing.T) {
-	c := mkCurve("x",
+	c := mkCurve(
 		Point{Round: 2, Time: 10, Energy: 5, Accuracy: 0.4},
 		Point{Round: 4, Time: 20, Energy: 11, Accuracy: 0.6},
 	)

@@ -10,9 +10,8 @@ import (
 type MaxPool2D struct {
 	K, Stride int
 
-	argmax     []int // flat input index chosen for each output element
-	inShape    []int
-	outH, outW int
+	argmax  []int // flat input index chosen for each output element
+	inShape []int
 
 	// Scratch reused across steps (see scratch.go).
 	out, dx *tensor.Tensor
@@ -39,7 +38,6 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oh := tensor.ConvOutSize(h, m.K, m.Stride, 0)
 	ow := tensor.ConvOutSize(w, m.K, m.Stride, 0)
 	m.inShape = append(m.inShape[:0], b, c, h, w)
-	m.outH, m.outW = oh, ow
 	m.out = ensure4(m.out, b, c, oh, ow)
 	if cap(m.argmax) < m.out.Size() {
 		m.argmax = make([]int, m.out.Size())

@@ -35,18 +35,6 @@ type SelectionEvent struct {
 	Appearances []int
 }
 
-// FrequencyEvent reports the realized outcome of the round's frequency
-// determination once the round timeline is known.
-type FrequencyEvent struct {
-	Round int
-	// Users and Freqs align: the chosen f_q per participating user.
-	Users []int
-	Freqs []float64
-	// SlackSec is the round's total stop-and-wait slack (the Fig. 1 time
-	// Algorithm 3 reclaims by slowing CPUs).
-	SlackSec float64
-}
-
 // LocalUpdateEvent is one user's local-update span (Eqs. 4–5).
 type LocalUpdateEvent struct {
 	Round, User int
@@ -84,14 +72,12 @@ type BatteryEvent struct {
 	SpentJ float64
 }
 
-// AggregateEvent reports one FedAvg aggregation (Eq. 18).
+// AggregateEvent reports one FedAvg aggregation (Eq. 18). The round's
+// failures and mean train loss are on its RoundEndEvent.
 type AggregateEvent struct {
 	Round int
-	// Uploads counts models that reached the FLCC; Failed counts dropped
-	// uploads.
-	Uploads, Failed int
-	// TrainLoss is the mean final local loss across selected users.
-	TrainLoss float64
+	// Uploads counts models that reached the FLCC.
+	Uploads int
 }
 
 // RoundEndEvent closes a round with its full cost roll-up — the live
@@ -137,9 +123,6 @@ func (RoundStartEvent) Kind() string { return "RoundStart" }
 
 // Kind implements Event.
 func (SelectionEvent) Kind() string { return "Selection" }
-
-// Kind implements Event.
-func (FrequencyEvent) Kind() string { return "Frequency" }
 
 // Kind implements Event.
 func (LocalUpdateEvent) Kind() string { return "LocalUpdate" }

@@ -87,8 +87,6 @@ func (m *MetricsSink) OnEvent(e Event) {
 			m.selectionCount.With(strconv.Itoa(q)).Inc()
 		}
 		m.selectedUsers.Set(float64(len(ev.Selected)))
-	case FrequencyEvent:
-		m.slackReclaimed.Add(ev.SlackSec)
 	case LocalUpdateEvent:
 		m.localUpdate.Observe(ev.SimSec)
 		if ev.WallSec > 0 {
@@ -108,6 +106,7 @@ func (m *MetricsSink) OnEvent(e Event) {
 		m.rounds.Inc()
 		m.round.Set(float64(ev.Round))
 		m.roundDelay.Observe(ev.DelaySec)
+		m.slackReclaimed.Add(ev.SlackSec)
 		m.energyCompute.Add(ev.ComputeJ)
 		m.energyUpload.Add(ev.UploadJ)
 		m.aliveDevices.Set(float64(ev.Alive))

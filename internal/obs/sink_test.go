@@ -13,9 +13,8 @@ func playRound(s EventSink) {
 	s.OnEvent(LocalUpdateEvent{Round: 0, User: 3, FreqHz: 2e9, SimSec: 1, EnergyJ: 7, WallSec: 0.02, Loss: 0.8})
 	s.OnEvent(UploadEvent{Round: 0, User: 1, SimSec: 0.5, EnergyJ: 0.1, StartSec: 2, EndSec: 2.5})
 	s.OnEvent(UploadEvent{Round: 0, User: 3, SimSec: 0.5, EnergyJ: 0.1, StartSec: 2.5, EndSec: 3, WaitSec: 1.5})
-	s.OnEvent(FrequencyEvent{Round: 0, Users: []int{1, 3}, Freqs: []float64{1e9, 2e9}, SlackSec: 1.5})
 	s.OnEvent(DropoutEvent{Round: 0, User: 3})
-	s.OnEvent(AggregateEvent{Round: 0, Uploads: 1, Failed: 1, TrainLoss: 1.0})
+	s.OnEvent(AggregateEvent{Round: 0, Uploads: 1})
 	s.OnEvent(RoundEndEvent{
 		Round: 0, Selected: []int{1, 3}, Failed: 1, Alive: 4,
 		DelaySec: 3, EnergyJ: 12.2, ComputeJ: 12, UploadJ: 0.2, SlackSec: 1.5,

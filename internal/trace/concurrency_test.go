@@ -42,8 +42,6 @@ func (r *orderRecorder) OnEvent(e obs.Event) {
 		r.steps = append(r.steps, orderStep{"start", ev.Round})
 	case obs.SelectionEvent:
 		r.steps = append(r.steps, orderStep{"selection", ev.Round})
-	case obs.FrequencyEvent:
-		r.steps = append(r.steps, orderStep{"frequency", ev.Round})
 	case obs.LocalUpdateEvent:
 		r.steps = append(r.steps, orderStep{"local", ev.Round})
 	case obs.UploadEvent:
@@ -57,9 +55,9 @@ func (r *orderRecorder) OnEvent(e obs.Event) {
 
 // phaseRank is the required within-round ordering of event kinds.
 var phaseRank = map[string]int{
-	"start": 0, "selection": 1, "frequency": 2,
-	"local": 3, "upload": 3, // spans interleave freely with each other
-	"aggregate": 4, "end": 5,
+	"start": 0, "selection": 1,
+	"local": 2, "upload": 2, // spans interleave freely with each other
+	"aggregate": 3, "end": 4,
 }
 
 // checkMonotonic asserts rounds never regress and, within one round, phases

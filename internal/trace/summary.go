@@ -16,9 +16,7 @@ type Summary struct {
 	TotalEnergy  float64
 	ComputeShare float64 // fraction of energy spent computing
 	Delay        stats.Summary
-	Slack        stats.Summary
 	BestAccuracy float64
-	FinalLoss    float64
 }
 
 // Summarize groups records by scheme and aggregates each group. Schemes
@@ -37,24 +35,20 @@ func Summarize(recs []Record) []Summary {
 		rs := byScheme[scheme]
 		s := Summary{Scheme: scheme, Rounds: len(rs)}
 		delays := make([]float64, len(rs))
-		slacks := make([]float64, len(rs))
 		var compute float64
 		for i, r := range rs {
 			delays[i] = r.DelaySec
-			slacks[i] = r.SlackSec
 			s.TotalTime += r.DelaySec
 			s.TotalEnergy += r.EnergyJ
 			compute += r.ComputeJ
 			if r.Evaluated && r.TestAccuracy > s.BestAccuracy {
 				s.BestAccuracy = r.TestAccuracy
 			}
-			s.FinalLoss = r.TrainLoss
 		}
 		if s.TotalEnergy > 0 {
 			s.ComputeShare = compute / s.TotalEnergy
 		}
 		s.Delay = stats.Summarize(delays)
-		s.Slack = stats.Summarize(slacks)
 		out = append(out, s)
 	}
 	return out

@@ -38,9 +38,6 @@ func TestSummarizeGroupsByScheme(t *testing.T) {
 	if h.Delay.Mean != 3 {
 		t.Fatalf("delay mean = %g", h.Delay.Mean)
 	}
-	if h.FinalLoss != 1.5 {
-		t.Fatalf("final loss = %g", h.FinalLoss)
-	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
