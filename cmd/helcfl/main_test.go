@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 
 	"helcfl/internal/experiments"
 	"helcfl/internal/nn"
+	"helcfl/internal/obs"
 	"helcfl/internal/obs/span"
 	"helcfl/internal/trace"
 )
@@ -347,13 +349,39 @@ func TestRunFig2TraceOut(t *testing.T) {
 	if len(dumps) != 1 {
 		t.Fatalf("flight dumps = %v", dumps)
 	}
-	df, err := os.Open(dumps[0])
+	dump, err := os.ReadFile(dumps[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer df.Close()
-	if _, err := span.Read(df); err != nil {
+	if _, err := span.Read(bytes.NewReader(dump)); err != nil {
 		t.Fatalf("span.Read on flight dump: %v", err)
+	}
+	// Every event line carries a known kind and its JSON-encoded fields.
+	kinds := map[string]bool{}
+	for _, ev := range []obs.Event{obs.RunStartEvent{}, obs.RoundStartEvent{}, obs.SelectionEvent{},
+		obs.LocalUpdateEvent{}, obs.UploadEvent{}, obs.DropoutEvent{}, obs.BatteryEvent{},
+		obs.AggregateEvent{}, obs.RoundEndEvent{}, obs.RunEndEvent{}} {
+		kinds[ev.Kind()] = true
+	}
+	events := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(dump), []byte("\n")) {
+		var l struct {
+			Event string
+			Data  map[string]json.RawMessage
+		}
+		if err := json.Unmarshal(line, &l); err != nil {
+			t.Fatalf("flight dump line %s: %v", line, err)
+		}
+		if l.Event == "" {
+			continue
+		}
+		if !kinds[l.Event] || len(l.Data) == 0 {
+			t.Fatalf("flight dump event line %s: unknown kind or no fields", line)
+		}
+		events++
+	}
+	if events == 0 {
+		t.Fatal("flight dump holds no event lines")
 	}
 }
 

@@ -99,7 +99,11 @@ func newCell[T any](experiment, scheme, variant string, p Preset, s Setting, see
 			runCtx, runSp := span.StartCtx(ctx, "cell.run")
 			defer runSp.End()
 			rec, parent := span.FromContext(runCtx)
-			return body(cellEnv{Env: env, trace: rec, parent: parent})
+			// The cache key leaves out the Sink, so a cached Env carries
+			// whichever sink its first builder had: use this preset's.
+			own := *env
+			own.Preset.Sink = p.Sink
+			return body(cellEnv{Env: &own, trace: rec, parent: parent})
 		},
 	}
 }

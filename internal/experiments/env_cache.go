@@ -42,6 +42,7 @@ func envCacheKey(p Preset, s Setting, seed int64) string {
 // CachedEnv returns the (deterministic) environment for the key, building
 // it at most once per process. The returned Env is shared: callers must
 // treat it as read-only, copying the struct before overriding any field.
+// Its Preset.Sink is the first builder's, not necessarily p.Sink.
 func CachedEnv(p Preset, s Setting, seed int64) (*Env, error) {
 	v, _ := envCache.LoadOrStore(envCacheKey(p, s, seed), &envCacheEntry{})
 	e := v.(*envCacheEntry)

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"helcfl/internal/obs"
@@ -145,5 +147,30 @@ func TestCachedEnvConcurrentRunsBitIdentical(t *testing.T) {
 		if math.Float64bits(r.final) != math.Float64bits(want.FinalAccuracy) {
 			t.Fatalf("concurrent run %d final accuracy %g, want %g", i, r.final, want.FinalAccuracy)
 		}
+	}
+}
+
+// countSink counts the events it receives.
+type countSink struct{ n atomic.Int64 }
+
+func (c *countSink) OnEvent(obs.Event) { c.n.Add(1) }
+
+// TestCellUsesItsOwnSink pins that a cell runs with its own preset's Sink
+// when the cached environment was built by a cell with another one.
+func TestCellUsesItsOwnSink(t *testing.T) {
+	ResetEnvCache()
+	defer ResetEnvCache()
+	p := Tiny()
+	p.MaxRounds = 1
+	if _, err := trainCell(p, IID, 1, "HELCFL", "", nil).Run(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	sink := &countSink{}
+	p.Sink = sink
+	if _, err := trainCell(p, IID, 1, "HELCFL", "", nil).Run(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if sink.n.Load() == 0 {
+		t.Fatal("the cell ran with the cached environment's sink, not its own")
 	}
 }
