@@ -122,8 +122,10 @@ func BenchmarkMatMulTransBTiled256(b *testing.B) {
 // BenchmarkMatMulShapes times each kernel at the shapes the fl_* workloads
 // feed it, single-worker so the number is the kernel's and not the
 // scheduler's: MLP-128 on 192-feature inputs (40-sample local update,
-// 256-sample evaluation batch) and the squeezenet-mini stem on a 40-image
-// batch of 8×8 positions. a, b and dst are the stored shapes.
+// 256-sample evaluation batch), the squeezenet-mini stem on a 40-image
+// batch of 8×8 positions, and fl_wide's logistic model on one user's 8
+// samples, whose 10-column rows are one 8-element lane bulk plus a
+// 2-element tail. a, b and dst are the stored shapes.
 func BenchmarkMatMulShapes(b *testing.B) {
 	cases := []struct {
 		name      string
@@ -136,6 +138,7 @@ func BenchmarkMatMulShapes(b *testing.B) {
 		{"mlp_dx", MatMulTransBInto, [2]int{40, 128}, [2]int{192, 128}, [2]int{40, 192}},
 		{"cnn_stem", MatMulInto, [2]int{16, 27}, [2]int{27, 2560}, [2]int{16, 2560}},
 		{"cnn_dW", MatMulTransBInto, [2]int{16, 2560}, [2]int{27, 2560}, [2]int{16, 27}},
+		{"logistic_update", MatMulInto, [2]int{8, 192}, [2]int{192, 10}, [2]int{8, 10}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

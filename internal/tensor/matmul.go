@@ -22,6 +22,14 @@ import "fmt"
 // fuses both alike. The differential and fuzz tests in this package
 // enforce that identity; do not change loop order, zero-skip conditions,
 // or accumulation structure without them.
+//
+// On amd64 CPUs with AVX, axpy4 and axpyPanel hand their whole row to the
+// assembly in simd_amd64.s, which runs the same chain four elements per
+// instruction (VMULPD, VADDPD, never FMA) and the last 0–3 elements with
+// the scalar VEX forms of the same operations. Each lane rounds every
+// product and sum on its own, in the Go loop's order, so the lanes change
+// no bit but a NaN's payload, which the Go loops do not pin either. The Go
+// loops do all the work everywhere else.
 
 const (
 	// blockK and blockN tile the reduction and column dimensions so one
@@ -56,10 +64,16 @@ func MatMulInto(dst, a, b *Tensor) {
 // induction variable spills to the stack on every iteration — roughly a
 // 20% kernel slowdown. A dedicated, never-inlined function gets its own
 // clean register set; the call overhead is amortized over a whole panel.
+// With useAVX, axpyPanelAVX does the whole row; out and brow must then
+// not overlap unless they are the same slice.
 //
 //go:noinline
 func axpyPanel(out, brow []float64, av float64) {
 	out = out[:len(brow)]
+	if useAVX {
+		axpyPanelAVX(out, brow, av)
+		return
+	}
 	for j, bv := range brow {
 		out[j] += av * bv
 	}
@@ -72,12 +86,17 @@ func axpyPanel(out, brow []float64, av float64) {
 // and every sum rounded on its own, so out[j] ends up with exactly the bits
 // of axpyPanel(b0, a0) … axpyPanel(b3, a3) run one after another. Callers
 // pass the four rows in ascending reduction index. Never inlined for the
-// same register reason as axpyPanel.
+// same register reason as axpyPanel. With useAVX, axpy4AVX does the whole
+// row.
 //
 //go:noinline
 func axpy4(out, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 	n := len(b0)
 	out, b1, b2, b3 = out[:n], b1[:n], b2[:n], b3[:n]
+	if useAVX {
+		axpy4AVX(out, b0, b1, b2, b3, a0, a1, a2, a3)
+		return
+	}
 	for j, v := range b0 {
 		s := out[j] + a0*v
 		s += a1 * b1[j]

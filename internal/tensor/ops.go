@@ -11,12 +11,12 @@ func (t *Tensor) AddInPlace(u *Tensor) *Tensor {
 	return t
 }
 
-// AXPY sets t += a·u (the BLAS axpy update) and returns t.
+// AXPY sets t += a·u (the BLAS axpy update) and returns t. It runs the
+// matmul kernels' axpyPanel, so each element is t[i] + a·u[i], rounded
+// as the scalar loop rounds it.
 func (t *Tensor) AXPY(a float64, u *Tensor) *Tensor {
 	t.checkSameShape("AXPY", u)
-	for i, v := range u.data {
-		t.data[i] += a * v
-	}
+	axpyPanel(t.data, u.data, a)
 	return t
 }
 

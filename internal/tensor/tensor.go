@@ -7,6 +7,10 @@
 // Tensors carry an explicit shape; all operations validate shapes eagerly and
 // panic on mismatch, because a shape error is a programming bug, not a
 // runtime condition a caller can recover from.
+//
+// The package is pure Go except for one assembly file: on amd64 CPUs with
+// AVX, the two axpy loops under a·b, aᵀ·b and AXPY run four float64 lanes
+// per instruction, with the same bits as the Go loops (see matmul.go).
 package tensor
 
 import (
