@@ -244,24 +244,34 @@ type Engine struct {
 	upEdgesBuf  []int
 	hierScratch HierScratch
 
-	// Persistent local-update worker pool, spawned lazily on the first
-	// round that trains more than one user concurrently and stopped by
-	// Close. With one effective worker the engine trains users inline on
-	// the calling goroutine — no goroutines, no channel.
-	taskCh chan trainTask
+	// Persistent worker pool for local updates and evaluation, spawned
+	// lazily on the first round that trains more than one user or
+	// evaluates more than one row range concurrently, and stopped by
+	// Close. With one effective worker the engine trains and evaluates
+	// inline on the calling goroutine — no goroutines, no channel.
+	taskCh chan poolTask
 	taskWG sync.WaitGroup // the round's outstanding tasks
 	poolWG sync.WaitGroup // the pool's live workers
+
+	// Evaluation state: the test set cut for the current worker count,
+	// and the global parameters the round's evaluation loads.
+	eval       *evaluator
+	evalParams []float64
 }
 
-// trainTask names one user's local update: selected[si] == q trains into
-// result slot si.
-type trainTask struct{ si, q int }
+// poolTask names one unit of pool work: user q's local update into result
+// slot si (selected[si] == q), or, with eval set, the forward pass of the
+// evaluator's row range si.
+type poolTask struct {
+	si, q int
+	eval  bool
+}
 
-// trainer is one local-update worker's training state: a model structurally
-// identical to the global one, whose layer scratch grows to the largest
-// |D_q| the worker has served, and the loss that goes with it. The inline
-// path trains on trainer 0 (built with the engine), pool worker i on
-// trainer i (built with the pool).
+// trainer is one pool worker's model state: a model structurally identical
+// to the global one, whose layer scratch grows to the largest |D_q| or
+// evaluation chunk the worker has served, and the loss that goes with it.
+// The inline path runs on trainer 0 (built with the engine), pool worker i
+// on trainer i (built with the pool).
 type trainer struct {
 	model *nn.Sequential
 	loss  *nn.SoftmaxCrossEntropy
@@ -641,7 +651,15 @@ func (e *Engine) Step() (bool, error) {
 	deadlineHit := cfg.DeadlineSec > 0 && e.cumTime >= cfg.DeadlineSec
 	if j%e.evalEvery == 0 || lastRound || deadlineHit {
 		evalSp := cfg.Trace.Start(roundSp.Ref(), "fl.round.eval")
-		tl, ta := Evaluate(e.global, cfg.Test, e.flatten)
+		params := e.avgBuf
+		if len(uploads) == 0 {
+			// Every upload was lost: the global model is still the one
+			// this round broadcast.
+			params = e.globalFlat
+		}
+		tl, ta, workers := e.evaluate(params)
+		evalSp.SetInt("rows", int64(cfg.Test.N()))
+		evalSp.SetInt("workers", int64(workers))
 		evalSp.End()
 		rec.Evaluated = true
 		rec.TestLoss, rec.TestAccuracy = tl, ta
@@ -744,9 +762,50 @@ func (e *Engine) trainSelected(selected []int, globalFlat []float64) {
 	e.ensurePool(w)
 	e.taskWG.Add(len(selected))
 	for si, q := range selected {
-		e.taskCh <- trainTask{si: si, q: q}
+		e.taskCh <- poolTask{si: si, q: q}
 	}
 	e.taskWG.Wait()
+}
+
+// evaluate measures the global model, whose flat parameters are params, on
+// the test set, and returns its loss, accuracy and the number of workers
+// that shared the forward passes. Each worker loads params into its trainer
+// and forwards one row range of the test set; the loss and accuracy are
+// then reduced serially, so the result is bit-for-bit Evaluate's at every
+// worker count. The global model itself runs no forward pass and holds no
+// evaluation scratch.
+func (e *Engine) evaluate(params []float64) (loss, accuracy float64, workers int) {
+	w := tensor.Workers()
+	if e.taskCh != nil {
+		// A live pool fixes the worker count.
+		w = min(w, len(e.trainers))
+	}
+	if e.eval == nil || e.eval.workers != w {
+		e.eval = newEvaluator(e.cfg.Test, e.flatten, w)
+	}
+	ev := e.eval
+	ev.size(e.trainers[0].model)
+	e.evalParams = params
+	ranges := ev.ranges()
+	if ranges == 1 {
+		e.evalOne(e.trainers[0], 0)
+	} else {
+		e.ensurePool(ranges)
+		e.taskWG.Add(ranges)
+		for r := 0; r < ranges; r++ {
+			e.taskCh <- poolTask{si: r, eval: true}
+		}
+		e.taskWG.Wait()
+	}
+	loss, accuracy = ev.reduce()
+	return loss, accuracy, ranges
+}
+
+// evalOne loads the round's global parameters into trainer t and forwards
+// the evaluator's row range r.
+func (e *Engine) evalOne(t trainer, r int) {
+	t.model.SetFlatParams(e.evalParams)
+	e.eval.forwardRange(t.model, r)
 }
 
 // trainOne trains user q on trainer t into result slot si using the
@@ -773,10 +832,11 @@ func newTrainer(global *nn.Sequential) trainer {
 	return trainer{model: global.Clone(), loss: nn.NewSoftmaxCrossEntropy()}
 }
 
-// ensurePool lazily spawns the persistent local-update workers, one trainer
-// each. The channel is buffered to the fleet size, so a whole round
-// enqueues without blocking even before any worker wakes. The pool lives
-// until Close; each round synchronizes through taskWG.
+// ensurePool lazily spawns the persistent pool workers, one trainer each.
+// The channel is buffered to the fleet size, so a whole round's local
+// updates enqueue without blocking even before any worker wakes; an
+// evaluation sends one task per worker. The pool lives until Close; each
+// round synchronizes through taskWG.
 func (e *Engine) ensurePool(w int) {
 	if e.taskCh != nil {
 		return
@@ -784,7 +844,7 @@ func (e *Engine) ensurePool(w int) {
 	for len(e.trainers) < w {
 		e.trainers = append(e.trainers, newTrainer(e.global))
 	}
-	e.taskCh = make(chan trainTask, len(e.cfg.Devices))
+	e.taskCh = make(chan poolTask, len(e.cfg.Devices))
 	e.poolWG.Add(w)
 	for i := 0; i < w; i++ {
 		go e.poolWorker(e.taskCh, e.trainers[i])
@@ -794,15 +854,19 @@ func (e *Engine) ensurePool(w int) {
 // poolWorker serves tasks until its channel is closed. The channel is an
 // argument, not a read of e.taskCh: Close nils that field, and a worker
 // scheduled only after that would otherwise park forever on a nil channel.
-func (e *Engine) poolWorker(tasks <-chan trainTask, t trainer) {
+func (e *Engine) poolWorker(tasks <-chan poolTask, t trainer) {
 	defer e.poolWG.Done()
 	for task := range tasks {
-		e.trainOne(t, task.si, task.q)
+		if task.eval {
+			e.evalOne(t, task.si)
+		} else {
+			e.trainOne(t, task.si, task.q)
+		}
 		e.taskWG.Done()
 	}
 }
 
-// Close stops the local-update worker pool and returns once every worker
+// Close stops the worker pool and returns once every worker
 // has exited. Result calls it when the campaign finishes; a caller that
 // abandons an engine mid-campaign calls it directly. Idempotent.
 func (e *Engine) Close() {

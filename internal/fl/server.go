@@ -1,12 +1,6 @@
 package fl
 
-import (
-	"fmt"
-
-	"helcfl/internal/dataset"
-	"helcfl/internal/nn"
-	"helcfl/internal/tensor"
-)
+import "fmt"
 
 // FedAvgInto aggregates uploaded flat parameter vectors with the weighted
 // mean of Eq. (18), M_G ← Σ |D_q|·M_q / Σ |D_q|, into a caller-owned dst of
@@ -122,34 +116,4 @@ func FedAvgHierInto(dst []float64, scratch *HierScratch, uploads [][]float64, we
 			dst[j] += share * (row[j] * invE)
 		}
 	}
-}
-
-// Evaluate computes loss and accuracy of a model over a dataset, batching
-// the forward passes to bound peak memory. flattenInput selects the (B, D)
-// view for dense models.
-func Evaluate(m *nn.Sequential, d *dataset.Dataset, flattenInput bool) (loss, accuracy float64) {
-	const batch = 256
-	lossFn := nn.NewSoftmaxCrossEntropy()
-	n := d.N()
-	totalLoss := 0.0
-	correct := 0.0
-	plane := d.SampleDim()
-	for off := 0; off < n; off += batch {
-		end := off + batch
-		if end > n {
-			end = n
-		}
-		bn := end - off
-		var x *tensor.Tensor
-		if flattenInput {
-			x = tensor.FromSlice(d.X.Data()[off*plane:end*plane], bn, plane)
-		} else {
-			x = tensor.FromSlice(d.X.Data()[off*plane:end*plane], bn, d.Channels(), d.Height(), d.Width())
-		}
-		labels := d.Labels[off:end]
-		logits := m.Forward(x, false)
-		totalLoss += lossFn.Forward(logits, labels) * float64(bn)
-		correct += nn.Accuracy(logits, labels) * float64(bn)
-	}
-	return totalLoss / float64(n), correct / float64(n)
 }

@@ -20,6 +20,14 @@ import "helcfl/internal/tensor"
 // respect to the layer output and returns the gradient with respect to the
 // layer input, accumulating parameter gradients internally. A layer must be
 // used in strict Forward-then-Backward order.
+//
+// Forward must be row-independent: row i of its output depends only on row
+// i of its input and the parameters, bit for bit, whatever other rows share
+// the batch and whatever batches the layer saw before. Evaluation in
+// internal/fl relies on it to cut the test set into row ranges on several
+// workers and still get the bits of one serial pass. A layer that couples
+// rows (a BatchNorm that normalizes with batch statistics, say) breaks that
+// contract; TestForwardIsRowIndependent fails on it.
 type Layer interface {
 	// Name identifies the layer kind for diagnostics.
 	Name() string

@@ -125,20 +125,24 @@ func BenchmarkMatMulTransBTiled256(b *testing.B) {
 // 256-sample evaluation batch), the squeezenet-mini stem on a 40-image
 // batch of 8×8 positions, and fl_wide's logistic model on one user's 8
 // samples, whose 10-column rows are one 8-element lane bulk plus a
-// 2-element tail. a, b and dst are the stored shapes.
+// 2-element tail. mlp_logits is the evaluation batch's second layer: its
+// a is a ReLU output, half zeros at random, which is what the nonzero scan
+// of matMulRows sees there. a, b and dst are the stored shapes.
 func BenchmarkMatMulShapes(b *testing.B) {
 	cases := []struct {
 		name      string
 		kernel    func(dst, a, b *Tensor)
 		a, b, dst [2]int
+		relu      bool // zero a's negative entries
 	}{
-		{"mlp_eval", MatMulInto, [2]int{256, 192}, [2]int{192, 128}, [2]int{256, 128}},
-		{"mlp_update", MatMulInto, [2]int{40, 192}, [2]int{192, 128}, [2]int{40, 128}},
-		{"mlp_dW", MatMulTransAInto, [2]int{40, 192}, [2]int{40, 128}, [2]int{192, 128}},
-		{"mlp_dx", MatMulTransBInto, [2]int{40, 128}, [2]int{192, 128}, [2]int{40, 192}},
-		{"cnn_stem", MatMulInto, [2]int{16, 27}, [2]int{27, 2560}, [2]int{16, 2560}},
-		{"cnn_dW", MatMulTransBInto, [2]int{16, 2560}, [2]int{27, 2560}, [2]int{16, 27}},
-		{"logistic_update", MatMulInto, [2]int{8, 192}, [2]int{192, 10}, [2]int{8, 10}},
+		{"mlp_eval", MatMulInto, [2]int{256, 192}, [2]int{192, 128}, [2]int{256, 128}, false},
+		{"mlp_update", MatMulInto, [2]int{40, 192}, [2]int{192, 128}, [2]int{40, 128}, false},
+		{"mlp_dW", MatMulTransAInto, [2]int{40, 192}, [2]int{40, 128}, [2]int{192, 128}, false},
+		{"mlp_dx", MatMulTransBInto, [2]int{40, 128}, [2]int{192, 128}, [2]int{40, 192}, false},
+		{"cnn_stem", MatMulInto, [2]int{16, 27}, [2]int{27, 2560}, [2]int{16, 2560}, false},
+		{"cnn_dW", MatMulTransBInto, [2]int{16, 2560}, [2]int{27, 2560}, [2]int{16, 27}, false},
+		{"logistic_update", MatMulInto, [2]int{8, 192}, [2]int{192, 10}, [2]int{8, 10}, false},
+		{"mlp_logits", MatMulInto, [2]int{256, 128}, [2]int{128, 10}, [2]int{256, 10}, true},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -146,6 +150,11 @@ func BenchmarkMatMulShapes(b *testing.B) {
 			defer SetWorkers(prev)
 			rng := rand.New(rand.NewSource(6))
 			x := New(c.a[:]...).FillNormal(rng, 0, 1)
+			if c.relu {
+				for i, v := range x.data {
+					x.data[i] = max(v, 0)
+				}
+			}
 			y := New(c.b[:]...).FillNormal(rng, 0, 1)
 			dst := New(c.dst[:]...)
 			flops := c.a[0] * c.a[1] * c.dst[1] // every a element meets one dst row

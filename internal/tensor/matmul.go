@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Matrix-multiply kernels.
 //
@@ -110,7 +113,10 @@ func axpy4(out, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 // row and k-block it lists the nonzero a[i, p] in ascending p, then feeds
 // them to axpy4 four at a time and the last 0–3 to axpyPanel. For a fixed
 // output element, contributions arrive in ascending-p order with the same
-// zero-skip as the naive ikj kernel, so the result is bit-identical.
+// zero-skip as the naive ikj kernel, so the result is bit-identical. The
+// listing is branch-free: every p is written to the next free slot, and
+// the slot advances only for a nonzero. Behind a ReLU half of a's entries
+// are zero at random, which a branch per entry mispredicts.
 func matMulRows(dst, a, b []float64, k, n, lo, hi int) {
 	var nz [blockK]int // nonzero reduction indices of one row's k-block
 	for kb := 0; kb < k; kb += blockK {
@@ -122,10 +128,8 @@ func matMulRows(dst, a, b []float64, k, n, lo, hi int) {
 				orow := dst[i*n+jb : i*n+jEnd]
 				cnt := 0
 				for p := kb; p < kEnd; p++ {
-					if arow[p] != 0 {
-						nz[cnt] = p
-						cnt++
-					}
+					nz[cnt] = p
+					cnt += nonzero(arow[p])
 				}
 				q := 0
 				for ; q+4 <= cnt; q += 4 {
@@ -142,6 +146,14 @@ func matMulRows(dst, a, b []float64, k, n, lo, hi int) {
 			}
 		}
 	}
+}
+
+// nonzero returns 1 when v != 0 and 0 when v is ±0, without a branch:
+// v != 0 (NaN included) exactly when a bit other than the sign is set, and
+// x | -x has its top bit set exactly when x is nonzero.
+func nonzero(v float64) int {
+	x := math.Float64bits(v) &^ (1 << 63)
+	return int((x | -x) >> 63)
 }
 
 // MatMulTransAInto computes aᵀ·b into dst, which must have shape (m, n).

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -125,5 +126,26 @@ func TestMatMulLinearityQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNonzeroMatchesCompare pins matMulRows's branch-free zero test to
+// v != 0 on the IEEE edge classes: ±0 are zero; NaNs of either sign,
+// subnormals and infinities are not.
+func TestNonzeroMatchesCompare(t *testing.T) {
+	for _, b := range []uint64{
+		0, 1 << 63, 1, 1<<63 | 1, 0x000FFFFFFFFFFFFF, 0x0010000000000000,
+		0x3FF0000000000000, 0xBFF0000000000000, 0x7FEFFFFFFFFFFFFF,
+		0x7FF0000000000000, 0xFFF0000000000000, 0x7FF0000000000001,
+		0x7FF8000000000000, 0xFFF8000000000000, 0xFFFFFFFFFFFFFFFF,
+	} {
+		v := math.Float64frombits(b)
+		want := 0
+		if v != 0 {
+			want = 1
+		}
+		if got := nonzero(v); got != want {
+			t.Errorf("nonzero(%v = %#x) = %d, want %d", v, b, got, want)
+		}
 	}
 }
